@@ -1,20 +1,44 @@
-"""Dense matrices over Q(i) with exact elimination.
+"""Dense matrices over Q(i) with exact, fraction-free kernels.
 
-Matrices are immutable, stored row-major, and sized rows x cols where either
-dimension may be zero (empty bases fall out of rank computations naturally).
-All elimination uses exact division with the first nonzero entry in column
-order as pivot, so results are deterministic.
+Matrices are immutable, stored row-major as GaussianRational entries, and
+sized rows x cols where either dimension may be zero (empty bases fall out
+of rank computations naturally).
+
+The arithmetic kernels work on Gaussian integers (Python ints for the real
+and imaginary parts) rather than on entries:
+
+* The product clears each row of the left factor and each column of the
+  right factor to Gaussian integers over one LCM denominator, takes plain
+  integer dot products, and reduces each output entry once.
+* ``rank`` and ``rref`` clear each row the same way, which keeps its row
+  space. ``rank`` runs Bareiss forward elimination and ``rref`` runs
+  fraction-free Gauss-Jordan elimination (FFGJ). Every step divides
+  exactly by the previous pivot in Z[i]; a remainder raises
+  ArithmeticError. ``rref`` normalizes its rows by the pivot once, at the
+  end.
+
+Pivots are always the first nonzero entry in column order, and every
+result is exact and canonical, so outputs are deterministic.
+
+References: E. H. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22 (1968);
+G. C. Nakos, P. R. Turner and R. M. Williams, "Fraction-free algorithms
+for linear and polynomial equations", SIGSAM Bull. 31 (1997).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .scalars import ZERO, GaussianRational
 
 _Entry = GaussianRational | int | Fraction
+_ZERO_Q = Fraction(0)
 
 
 class ShapeMismatch(ValueError):
@@ -169,21 +193,7 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ShapeMismatch("mul", self.shape, other.shape)
-            inner, width = self.cols, other.cols
-            data: list[GaussianRational] = []
-            other_rows = [other.row(t) for t in range(inner)]
-            for i in range(self.rows):
-                acc = [ZERO] * width
-                this_row = self.row(i)
-                for t in range(inner):
-                    a = this_row[t]
-                    if not a:
-                        continue
-                    for j, b in enumerate(other_rows[t]):
-                        if b:
-                            acc[j] = acc[j] + a * b
-                data.extend(acc)
-            return Matrix(self.rows, width, data)
+            return _product(self, other)
         scalar = GaussianRational._coerce(other)
         if scalar is None:
             return NotImplemented
@@ -219,65 +229,202 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} {self})"
 
 
+# A Gaussian-integer vector is a pair (re, im) of equally long int lists.
+# In a product, im is None for a row or column without imaginary part; in
+# elimination, it is None when the whole matrix is real. A Gaussian-integer
+# scalar is a plain (re, im) pair of ints.
+_ZiVector = tuple[list[int], list[int] | None]
+_Zi = tuple[int, int]
+
+
+def _cleared(entries: Sequence[GaussianRational]
+             ) -> tuple[int, list[int], list[int] | None]:
+    """Scale entries by the LCM of their denominators: (den, re, im)."""
+    reals = [x.re for x in entries]
+    imags = [x.im for x in entries]
+    if not any(imags):
+        den = lcm(*[q.denominator for q in reals])
+        return den, [q.numerator * (den // q.denominator) for q in reals], None
+    den = lcm(*[q.denominator for q in reals], *[q.denominator for q in imags])
+    return (den, [q.numerator * (den // q.denominator) for q in reals],
+            [q.numerator * (den // q.denominator) for q in imags])
+
+
+def _scalar(re: int, im: int, den: int) -> GaussianRational:
+    """(re + im*i) / den for a nonzero den, reduced once."""
+    if not im:
+        return GaussianRational._new(Fraction(re, den), _ZERO_Q) if re else ZERO
+    return GaussianRational._new(Fraction(re, den), Fraction(im, den))
+
+
+def _product(left: Matrix, right: Matrix) -> Matrix:
+    """Matrix product by integer dot products over cleared rows and columns.
+
+    Row i of the left factor is (a + b*i)/s and column j of the right one
+    is (c + d*i)/t with integer vectors a, b, c, d, so entry (i, j) is
+    (a.c - b.d + (a.d + b.c)*i) / (s*t), reduced once.
+    """
+    width = right.cols
+    rows = [_cleared(left.row(i)) for i in range(left.rows)]
+    cols = [_cleared(right._data[j::width]) for j in range(width)]
+    data: list[GaussianRational] = []
+    for s, a, b in rows:
+        for t, c, d in cols:
+            re = sum(map(mul, a, c))
+            im = 0
+            if b is not None:
+                im = sum(map(mul, b, c))
+                if d is not None:
+                    re -= sum(map(mul, b, d))
+            if d is not None:
+                im += sum(map(mul, a, d))
+            data.append(_scalar(re, im, s * t))
+    return Matrix(left.rows, width, data)
+
+
+def _integer_rows(matrix: Matrix) -> list[_ZiVector]:
+    """Each row scaled to Gaussian integers; scaling keeps the row space."""
+    cleared = [_cleared(matrix.row(i)) for i in range(matrix.rows)]
+    if all(im is None for _, _, im in cleared):
+        return [(re, None) for _, re, _ in cleared]
+    zeros = [0] * matrix.cols
+    return [(re, zeros if im is None else im) for _, re, im in cleared]
+
+
+def _lead(vector: _ZiVector, col: int) -> _Zi:
+    re, im = vector
+    return re[col], (0 if im is None else im[col])
+
+
+def _exact_quotients(values: list[int], d: int) -> list[int]:
+    pairs = list(map(divmod, values, repeat(d)))
+    if any(r for _, r in pairs):
+        raise ArithmeticError(f"elimination step not divisible by {d}")
+    return [q for q, _ in pairs]
+
+
+def _divide(re: list[int], im: list[int] | None, d: _Zi) -> _ZiVector:
+    """(re + im*i) / d entrywise; the division must be exact in Z[i].
+
+    A non-real d is handled by multiplying with its conjugate and dividing
+    by its norm.
+    """
+    dr, di = d
+    if di:
+        re, im = ([a * dr + b * di for a, b in zip(re, im)],
+                  [b * dr - a * di for a, b in zip(re, im)])
+        dr = dr * dr + di * di
+    if dr == 1:
+        return re, im
+    return (_exact_quotients(re, dr),
+            None if im is None else _exact_quotients(im, dr))
+
+
+def _combine(p: _Zi, x: _ZiVector, c: _Zi, y: _ZiVector, d: _Zi,
+             start: int) -> _ZiVector:
+    """(p*x - c*y) / d on columns start.. of the vectors x and y.
+
+    This is the Bareiss step: with d the previous pivot, every entry is a
+    minor of the cleared matrix, so the division is exact.
+    """
+    pr, pi = p
+    cr, ci = c
+    xr, xi = x[0][start:], x[1]
+    if xi is None:
+        if not cr:
+            return _divide([pr * a for a in xr], None, d)
+        return _divide([pr * a - cr * b for a, b in zip(xr, y[0][start:])],
+                       None, d)
+    xi = xi[start:]
+    if not (cr or ci):
+        re = [pr * a - pi * b for a, b in zip(xr, xi)]
+        im = [pr * b + pi * a for a, b in zip(xr, xi)]
+    elif pi or ci:
+        yr, yi = y[0][start:], y[1][start:]
+        re = [pr * a - pi * b - cr * e + ci * f
+              for a, b, e, f in zip(xr, xi, yr, yi)]
+        im = [pr * b + pi * a - cr * f - ci * e
+              for a, b, e, f in zip(xr, xi, yr, yi)]
+    else:
+        re = [pr * a - cr * e for a, e in zip(xr, y[0][start:])]
+        im = [pr * b - cr * f for b, f in zip(xi, y[1][start:])]
+    return _divide(re, im, d)
+
+
 def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced row echelon form by Gauss-Jordan elimination.
+    """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
 
     Returns (R, rank, pivot_columns). Pivots are chosen as the first
-    nonzero entry in column order, division is exact, and pivot rows are
-    normalized to 1, so the output is canonical for the row space.
+    nonzero entry in column order. The rows are cleared to Gaussian
+    integers, and each step divides exactly by the previous pivot, so
+    every pivot ends up equal to the last one; dividing by it once at the
+    end normalizes the pivots to 1. The output is canonical for the row
+    space.
     """
-    grid = matrix.to_lists()
+    rows = _integer_rows(matrix)
     height, width = matrix.rows, matrix.cols
     pivot_cols: list[int] = []
-    pivot_row = 0
+    d = (1, 0)
     for col in range(width):
-        if pivot_row >= height:
+        top = len(pivot_cols)
+        if top >= height:
             break
-        selected = None
-        for r in range(pivot_row, height):
-            if grid[r][col]:
-                selected = r
-                break
+        selected = next((r for r in range(top, height)
+                         if any(_lead(rows[r], col))), None)
         if selected is None:
             continue
-        grid[pivot_row], grid[selected] = grid[selected], grid[pivot_row]
-        inv = grid[pivot_row][col].inverse()
-        grid[pivot_row] = [inv * x for x in grid[pivot_row]]
+        rows[top], rows[selected] = rows[selected], rows[top]
+        pivot = rows[top]
+        p = _lead(pivot, col)
         for r in range(height):
-            if r != pivot_row and grid[r][col]:
-                factor = grid[r][col]
-                pivot_line = grid[pivot_row]
-                grid[r] = [x - factor * y for x, y in zip(grid[r], pivot_line)]
+            if r != top:
+                # Rows below the pivot are zero left of col; rows above
+                # scale there, since the pivot row is zero left of col.
+                start = 0 if r < top else col
+                row = rows[r]
+                re, im = _combine(p, row, _lead(row, col), pivot, d, start)
+                rows[r] = (row[0][:start] + re,
+                           None if im is None else row[1][:start] + im)
+        d = p
         pivot_cols.append(col)
-        pivot_row += 1
-    flat = [x for row in grid for x in row]
-    return Matrix(height, width, flat), len(pivot_cols), tuple(pivot_cols)
+    found = len(pivot_cols)
+    data: list[GaussianRational] = []
+    dr, di = d
+    norm = dr * dr + di * di
+    for re, im in rows[:found]:
+        if im is None:
+            im = repeat(0)
+        if di:
+            data.extend(_scalar(a * dr + b * di, b * dr - a * di, norm)
+                        for a, b in zip(re, im))
+        else:
+            data.extend(_scalar(a, b, dr) for a, b in zip(re, im))
+    data.extend([ZERO] * ((height - found) * width))
+    return Matrix(height, width, data), found, tuple(pivot_cols)
 
 
 def rank(matrix: Matrix) -> int:
-    """Rank via forward elimination only (cheaper than full rref)."""
-    grid = matrix.to_lists()
-    height, width = matrix.rows, matrix.cols
-    pivot_row = 0
-    for col in range(width):
-        if pivot_row >= height:
+    """Rank by Bareiss forward elimination (cheaper than full rref)."""
+    rows = _integer_rows(matrix)
+    found = 0
+    d = (1, 0)
+    for _ in range(matrix.cols):
+        if not rows:
             break
-        selected = None
-        for r in range(pivot_row, height):
-            if grid[r][col]:
-                selected = r
-                break
+        selected = next((r for r, row in enumerate(rows)
+                         if any(_lead(row, 0))), None)
         if selected is None:
+            rows = [(re[1:], None if im is None else im[1:])
+                    for re, im in rows]
             continue
-        grid[pivot_row], grid[selected] = grid[selected], grid[pivot_row]
-        lead = grid[pivot_row][col]
-        for r in range(pivot_row + 1, height):
-            if grid[r][col]:
-                factor = grid[r][col] / lead
-                pivot_line = grid[pivot_row]
-                grid[r] = [x - factor * y for x, y in zip(grid[r], pivot_line)]
-        pivot_row += 1
-    return pivot_row
+        rows[0], rows[selected] = rows[selected], rows[0]
+        pivot = rows[0]
+        p = _lead(pivot, 0)
+        rows = [_combine(p, row, _lead(row, 0), pivot, d, 1)
+                for row in rows[1:]]
+        d = p
+        found += 1
+    return found
 
 
 def inverse(matrix: Matrix) -> Matrix:

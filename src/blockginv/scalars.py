@@ -12,6 +12,7 @@ from math import gcd
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_DIGITS = frozenset("0123456789")
 
 _FRACTION_NEW = Fraction.__new__
 
@@ -48,6 +49,11 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        for part in (re, im):
+            if isinstance(part, (float, complex)):
+                raise TypeError(
+                    f"{type(part).__name__} is inexact; use int or Fraction"
+                )
         self.re = Fraction(re)
         self.im = Fraction(im)
 
@@ -220,7 +226,7 @@ def _parse_term(text: str, pos: int) -> tuple[Fraction, bool, int]:
     if pos < n and text[pos] == "i":
         return (-_ONE if negative else _ONE), True, pos + 1
     start = pos
-    while pos < n and text[pos].isdigit():
+    while pos < n and text[pos] in _DIGITS:
         pos += 1
     if pos == start:
         raise ScalarParseError("expected a digit", pos)
@@ -229,7 +235,7 @@ def _parse_term(text: str, pos: int) -> tuple[Fraction, bool, int]:
     if pos < n and text[pos] == "/":
         pos += 1
         den_start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos] in _DIGITS:
             pos += 1
         if pos == den_start:
             raise ScalarParseError("expected a digit", pos)

@@ -262,6 +262,19 @@ class TestInputErrors:
         assert "(0, 0)" in message
         assert "offset 2" in message
 
+    @pytest.mark.parametrize("digit", ["\u0663", "\u00b2"])
+    def test_non_ascii_digit_is_input_error(self, digit, tmp_path, capsys):
+        e = write_matrix(tmp_path / "E.json", [[digit, "0"], ["0", "1"]])
+        f = write_matrix(tmp_path / "F.json", [["1", "0"], ["0", "0"]])
+        code, out, err = run_cli(
+            capsys, ["block", "--theorem", "thm3.1", "--E", e, "--F", f]
+        )
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "InputError"
+        assert "offset 0" in payload["message"]
+
     @pytest.mark.parametrize("entry", [1.5, True, None, ["1"]])
     def test_non_scalar_entries_rejected(self, entry, tmp_path, capsys):
         path = write_matrix(tmp_path / "m.json", [[entry]])

@@ -1,8 +1,14 @@
 """Matrix algebra, row reduction, kernels, and Pierce corners."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 
+import blockginv
+from blockginv import matrices
 from blockginv.matrices import (
     Matrix,
     NotIdempotent,
@@ -122,6 +128,51 @@ class TestRowReduction:
     @given(square_matrices())
     def test_rank_matches_rref(self, m):
         assert rank(m) == rref(m)[1]
+
+
+class TestExactDivision:
+    def test_non_real_previous_pivot_after_row_swap(self, monkeypatch):
+        # Column 0 pivots on i. Row 1 is then zero in column 1, so column 1
+        # swaps rows, and the next step divides by the non-real pivot i.
+        m = mat([["i", "1", "0"], ["0", "0", "1"], ["1", "2", "3"]])
+        divisors = []
+        divide = matrices._divide
+
+        def recording_divide(re, im, d):
+            divisors.append(d)
+            return divide(re, im, d)
+
+        monkeypatch.setattr(matrices, "_divide", recording_divide)
+        assert rank(m) == 3
+        assert (0, 1) in divisors
+        divisors.clear()
+        m_inv = inverse(m)
+        assert (0, 1) in divisors
+        assert m * m_inv == Matrix.identity(3)
+        assert m_inv * m == Matrix.identity(3)
+
+    @pytest.mark.parametrize("re, im, d", [
+        ([4, 3], None, (2, 0)),
+        ([2, 1], [0, 0], (1, 1)),
+        ([1], [1], (0, 2)),
+    ])
+    def test_inexact_division_raises(self, re, im, d):
+        with pytest.raises(ArithmeticError):
+            matrices._divide(re, im, d)
+
+    def test_guard_survives_optimized_mode(self):
+        code = (
+            "from blockginv.matrices import _divide\n"
+            "try:\n"
+            "    _divide([2, 1], [0, 0], (1, 1))\n"
+            "except ArithmeticError:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(blockginv.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "raised\n"
 
 
 class TestInverse:

@@ -1,0 +1,138 @@
+"""The matrix layer against sympy's DomainMatrix over QQ_I.
+
+The closed forms and the Drazin oracle both run on ``Matrix``, so a bug
+there could make them agree on a wrong answer. These tests check the
+product, rank, rref and inverse against an implementation that shares no
+code with blockginv.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
+
+from blockginv.generators import GenSpec, gen_pair
+from blockginv.ginverse import drazin
+from blockginv.matrices import Matrix, SingularMatrix, inverse, rank, rref
+from blockginv.scalars import GaussianRational
+from blockginv.theorems import SHAPE_FOR_THEOREM, assemble_M
+from conftest import scalars
+
+
+def to_sympy(m: Matrix) -> DomainMatrix:
+    def entry(x):
+        return QQ_I(QQ(x.re.numerator, x.re.denominator),
+                    QQ(x.im.numerator, x.im.denominator))
+    return DomainMatrix([[entry(x) for x in row] for row in m.to_lists()],
+                        m.shape, QQ_I)
+
+
+def from_sympy(dm: DomainMatrix) -> Matrix:
+    def entry(x):
+        return GaussianRational(
+            Fraction(int(x.x.numerator), int(x.x.denominator)),
+            Fraction(int(x.y.numerator), int(x.y.denominator)),
+        )
+    rows, cols = dm.shape
+    return Matrix(rows, cols,
+                  [entry(x) for row in dm.to_list() for x in row])
+
+
+def grids(rows, cols):
+    return st.lists(st.lists(scalars(), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """Rectangular, possibly 0-dimensional, often rank-deficient."""
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    cols = draw(st.integers(0, 4)) if cols is None else cols
+    inner = draw(st.integers(0, 4))
+    if inner < min(rows, cols) and draw(st.booleans()):
+        # A product through a narrower inner dimension has rank <= inner.
+        left = to_sympy(Matrix(rows, inner, sum(draw(grids(rows, inner)), [])))
+        right = to_sympy(Matrix(inner, cols, sum(draw(grids(inner, cols)), [])))
+        return from_sympy(left * right)
+    return Matrix(rows, cols, sum(draw(grids(rows, cols)), []))
+
+
+@st.composite
+def product_pairs(draw):
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    return draw(matrices(rows, inner)), draw(matrices(inner, cols))
+
+
+def assert_rank_rref_agree(m: Matrix) -> None:
+    reduced, rank_found, pivots = rref(m)
+    expected, expected_pivots = to_sympy(m).rref()
+    assert reduced == from_sympy(expected)
+    assert pivots == tuple(expected_pivots)
+    assert rank_found == rank(m) == to_sympy(m).rank()
+
+
+def assert_inverse_agrees(m: Matrix) -> None:
+    if to_sympy(m).rank() < m.rows:
+        with pytest.raises(SingularMatrix):
+            inverse(m)
+    else:
+        assert inverse(m) == from_sympy(to_sympy(m).inv())
+
+
+@given(product_pairs())
+def test_product(pair):
+    a, b = pair
+    assert a * b == from_sympy(to_sympy(a) * to_sympy(b))
+
+
+@given(matrices())
+def test_rank_and_rref(m):
+    assert_rank_rref_agree(m)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: matrices(n, n)))
+def test_inverse(m):
+    assert_inverse_agrees(m)
+
+
+def _entry_bits(m: Matrix) -> int:
+    return max(
+        max(abs(q.numerator).bit_length(), q.denominator.bit_length())
+        for x in m.to_lists() for y in x for q in (y.re, y.im)
+    )
+
+
+@pytest.fixture(scope="module")
+def drazin_outputs():
+    """T^D of the assembled 16x16 matrix for three n = 8 instances."""
+    outputs = []
+    for theorem, rank_f, seed in [("thm3.1", 4, 1), ("cor3.2", 4, 2),
+                                  ("thm2.1", 7, 3)]:
+        e, f = gen_pair(GenSpec(theorem, 8, rank_f, seed=seed))
+        outputs.append(
+            drazin(assemble_M(e, f, SHAPE_FOR_THEOREM[theorem])).drazin
+        )
+    return outputs
+
+
+def test_drazin_outputs_have_large_entries(drazin_outputs):
+    assert all(_entry_bits(d) >= 100 for d in drazin_outputs)
+
+
+def test_product_of_drazin_outputs(drazin_outputs):
+    for a, b in zip(drazin_outputs, drazin_outputs[1:] + drazin_outputs[:1]):
+        assert a * b == from_sympy(to_sympy(a) * to_sympy(b))
+
+
+def test_rank_and_rref_of_drazin_outputs(drazin_outputs):
+    for d in drazin_outputs:
+        assert_rank_rref_agree(d)
+        assert_rank_rref_agree(d.submatrix(0, 8, 0, 16))
+
+
+def test_inverse_of_shifted_drazin_outputs(drazin_outputs):
+    for d in drazin_outputs:
+        assert_inverse_agrees(d + Matrix.identity(d.rows))

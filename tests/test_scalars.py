@@ -65,6 +65,13 @@ class TestArithmetic:
         assert I
         assert not GaussianRational(0, 0)
 
+    @pytest.mark.parametrize("re, im", [
+        (0.1, 0), (0, 0.5), (1j, 0), (0, complex(1, 2)),
+    ])
+    def test_constructor_rejects_inexact_parts(self, re, im):
+        with pytest.raises(TypeError):
+            GaussianRational(re, im)
+
     def test_equality_and_hash_against_numeric_tower(self):
         assert GaussianRational(5) == 5
         assert GaussianRational(Fraction(1, 2)) == Fraction(1, 2)
@@ -121,6 +128,10 @@ class TestParsing:
         ("1/", 2),
         ("--1", 1),
         ("+1", 0),
+        ("\u0663", 0),
+        ("\u00b2", 0),
+        ("1/\u0663", 2),
+        ("1+\u00b2i", 2),
     ])
     def test_rejects_with_offset(self, text, offset):
         with pytest.raises(ScalarParseError) as info:
