@@ -1,10 +1,12 @@
 """Exact Drazin and group inverses over the Gaussian rationals.
 
-Everything is computed with ``fractions.Fraction`` pairs, so results are
+Scalars are pairs of ``fractions.Fraction``; matrix products and
+elimination clear denominators and run on Gaussian integers. Results are
 exact and every equality check is literal. The ``theorems`` module carries
-closed-form group inverses for three anti-triangular block layouts; the
-``generators`` module draws seeded random instances and checks the closed
-forms against the from-scratch computation.
+closed-form group inverses for three anti-triangular block layouts, one
+table of nine rules over three formula kernels; the ``generators`` module
+draws seeded random instances and checks the closed forms against the
+from-scratch computation.
 """
 
 from .scalars import (
@@ -17,14 +19,11 @@ from .scalars import (
 )
 from .matrices import (
     Matrix,
-    NotIdempotent,
-    PierceSplit,
     ShapeMismatch,
     SingularMatrix,
     column_space_basis,
     inverse,
     kernel_basis,
-    pierce_split,
     rank,
     rref,
 )
@@ -48,15 +47,6 @@ from .theorems import (
     assemble_M,
     block_group_inverse,
     check_conditions,
-    cor22_group_inverse,
-    cor24_group_inverse,
-    cor25_group_inverse,
-    cor32_group_inverse,
-    cor33_group_inverse,
-    cor34_group_inverse,
-    thm21_group_inverse,
-    thm23_group_inverse,
-    thm31_group_inverse,
 )
 from .generators import (
     GenerationExhausted,
@@ -81,14 +71,11 @@ __all__ = [
     "ScalarParseError",
     "parse_scalar",
     "Matrix",
-    "NotIdempotent",
-    "PierceSplit",
     "ShapeMismatch",
     "SingularMatrix",
     "column_space_basis",
     "inverse",
     "kernel_basis",
-    "pierce_split",
     "rank",
     "rref",
     "DrazinResult",
@@ -108,15 +95,6 @@ __all__ = [
     "assemble_M",
     "block_group_inverse",
     "check_conditions",
-    "cor22_group_inverse",
-    "cor24_group_inverse",
-    "cor25_group_inverse",
-    "cor32_group_inverse",
-    "cor33_group_inverse",
-    "cor34_group_inverse",
-    "thm21_group_inverse",
-    "thm23_group_inverse",
-    "thm31_group_inverse",
     "GenerationExhausted",
     "GenSpec",
     "Trial",

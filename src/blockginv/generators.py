@@ -30,25 +30,14 @@ from .theorems import (
     assemble_M,
     block_group_inverse,
     check_conditions,
+    rule_for,
 )
 
 _ATTEMPTS = 64
 
-_RIGHT_FLAVOR = frozenset({"thm2.1", "cor2.2", "thm3.1"})
-_LEFT_FLAVOR = frozenset({"thm2.3", "cor2.4", "cor3.2", "cor3.3"})
-_COMMUTATION_IDS = frozenset({"cor2.5", "cor3.4"})
-_NO_NEGATIVES = frozenset({"cor3.3", "cor3.4"})
+# Rules whose refusal instances put a nonzero nilpotent in the corner that
+# steers existence, which needs two spare dimensions.
 _NILPOTENT_NEGATIVES = frozenset({"thm3.1", "cor3.2"})
-
-_EQUIVALENCE_CONDITION = {
-    "thm2.1": "E^pi F^pi=0",
-    "cor2.2": "E^pi F^pi=0",
-    "thm2.3": "F^pi E^pi=0",
-    "cor2.4": "F^pi E^pi=0",
-    "cor2.5": "F^pi E^pi=0",
-    "thm3.1": "EE^pi F^pi=0",
-    "cor3.2": "F^pi E^pi E=0",
-}
 
 
 class GenerationExhausted(RuntimeError):
@@ -209,7 +198,7 @@ def _draw_flavored(rng: random.Random, spec: GenSpec) -> tuple[Matrix, Matrix]:
                  if spec.satisfy else _nilpotent_nonzero(rng, q))
         else:
             d = _gen_invertible(rng, q) if spec.satisfy else _singular(rng, q)
-    if theorem in _RIGHT_FLAVOR:
+    if "FEF^pi=0" in rule_for(theorem).standing:
         e_tilde = Matrix.from_blocks([
             [a, Matrix.zeros(r, q)],
             [_rand_matrix(rng, q, r), d],
@@ -290,35 +279,37 @@ def _draw_cor34(rng: random.Random, spec: GenSpec) -> tuple[Matrix, Matrix]:
 
 def _negative_target(report: ConditionReport, theorem: str) -> bool:
     """Standing hypotheses hold, only the existence condition fails."""
-    blocker = _EQUIVALENCE_CONDITION[theorem]
+    blocker = rule_for(theorem).blocker
     if report.holds(blocker):
         return False
+    commutation = False
     for condition in report.conditions:
-        if condition.name == blocker:
-            continue
         if condition.name in ("EF=lambda FE", "EF^2=FEF"):
-            continue
-        if not condition.holds:
+            commutation = True
+        elif condition.name != blocker and not condition.holds:
             return False
-    if theorem in _COMMUTATION_IDS:
+    if commutation:
         return report.holds("EF=lambda FE") or report.holds("EF^2=FEF")
     return True
 
 
+def _require_refusals(theorem: str) -> None:
+    if rule_for(theorem).blocker is None:
+        raise GenerationExhausted(
+            f"{theorem}: the inverse exists whenever the hypotheses hold, "
+            "so there are no refusal instances"
+        )
+
+
 def _check_feasible(spec: GenSpec) -> None:
-    if spec.theorem not in SHAPE_FOR_THEOREM:
-        raise ValueError(f"unknown theorem id {spec.theorem!r}")
+    rule_for(spec.theorem)
     if spec.n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= spec.rank_f <= spec.n:
         raise ValueError(f"rank_f {spec.rank_f} out of range for n {spec.n}")
     if spec.satisfy:
         return
-    if spec.theorem in _NO_NEGATIVES:
-        raise GenerationExhausted(
-            f"{spec.theorem}: the inverse exists whenever the hypotheses "
-            "hold, so there are no refusal instances"
-        )
+    _require_refusals(spec.theorem)
     if spec.theorem in _NILPOTENT_NEGATIVES:
         if spec.rank_f > spec.n - 2:
             raise GenerationExhausted(
@@ -429,17 +420,13 @@ def run_campaign(theorem: str, trials: int, max_n: int, seed: int,
     trial i then generates from seed*1000003 + i. Results are identical for
     any ``jobs`` value, which only spreads the work over processes.
     """
-    if theorem not in SHAPE_FOR_THEOREM:
-        raise ValueError(f"unknown theorem id {theorem!r}")
+    rule_for(theorem)
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    if negative and theorem in _NO_NEGATIVES:
-        raise GenerationExhausted(
-            f"{theorem}: the inverse exists whenever the hypotheses hold, "
-            "so there are no refusal instances"
-        )
+    if negative:
+        _require_refusals(theorem)
     rng = random.Random(seed)
     specs = []
     for i in range(trials):

@@ -28,7 +28,6 @@ for linear and polynomial equations", SIGSAM Bull. 31 (1997).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
@@ -54,10 +53,6 @@ class ShapeMismatch(ValueError):
 
 class SingularMatrix(ArithmeticError):
     """Inversion was asked of a matrix without full rank."""
-
-
-class NotIdempotent(ValueError):
-    """A Pierce decomposition was asked for a non-idempotent."""
 
 
 def _coerce_entry(value: _Entry) -> GaussianRational:
@@ -471,40 +466,3 @@ def column_space_basis(matrix: Matrix) -> Matrix:
     _, rank_found, pivot_cols = rref(matrix)
     data = [matrix[i, c] for i in range(matrix.rows) for c in pivot_cols]
     return Matrix(matrix.rows, rank_found, data)
-
-
-@dataclass(frozen=True)
-class PierceSplit:
-    """Corners of T relative to an idempotent e, each stored full-size.
-
-    a = e T e, b = e T (1-e), c = (1-e) T e, d = (1-e) T (1-e); the four
-    corners always sum back to T.
-    """
-
-    idempotent: Matrix
-    a: Matrix
-    b: Matrix
-    c: Matrix
-    d: Matrix
-
-
-def pierce_split(matrix: Matrix, idempotent: Matrix) -> PierceSplit:
-    """Split T into Pierce corners along an idempotent.
-
-    Raises NotIdempotent unless e*e == e, and ShapeMismatch unless e and T
-    are square of the same size.
-    """
-    if not matrix.is_square or matrix.shape != idempotent.shape:
-        raise ShapeMismatch("pierce_split", matrix.shape, idempotent.shape)
-    if idempotent * idempotent != idempotent:
-        raise NotIdempotent("e*e != e")
-    complement = Matrix.identity(matrix.rows) - idempotent
-    left_e = idempotent * matrix
-    left_c = complement * matrix
-    return PierceSplit(
-        idempotent=idempotent,
-        a=left_e * idempotent,
-        b=left_e * complement,
-        c=left_c * idempotent,
-        d=left_c * complement,
-    )

@@ -4,20 +4,32 @@ Three 2n x 2n layouts are covered, each built from a square pair (E, F):
 
     EI_F0 = [[E, I], [F, 0]]    EF_I0 = [[E, F], [I, 0]]    EF_F0 = [[E, F], [F, 0]]
 
-Each rule needs a one-sided vanishing constraint (F E F^pi = 0 or
-F^pi E F = 0, with F^pi the spectral idempotent of F) as a standing
-hypothesis, and trades group invertibility of the big matrix against a
-small equivalence condition on E and F. Violated standing hypotheses raise
-HypothesisViolated (the rule says nothing); violated equivalence conditions
-raise NotGroupInvertible (the rule says the inverse does not exist).
+The nine rules form one table, ``RULES``. A record holds the rule's
+layout, its conditions in the order ``check_conditions`` reports them, and
+its route to the four result blocks. Standing hypotheses come first: when
+one fails the rule says nothing and HypothesisViolated is raised. Refusal
+conditions follow: when one fails the rule certifies that the block matrix
+has no group inverse and NotGroupInvertible is raised. F^pi is the
+spectral idempotent I - F F^D of F, and E^pi that of E.
+
+Three formula kernels do all the block algebra: Theorem 2.1 for
+[[E, I], [F, 0]] under F E F^pi = 0, Corollary 2.2 for the conjugate
+layout [[E, F], [I, 0]] under the same hypothesis, and Theorem 3.1 for
+[[E, F], [F, 0]]. The rules under the left-sided constraint F^pi E F = 0
+(thm2.3, cor2.4, cor3.2, cor3.3) run a kernel on (E^T, F^T): transposing
+the block matrix turns their layout and hypotheses into the kernel's, and
+swaps the two off-diagonal result blocks. The commutation rules cor2.5 and
+cor3.4 delegate to the route of thm2.3 and cor3.3: either law, with F
+group invertible, forces F^pi E F = 0.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
-from .ginverse import NotGroupInvertible, drazin
+from .ginverse import DrazinResult, NotGroupInvertible, drazin
 from .matrices import Matrix, ShapeMismatch
 from .scalars import ZERO, GaussianRational
 
@@ -29,36 +41,6 @@ class BlockShape(enum.Enum):
     EF_I0 = "EF_I0"
     EF_F0 = "EF_F0"
 
-
-THEOREM_IDS = (
-    "thm2.1", "cor2.2", "thm2.3", "cor2.4", "cor2.5",
-    "thm3.1", "cor3.2", "cor3.3", "cor3.4",
-)
-
-SHAPE_FOR_THEOREM = {
-    "thm2.1": BlockShape.EI_F0,
-    "cor2.2": BlockShape.EF_I0,
-    "thm2.3": BlockShape.EF_I0,
-    "cor2.4": BlockShape.EI_F0,
-    "cor2.5": BlockShape.EF_I0,
-    "thm3.1": BlockShape.EF_F0,
-    "cor3.2": BlockShape.EF_F0,
-    "cor3.3": BlockShape.EF_F0,
-    "cor3.4": BlockShape.EF_F0,
-}
-
-_CONDITION_NAMES = {
-    "thm2.1": ("FEF^pi=0", "F group-invertible", "E^pi F^pi=0"),
-    "cor2.2": ("FEF^pi=0", "F group-invertible", "E^pi F^pi=0"),
-    "thm2.3": ("F^pi EF=0", "F group-invertible", "F^pi E^pi=0"),
-    "cor2.4": ("F^pi EF=0", "F group-invertible", "F^pi E^pi=0"),
-    "cor2.5": ("EF=lambda FE", "EF^2=FEF", "F group-invertible", "F^pi E^pi=0"),
-    "thm3.1": ("FEF^pi=0", "F group-invertible", "EE^pi F^pi=0"),
-    "cor3.2": ("F^pi EF=0", "F group-invertible", "F^pi E^pi E=0"),
-    "cor3.3": ("E group-invertible", "F group-invertible", "F^pi EF=0"),
-    "cor3.4": ("EF=lambda FE", "EF^2=FEF", "E group-invertible",
-               "F group-invertible"),
-}
 
 _COMMUTATION_PAIR = ("EF=lambda FE", "EF^2=FEF")
 
@@ -98,7 +80,7 @@ class ConditionReport:
         raise KeyError(name)
 
     def satisfied(self) -> bool:
-        """True iff the rule's constructor would accept this pair.
+        """True iff ``block_group_inverse`` would accept this pair.
 
         The two commutation laws count as one either/or hypothesis; every
         other listed condition must hold individually.
@@ -152,18 +134,19 @@ def assemble_M(e: Matrix, f: Matrix, shape: BlockShape) -> Matrix:
 def _lambda_commutation(e: Matrix, f: Matrix):
     """Decide EF = lambda FE for a single scalar lambda.
 
-    When both products vanish the law holds with lambda = 0. When exactly
-    one vanishes no scalar is searched for and the law is reported failed
-    (with the nonzero product as residual). Otherwise lambda is read off
-    the first position, in row-major order, where both products are
-    nonzero, and then checked globally.
+    Returns (holds, residual, lambda). When both products vanish the law
+    holds with lambda = 0. When exactly one vanishes no scalar is searched
+    for and the law is reported failed (with the nonzero product as
+    residual). Otherwise lambda is read off the first position, in
+    row-major order, where both products are nonzero, and then checked
+    globally.
     """
     ef = e * f
     fe = f * e
     if ef.is_zero() and fe.is_zero():
-        return True, ZERO, ef
+        return True, ef, ZERO
     if ef.is_zero() or fe.is_zero():
-        return False, None, fe if ef.is_zero() else ef
+        return False, fe if ef.is_zero() else ef, None
     lam = None
     for i in range(ef.rows):
         for j in range(ef.cols):
@@ -175,235 +158,72 @@ def _lambda_commutation(e: Matrix, f: Matrix):
         if lam is not None:
             break
     if lam is None:
-        return False, None, ef
+        return False, ef, None
     residual = ef - lam * fe
     if residual.is_zero():
-        return True, lam, residual
-    return False, None, residual
+        return True, residual, lam
+    return False, residual, None
 
 
-def check_conditions(e: Matrix, f: Matrix, theorem: str) -> ConditionReport:
-    """Evaluate every hypothesis the named rule puts on (E, F).
-
-    Each entry carries the residual matrix that must vanish for it to hold;
-    the EF=lambda FE entry also carries the scalar when one exists.
-    """
-    _require_pair(e, f)
-    _require_theorem(theorem)
-    result_e = drazin(e)
-    result_f = drazin(f)
-    e_pi = result_e.spectral_idempotent
-    f_pi = result_f.spectral_idempotent
-    conditions = []
-    for name in _CONDITION_NAMES[theorem]:
-        lam = None
-        if name == "FEF^pi=0":
-            residual = f * e * f_pi
-        elif name == "F^pi EF=0":
-            residual = f_pi * e * f
-        elif name == "E^pi F^pi=0":
-            residual = e_pi * f_pi
-        elif name == "F^pi E^pi=0":
-            residual = f_pi * e_pi
-        elif name == "EE^pi F^pi=0":
-            residual = e * e_pi * f_pi
-        elif name == "F^pi E^pi E=0":
-            residual = f_pi * e_pi * e
-        elif name == "F group-invertible":
-            residual = f * f_pi
-        elif name == "E group-invertible":
-            residual = e * e_pi
-        elif name == "EF=lambda FE":
-            holds, lam, residual = _lambda_commutation(e, f)
-            conditions.append(Condition(name, holds, residual, lam))
-            continue
-        else:  # EF^2=FEF
-            residual = e * f * f - f * e * f
-        conditions.append(Condition(name, residual.is_zero(), residual))
-    return ConditionReport(theorem, tuple(conditions))
+# The matrix that vanishes iff the named condition holds, from
+# (E, F, E^pi, F^pi). "EF=lambda FE" is decided by _lambda_commutation.
+_RESIDUALS: dict[str, Callable[..., Matrix]] = {
+    "FEF^pi=0": lambda e, f, e_pi, f_pi: f * e * f_pi,
+    "F^pi EF=0": lambda e, f, e_pi, f_pi: f_pi * e * f,
+    "E^pi F^pi=0": lambda e, f, e_pi, f_pi: e_pi * f_pi,
+    "F^pi E^pi=0": lambda e, f, e_pi, f_pi: f_pi * e_pi,
+    "EE^pi F^pi=0": lambda e, f, e_pi, f_pi: e * e_pi * f_pi,
+    "F^pi E^pi E=0": lambda e, f, e_pi, f_pi: f_pi * e_pi * e,
+    "F group-invertible": lambda e, f, e_pi, f_pi: f * f_pi,
+    "E group-invertible": lambda e, f, e_pi, f_pi: e * e_pi,
+    "EF^2=FEF": lambda e, f, e_pi, f_pi: e * f * f - f * e * f,
+}
 
 
-def _require_theorem(theorem: str) -> None:
-    if theorem not in SHAPE_FOR_THEOREM:
-        raise ValueError(f"unknown theorem id {theorem!r}")
+def _evaluate(name: str, e: Matrix, f: Matrix, e_pi: Matrix,
+              f_pi: Matrix) -> Condition:
+    if name == "EF=lambda FE":
+        return Condition(name, *_lambda_commutation(e, f))
+    residual = _RESIDUALS[name](e, f, e_pi, f_pi)
+    return Condition(name, residual.is_zero(), residual)
 
 
-def _standing(residual: Matrix, name: str) -> None:
-    if not residual.is_zero():
-        raise HypothesisViolated(name, residual)
-
-
-def _refuse(residual: Matrix, name: str) -> None:
-    if not residual.is_zero():
-        raise NotGroupInvertible(
-            f"no group inverse: {name} fails", condition=name
-        )
-
-
-def _refuse_unless_group_invertible(f: Matrix, index: int) -> None:
-    if index > 1:
-        raise NotGroupInvertible(
-            f"no group inverse: F has Drazin index {index}",
-            index=index, condition="F group-invertible",
-        )
-
-
-def thm21_group_inverse(e: Matrix, f: Matrix) -> BlockGroupInverse:
-    """Group inverse of [[E, I], [F, 0]] assuming F E F^pi = 0.
-
-    Existence is equivalent to F being group invertible with
-    E^pi F^pi = 0; when that fails the assembled matrix has no group
-    inverse and NotGroupInvertible is raised. Blocks of the result:
+def _thm21(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
+    """[[E, I], [F, 0]]^# under F E F^pi = 0 (Theorem 2.1).
 
         gamma  = E^D F^pi
         delta  = F# + (E^D F^pi)^2 - E^D F^pi E F#
         lambda = F F#
         xi     = -F F# E F#
     """
-    _require_pair(e, f)
-    result_e = drazin(e)
-    result_f = drazin(f)
-    f_pi = result_f.spectral_idempotent
-    _standing(f * e * f_pi, "FEF^pi=0")
-    _refuse_unless_group_invertible(f, result_f.index)
-    e_pi = result_e.spectral_idempotent
-    _refuse(e_pi * f_pi, "E^pi F^pi=0")
-    e_d = result_e.drazin
-    f_sharp = result_f.drazin
-    core = e_d * f_pi
-    gamma = core
+    f_sharp = df.drazin
+    core = de.drazin * df.spectral_idempotent
+    projector = f * f_sharp
     delta = f_sharp + core * core - core * e * f_sharp
-    lambda_blk = f * f_sharp
-    xi = -(f * f_sharp * e * f_sharp)
-    assembled = Matrix.from_blocks([[gamma, delta], [lambda_blk, xi]])
-    return BlockGroupInverse(
-        "thm2.1", gamma, delta, lambda_blk, xi, assembled,
-        {"E_D": e_d, "F_sharp": f_sharp, "E_pi": e_pi, "F_pi": f_pi},
-    )
+    return (core, delta, projector, -(projector * e * f_sharp)), {}
 
 
-def cor22_group_inverse(e: Matrix, f: Matrix) -> BlockGroupInverse:
-    """Group inverse of [[E, F], [I, 0]] assuming F E F^pi = 0.
+def _cor22(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
+    """[[E, F], [I, 0]]^# under F E F^pi = 0 (Corollary 2.2).
 
-    Same hypotheses and equivalence condition as thm21_group_inverse; the
-    two layouts are conjugate via P = [[0, I], [I, -E]]. Blocks:
+    The layout is conjugate to Theorem 2.1's via P = [[0, I], [I, -E]]:
 
         gamma  = F^pi E^D F^pi
         delta  = I - F^pi E^D F^pi E
         lambda = F# + (E^D F^pi)^2 - E^D F^pi E F#
         xi     = E^D F^pi - F# E - (E^D F^pi)^2 E + E^D F^pi E F# E
+               = E^D F^pi - lambda E
     """
-    n = _require_pair(e, f)
-    result_e = drazin(e)
-    result_f = drazin(f)
-    f_pi = result_f.spectral_idempotent
-    _standing(f * e * f_pi, "FEF^pi=0")
-    _refuse_unless_group_invertible(f, result_f.index)
-    e_pi = result_e.spectral_idempotent
-    _refuse(e_pi * f_pi, "E^pi F^pi=0")
-    e_d = result_e.drazin
-    f_sharp = result_f.drazin
-    core = e_d * f_pi
-    gamma = f_pi * e_d * f_pi
-    delta = Matrix.identity(n) - f_pi * e_d * f_pi * e
+    f_sharp, f_pi = df.drazin, df.spectral_idempotent
+    core = de.drazin * f_pi
+    gamma = f_pi * core
     lambda_blk = f_sharp + core * core - core * e * f_sharp
-    xi = core - f_sharp * e - core * core * e + core * e * f_sharp * e
-    assembled = Matrix.from_blocks([[gamma, delta], [lambda_blk, xi]])
-    return BlockGroupInverse(
-        "cor2.2", gamma, delta, lambda_blk, xi, assembled,
-        {"E_D": e_d, "F_sharp": f_sharp, "E_pi": e_pi, "F_pi": f_pi},
-    )
+    delta = Matrix.identity(e.rows) - gamma * e
+    return (gamma, delta, lambda_blk, core - lambda_blk * e), {}
 
 
-def thm23_group_inverse(e: Matrix, f: Matrix) -> BlockGroupInverse:
-    """Group inverse of [[E, F], [I, 0]] assuming F^pi E F = 0.
-
-    The mirror image of thm21_group_inverse under transposition: existence
-    is equivalent to F group invertible with F^pi E^pi = 0. Blocks:
-
-        gamma  = F^pi E^D
-        delta  = F F#
-        lambda = F# + (F^pi E^D)^2 - F# E F^pi E^D
-        xi     = -F# E F F#
-    """
-    _require_pair(e, f)
-    result_e = drazin(e)
-    result_f = drazin(f)
-    f_pi = result_f.spectral_idempotent
-    _standing(f_pi * e * f, "F^pi EF=0")
-    _refuse_unless_group_invertible(f, result_f.index)
-    e_pi = result_e.spectral_idempotent
-    _refuse(f_pi * e_pi, "F^pi E^pi=0")
-    e_d = result_e.drazin
-    f_sharp = result_f.drazin
-    core = f_pi * e_d
-    gamma = core
-    delta = f * f_sharp
-    lambda_blk = f_sharp + core * core - f_sharp * e * core
-    xi = -(f_sharp * e * f * f_sharp)
-    assembled = Matrix.from_blocks([[gamma, delta], [lambda_blk, xi]])
-    return BlockGroupInverse(
-        "thm2.3", gamma, delta, lambda_blk, xi, assembled,
-        {"E_D": e_d, "F_sharp": f_sharp, "E_pi": e_pi, "F_pi": f_pi},
-    )
-
-
-def cor24_group_inverse(e: Matrix, f: Matrix) -> BlockGroupInverse:
-    """Group inverse of [[E, I], [F, 0]] assuming F^pi E F = 0.
-
-    Same hypotheses as thm23_group_inverse; conjugate layouts again.
-    Blocks:
-
-        gamma  = F^pi E^D F^pi
-        delta  = F# + (F^pi E^D)^2 - F# E F^pi E^D
-        lambda = I - E F^pi E^D F^pi
-        xi     = F^pi E^D - E F# - E (F^pi E^D)^2 + E F# E F^pi E^D
-    """
-    n = _require_pair(e, f)
-    result_e = drazin(e)
-    result_f = drazin(f)
-    f_pi = result_f.spectral_idempotent
-    _standing(f_pi * e * f, "F^pi EF=0")
-    _refuse_unless_group_invertible(f, result_f.index)
-    e_pi = result_e.spectral_idempotent
-    _refuse(f_pi * e_pi, "F^pi E^pi=0")
-    e_d = result_e.drazin
-    f_sharp = result_f.drazin
-    core = f_pi * e_d
-    gamma = f_pi * e_d * f_pi
-    delta = f_sharp + core * core - f_sharp * e * core
-    lambda_blk = Matrix.identity(n) - e * f_pi * e_d * f_pi
-    xi = core - e * f_sharp - e * (core * core) + e * f_sharp * e * core
-    assembled = Matrix.from_blocks([[gamma, delta], [lambda_blk, xi]])
-    return BlockGroupInverse(
-        "cor2.4", gamma, delta, lambda_blk, xi, assembled,
-        {"E_D": e_d, "F_sharp": f_sharp, "E_pi": e_pi, "F_pi": f_pi},
-    )
-
-
-def cor25_group_inverse(e: Matrix, f: Matrix) -> BlockGroupInverse:
-    """Group inverse of [[E, F], [I, 0]] under a commutation law.
-
-    Either EF = lambda FE for some scalar lambda or EF^2 = FEF must hold;
-    with F group invertible either law forces F^pi E F = 0, so the
-    computation is exactly the one of thm23_group_inverse.
-    """
-    _require_pair(e, f)
-    lam_holds, _, _ = _lambda_commutation(e, f)
-    align_residual = e * f * f - f * e * f
-    if not lam_holds and not align_residual.is_zero():
-        raise HypothesisViolated("EF=lambda FE or EF^2=FEF", align_residual)
-    result_f = drazin(f)
-    _refuse_unless_group_invertible(f, result_f.index)
-    return replace(thm23_group_inverse(e, f), theorem="cor2.5")
-
-
-def thm31_group_inverse(e: Matrix, f: Matrix) -> BlockGroupInverse:
-    """Group inverse of [[E, F], [F, 0]] assuming F E F^pi = 0.
-
-    F must itself be group invertible (a standing hypothesis here, not part
-    of the trade); existence of the block group inverse is then equivalent
-    to E E^pi F^pi = 0.
+def _thm31(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
+    """[[E, F], [F, 0]]^# under F E F^pi = 0, F group invertible (Thm 3.1).
 
     The blocks come from a factorization through N = [[E, I], [F^2, 0]],
     whose group inverse has corners
@@ -414,184 +234,175 @@ def thm31_group_inverse(e: Matrix, f: Matrix) -> BlockGroupInverse:
         gamma = F F#
         delta = -F F# E (F#)^2
 
-    and M^# = [[E, I], [F, 0]] (N^#)^2 diag(I, F). The flattened closed
-    form of the same four blocks is computed alongside and must agree; both
-    versions are exposed through ``intermediates``.
+    and M^# = [[E, I], [F, 0]] (N^#)^2 diag(I, F). The four corners are
+    returned as extra ingredients.
     """
-    n = _require_pair(e, f)
-    result_e = drazin(e)
-    result_f = drazin(f)
-    f_pi = result_f.spectral_idempotent
-    _standing(f * e * f_pi, "FEF^pi=0")
-    if result_f.index > 1:
-        raise HypothesisViolated("F group-invertible", f * f_pi)
-    e_pi = result_e.spectral_idempotent
-    _refuse(e * e_pi * f_pi, "EE^pi F^pi=0")
-    e_d = result_e.drazin
-    f_sharp = result_f.drazin
+    f_sharp, f_pi = df.drazin, df.spectral_idempotent
     f_sharp2 = f_sharp * f_sharp
-    core = e_d * f_pi
-    edge = e_pi * f_pi * e * f_sharp2
+    core = de.drazin * f_pi
+    edge = de.spectral_idempotent * f_pi * e * f_sharp2
     alpha = core + edge
-    beta = f_sharp2 + core * core - edge * e * f_sharp2 - core * e * f_sharp2
+    beta = f_sharp2 + core * core - alpha * e * f_sharp2
     gamma_n = f * f_sharp
-    delta_n = -(f * f_sharp * e * f_sharp2)
+    delta_n = -(gamma_n * e * f_sharp2)
     lifted_alpha = e * alpha + gamma_n
     lifted_beta = e * beta + delta_n
     gamma = lifted_alpha * alpha + lifted_beta * gamma_n
     delta = (lifted_alpha * beta + lifted_beta * delta_n) * f
     lambda_blk = f * (alpha * alpha + beta * gamma_n)
     xi = f * (alpha * beta + beta * delta_n) * f
-    # Flattened form of the same blocks; agreement is an internal invariant.
-    head = Matrix.identity(n) - e_pi * f_pi
-    tail = f_sharp - edge * e * f_sharp - core * e * f_sharp
-    gamma_stmt = head * alpha + edge
-    delta_stmt = head * tail - edge * e * f_sharp
-    lambda_stmt = (f * alpha * alpha + f_sharp
-                   - f * e_pi * f_pi * (e * f_sharp2) * (e * f_sharp2)
-                   - f * core * e * f_sharp2)
-    xi_stmt = (f * alpha) * tail - (
-        f_sharp - f * edge * e * f_sharp2 - f * core * e * f_sharp2
-    ) * e * f_sharp
-    assert gamma == gamma_stmt and delta == delta_stmt, \
-        "factored and flattened forms disagree"
-    assert lambda_blk == lambda_stmt and xi == xi_stmt, \
-        "factored and flattened forms disagree"
-    assembled = Matrix.from_blocks([[gamma, delta], [lambda_blk, xi]])
-    return BlockGroupInverse(
-        "thm3.1", gamma, delta, lambda_blk, xi, assembled,
-        {
-            "E_D": e_d, "F_sharp": f_sharp, "E_pi": e_pi, "F_pi": f_pi,
-            "alpha": alpha, "beta": beta, "gamma": gamma_n, "delta": delta_n,
-            "gamma_stmt": gamma_stmt, "delta_stmt": delta_stmt,
-            "lambda_stmt": lambda_stmt, "xi_stmt": xi_stmt,
-        },
-    )
+    return (gamma, delta, lambda_blk, xi), {
+        "alpha": alpha, "beta": beta, "gamma": gamma_n, "delta": delta_n,
+    }
 
 
-def _mirror_ef_f0(e: Matrix, f: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    """Blocks of [[E, F], [F, 0]]^# through the transposed problem.
+@dataclass(frozen=True)
+class Rule:
+    """One closed-form rule: its layout, conditions and route.
 
-    Transposing swaps the off-diagonal blocks, so the mirrored delta lands
-    in the lambda position and vice versa.
+    ``standing`` then ``refusing`` is the order in which the conditions are
+    reported and checked. The route is ``kernel``, run on (E^T, F^T) when
+    ``mirrored``, or else the route of the rule named by ``delegate``. A
+    kernel maps (E, F, drazin(E), drazin(F)) to the blocks (gamma, delta,
+    lambda, xi) and a dict of extra ingredients.
     """
-    mirrored = thm31_group_inverse(e.transpose(), f.transpose())
-    return (
-        mirrored.gamma.transpose(),
-        mirrored.lambda_blk.transpose(),
-        mirrored.delta.transpose(),
-        mirrored.xi.transpose(),
-    )
+
+    shape: BlockShape
+    standing: tuple[str, ...]
+    refusing: tuple[str, ...] = ()
+    kernel: Callable | None = None
+    mirrored: bool = False
+    delegate: str | None = None
+
+    @property
+    def conditions(self) -> tuple[str, ...]:
+        return self.standing + self.refusing
+
+    @property
+    def blocker(self) -> str | None:
+        """The existence condition that refusal instances break, if any."""
+        return self.refusing[-1] if self.refusing else None
 
 
-def cor32_group_inverse(e: Matrix, f: Matrix) -> BlockGroupInverse:
-    """Group inverse of [[E, F], [F, 0]] assuming F^pi E F = 0.
+_F_GROUP = "F group-invertible"
 
-    The transposed sibling of thm31_group_inverse: F group invertible is
-    again standing, and existence is equivalent to F^pi E^pi E = 0. The
-    blocks are computed through the mirror route and checked against the
-    direct closed form (whose off-diagonal displays belong to the swapped
-    positions).
-    """
-    n = _require_pair(e, f)
-    result_e = drazin(e)
-    result_f = drazin(f)
-    f_pi = result_f.spectral_idempotent
-    _standing(f_pi * e * f, "F^pi EF=0")
-    if result_f.index > 1:
-        raise HypothesisViolated("F group-invertible", f * f_pi)
-    e_pi = result_e.spectral_idempotent
-    _refuse(f_pi * e_pi * e, "F^pi E^pi E=0")
-    gamma, delta, lambda_blk, xi = _mirror_ef_f0(e, f)
-    e_d = result_e.drazin
-    f_sharp = result_f.drazin
-    f_sharp2 = f_sharp * f_sharp
-    core = f_pi * e_d
-    edge = f_sharp2 * e * f_pi * e_pi
-    head = Matrix.identity(n) - f_pi * e_pi
-    tail = f_sharp - f_sharp * e * f_sharp2 * e * f_pi * e_pi - f_sharp * e * core
-    gamma_stmt = (core + edge) * head + edge
-    lambda_stmt = tail * head - f_sharp * e * edge
-    delta_stmt = ((core + edge) * (core + edge) * f + f_sharp
-                  - (f_sharp2 * e) * (f_sharp2 * e) * f_pi * e_pi * f
-                  - f_sharp2 * e * core * f)
-    xi_stmt = tail * (core * f + edge * f) - f_sharp * e * (
-        f_sharp - f_sharp2 * e * f_sharp2 * e * f_pi * e_pi * f
-        - f_sharp2 * e * core * f
-    )
-    assert gamma == gamma_stmt and delta == delta_stmt, \
-        "mirror route and closed form disagree"
-    assert lambda_blk == lambda_stmt and xi == xi_stmt, \
-        "mirror route and closed form disagree"
-    assembled = Matrix.from_blocks([[gamma, delta], [lambda_blk, xi]])
-    return BlockGroupInverse(
-        "cor3.2", gamma, delta, lambda_blk, xi, assembled,
-        {
-            "E_D": e_d, "F_sharp": f_sharp, "E_pi": e_pi, "F_pi": f_pi,
-            "gamma_stmt": gamma_stmt, "delta_stmt": delta_stmt,
-            "lambda_stmt": lambda_stmt, "xi_stmt": xi_stmt,
-        },
-    )
-
-
-def cor33_group_inverse(e: Matrix, f: Matrix) -> BlockGroupInverse:
-    """Group inverse of [[E, F], [F, 0]] for group invertible E and F.
-
-    Under F^pi E F = 0 the inverse always exists here: E group invertible
-    forces E^pi E = 0, so the existence condition of cor32_group_inverse
-    holds for free. All three requirements are standing hypotheses, and the
-    blocks are the mirror-route ones with E^D = E#.
-    """
-    _require_pair(e, f)
-    result_e = drazin(e)
-    result_f = drazin(f)
-    e_pi = result_e.spectral_idempotent
-    f_pi = result_f.spectral_idempotent
-    if result_e.index > 1:
-        raise HypothesisViolated("E group-invertible", e * e_pi)
-    if result_f.index > 1:
-        raise HypothesisViolated("F group-invertible", f * f_pi)
-    _standing(f_pi * e * f, "F^pi EF=0")
-    gamma, delta, lambda_blk, xi = _mirror_ef_f0(e, f)
-    assembled = Matrix.from_blocks([[gamma, delta], [lambda_blk, xi]])
-    return BlockGroupInverse(
-        "cor3.3", gamma, delta, lambda_blk, xi, assembled,
-        {
-            "E_sharp": result_e.drazin, "F_sharp": result_f.drazin,
-            "E_pi": e_pi, "F_pi": f_pi,
-        },
-    )
-
-
-def cor34_group_inverse(e: Matrix, f: Matrix) -> BlockGroupInverse:
-    """Group inverse of [[E, F], [F, 0]] under a commutation law.
-
-    Either EF = lambda FE or EF^2 = FEF, together with E and F group
-    invertible, forces every hypothesis of cor33_group_inverse; this rule
-    is that delegation and nothing more.
-    """
-    _require_pair(e, f)
-    lam_holds, _, _ = _lambda_commutation(e, f)
-    align_residual = e * f * f - f * e * f
-    if not lam_holds and not align_residual.is_zero():
-        raise HypothesisViolated("EF=lambda FE or EF^2=FEF", align_residual)
-    return replace(cor33_group_inverse(e, f), theorem="cor3.4")
-
-
-_CONSTRUCTORS = {
-    "thm2.1": thm21_group_inverse,
-    "cor2.2": cor22_group_inverse,
-    "thm2.3": thm23_group_inverse,
-    "cor2.4": cor24_group_inverse,
-    "cor2.5": cor25_group_inverse,
-    "thm3.1": thm31_group_inverse,
-    "cor3.2": cor32_group_inverse,
-    "cor3.3": cor33_group_inverse,
-    "cor3.4": cor34_group_inverse,
+RULES: dict[str, Rule] = {
+    "thm2.1": Rule(BlockShape.EI_F0, ("FEF^pi=0",),
+                   (_F_GROUP, "E^pi F^pi=0"), _thm21),
+    "cor2.2": Rule(BlockShape.EF_I0, ("FEF^pi=0",),
+                   (_F_GROUP, "E^pi F^pi=0"), _cor22),
+    "thm2.3": Rule(BlockShape.EF_I0, ("F^pi EF=0",),
+                   (_F_GROUP, "F^pi E^pi=0"), _thm21, mirrored=True),
+    "cor2.4": Rule(BlockShape.EI_F0, ("F^pi EF=0",),
+                   (_F_GROUP, "F^pi E^pi=0"), _cor22, mirrored=True),
+    "cor2.5": Rule(BlockShape.EF_I0, _COMMUTATION_PAIR,
+                   (_F_GROUP, "F^pi E^pi=0"), delegate="thm2.3"),
+    "thm3.1": Rule(BlockShape.EF_F0, ("FEF^pi=0", _F_GROUP),
+                   ("EE^pi F^pi=0",), _thm31),
+    "cor3.2": Rule(BlockShape.EF_F0, ("F^pi EF=0", _F_GROUP),
+                   ("F^pi E^pi E=0",), _thm31, mirrored=True),
+    "cor3.3": Rule(BlockShape.EF_F0,
+                   ("E group-invertible", _F_GROUP, "F^pi EF=0"),
+                   kernel=_thm31, mirrored=True),
+    "cor3.4": Rule(BlockShape.EF_F0,
+                   (*_COMMUTATION_PAIR, "E group-invertible", _F_GROUP),
+                   delegate="cor3.3"),
 }
+
+THEOREM_IDS = tuple(RULES)
+
+SHAPE_FOR_THEOREM = {theorem: rule.shape for theorem, rule in RULES.items()}
+
+
+def rule_for(theorem: str) -> Rule:
+    """The table record of a theorem id; ValueError for an unknown id."""
+    try:
+        return RULES[theorem]
+    except KeyError:
+        raise ValueError(f"unknown theorem id {theorem!r}") from None
+
+
+def check_conditions(e: Matrix, f: Matrix, theorem: str) -> ConditionReport:
+    """Evaluate every hypothesis the named rule puts on (E, F).
+
+    Each entry carries the residual matrix that must vanish for it to hold;
+    the EF=lambda FE entry also carries the scalar when one exists.
+    """
+    _require_pair(e, f)
+    rule = rule_for(theorem)
+    e_pi = drazin(e).spectral_idempotent
+    f_pi = drazin(f).spectral_idempotent
+    return ConditionReport(theorem, tuple(
+        _evaluate(name, e, f, e_pi, f_pi) for name in rule.conditions
+    ))
+
+
+def _guard(rule: Rule, e: Matrix, f: Matrix, de: DrazinResult,
+           df: DrazinResult) -> None:
+    """Raise for the first of the rule's conditions that fails.
+
+    The two commutation laws are one either/or hypothesis, reported with
+    the residual of EF^2=FEF.
+    """
+    e_pi, f_pi = de.spectral_idempotent, df.spectral_idempotent
+    # Index <= 1 is exactly when E E^pi (F F^pi) vanishes: skip the product.
+    group_invertible = {"E group-invertible": de.index <= 1,
+                        _F_GROUP: df.index <= 1}
+    for name in rule.conditions:
+        if name == "EF^2=FEF" or group_invertible.get(name):
+            continue
+        condition = _evaluate(name, e, f, e_pi, f_pi)
+        if name == "EF=lambda FE" and not condition.holds:
+            name = "EF=lambda FE or EF^2=FEF"
+            condition = _evaluate("EF^2=FEF", e, f, e_pi, f_pi)
+        if condition.holds:
+            continue
+        if name not in rule.refusing:
+            raise HypothesisViolated(name, condition.residual)
+        if name == _F_GROUP:
+            raise NotGroupInvertible(
+                f"no group inverse: F has Drazin index {df.index}",
+                index=df.index, condition=name,
+            )
+        raise NotGroupInvertible(
+            f"no group inverse: {name} fails", condition=name
+        )
+
+
+def _transposed(result: DrazinResult) -> DrazinResult:
+    return DrazinResult(result.drazin.transpose(), result.index,
+                        result.spectral_idempotent.transpose())
 
 
 def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse:
-    """Dispatch to the named rule's constructor."""
-    _require_theorem(theorem)
-    return _CONSTRUCTORS[theorem](e, f)
+    """Group inverse of the named rule's block matrix, from its closed form.
+
+    Raises HypothesisViolated or NotGroupInvertible for the first of the
+    rule's conditions that fails, in the order ``check_conditions`` lists
+    them. ``intermediates`` holds E^D, F#, E^pi and F^pi, plus the corners
+    of N^# for thm3.1.
+    """
+    rule = rule_for(theorem)
+    _require_pair(e, f)
+    de, df = drazin(e), drazin(f)
+    _guard(rule, e, f, de, df)
+    route = RULES[rule.delegate] if rule.delegate else rule
+    if route.mirrored:
+        # Transposing swaps the off-diagonal blocks. The ingredients of the
+        # transposed problem are not kept.
+        (gamma, lambda_blk, delta, xi), _ = route.kernel(
+            e.transpose(), f.transpose(), _transposed(de), _transposed(df)
+        )
+        gamma, delta, lambda_blk, xi = (
+            m.transpose() for m in (gamma, delta, lambda_blk, xi)
+        )
+        extras = {}
+    else:
+        (gamma, delta, lambda_blk, xi), extras = route.kernel(e, f, de, df)
+    assembled = Matrix.from_blocks([[gamma, delta], [lambda_blk, xi]])
+    return BlockGroupInverse(
+        theorem, gamma, delta, lambda_blk, xi, assembled,
+        {"E_D": de.drazin, "F_sharp": df.drazin,
+         "E_pi": de.spectral_idempotent, "F_pi": df.spectral_idempotent,
+         **extras},
+    )

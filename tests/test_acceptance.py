@@ -20,14 +20,15 @@ from blockginv.ginverse import (
 )
 from blockginv.matrices import Matrix, rank
 from blockginv.scalars import GaussianRational
-from blockginv.theorems import (
-    THEOREM_IDS,
-    cor33_group_inverse,
-    thm21_group_inverse,
-    thm23_group_inverse,
-    thm31_group_inverse,
-)
+from blockginv.theorems import THEOREM_IDS, block_group_inverse
 from conftest import mat
+from paper_forms import (
+    blocks,
+    cor24_direct,
+    cor32_direct,
+    thm23_direct,
+    thm31_statement,
+)
 
 CORPUS_TRIALS = 200
 CORPUS_SEED = 20260817
@@ -65,7 +66,7 @@ WORKED_F = [["i", "i"], ["0", "0"]]
 
 def test_criterion_1_worked_example_blocks():
     with _Criterion(1, "worked example blocks and assembly"):
-        result = thm31_group_inverse(mat(WORKED_E), mat(WORKED_F))
+        result = block_group_inverse("thm3.1", mat(WORKED_E), mat(WORKED_F))
         assert result.gamma == mat([["0", "1"], ["0", "-1"]])
         assert result.delta == mat([["-i", "-i"], ["0", "0"]])
         assert result.lambda_blk == mat([["-i", "-i"], ["0", "0"]])
@@ -119,7 +120,7 @@ def test_criterion_5_route_consistency(corpus):
             zero = Matrix.zeros(n, n)
             p = Matrix.from_blocks([[zero, eye], [eye, -t.e]])
             p_inv = Matrix.from_blocks([[t.e, eye], [eye, zero]])
-            sibling = thm21_group_inverse(t.e, t.f)
+            sibling = block_group_inverse("thm2.1", t.e, t.f)
             assert t.report.formula == p_inv * sibling.assembled * p
         for t in corpus["cor2.4"]:
             n = t.e.rows
@@ -127,24 +128,32 @@ def test_criterion_5_route_consistency(corpus):
             zero = Matrix.zeros(n, n)
             p = Matrix.from_blocks([[t.e, eye], [eye, zero]])
             p_inv = Matrix.from_blocks([[zero, eye], [eye, -t.e]])
-            sibling = thm23_group_inverse(t.e, t.f)
+            sibling = block_group_inverse("thm2.3", t.e, t.f)
             assert t.report.formula == p_inv * sibling.assembled * p
         for t in corpus["thm2.3"]:
-            mirrored = thm21_group_inverse(t.e.transpose(), t.f.transpose())
+            mirrored = block_group_inverse("thm2.1", t.e.transpose(),
+                                           t.f.transpose())
             assert t.report.formula.transpose() == mirrored.assembled
+            result = block_group_inverse("thm2.3", t.e, t.f)
+            assert blocks(result) == thm23_direct(t.e, t.f)
+        for t in corpus["cor2.4"]:
+            result = block_group_inverse("cor2.4", t.e, t.f)
+            assert blocks(result) == cor24_direct(t.e, t.f)
         for t in corpus["cor3.2"]:
-            mirrored = thm31_group_inverse(t.e.transpose(), t.f.transpose())
+            mirrored = block_group_inverse("thm3.1", t.e.transpose(),
+                                           t.f.transpose())
             assert t.report.formula.transpose() == mirrored.assembled
+            result = block_group_inverse("cor3.2", t.e, t.f)
+            assert blocks(result) == cor32_direct(t.e, t.f)
         for t in corpus["cor2.5"]:
-            assert t.report.formula == thm23_group_inverse(t.e, t.f).assembled
+            assert t.report.formula == \
+                block_group_inverse("thm2.3", t.e, t.f).assembled
         for t in corpus["cor3.4"]:
-            assert t.report.formula == cor33_group_inverse(t.e, t.f).assembled
+            assert t.report.formula == \
+                block_group_inverse("cor3.3", t.e, t.f).assembled
         for t in corpus["thm3.1"]:
-            result = thm31_group_inverse(t.e, t.f)
-            assert result.intermediates["gamma_stmt"] == result.gamma
-            assert result.intermediates["delta_stmt"] == result.delta
-            assert result.intermediates["lambda_stmt"] == result.lambda_blk
-            assert result.intermediates["xi_stmt"] == result.xi
+            result = block_group_inverse("thm3.1", t.e, t.f)
+            assert blocks(result) == thm31_statement(t.e, t.f)
 
 
 def _battery_scalar(rng):
@@ -208,7 +217,7 @@ def test_criterion_6_drazin_battery():
 def test_criterion_7_proof_side_conditions(corpus):
     with _Criterion(7, "proof side conditions on positive thm3.1 instances"):
         for t in corpus["thm3.1"]:
-            result = thm31_group_inverse(t.e, t.f)
+            result = block_group_inverse("thm3.1", t.e, t.f)
             alpha = result.intermediates["alpha"]
             e_pi = result.intermediates["E_pi"]
             f_pi = result.intermediates["F_pi"]

@@ -1,4 +1,4 @@
-"""Matrix algebra, row reduction, kernels, and Pierce corners."""
+"""Matrix algebra, row reduction, and kernels."""
 
 import os
 import subprocess
@@ -11,14 +11,11 @@ import blockginv
 from blockginv import matrices
 from blockginv.matrices import (
     Matrix,
-    NotIdempotent,
-    PierceSplit,
     ShapeMismatch,
     SingularMatrix,
     column_space_basis,
     inverse,
     kernel_basis,
-    pierce_split,
     rank,
     rref,
 )
@@ -226,27 +223,6 @@ class TestKernelAndColumnSpace:
         assert basis.cols == m.cols - rank(m)
         if basis.cols:
             assert rank(basis) == basis.cols
-
-
-class TestPierce:
-    def test_corners_of_projection(self):
-        t = mat([["1", "2"], ["3", "4"]])
-        e = mat([["1", "0"], ["0", "0"]])
-        split = pierce_split(t, e)
-        assert isinstance(split, PierceSplit)
-        assert split.a == mat([["1", "0"], ["0", "0"]])
-        assert split.b == mat([["0", "2"], ["0", "0"]])
-        assert split.c == mat([["0", "0"], ["3", "0"]])
-        assert split.d == mat([["0", "0"], ["0", "4"]])
-        assert split.a + split.b + split.c + split.d == t
-
-    def test_rejects_non_idempotent(self):
-        with pytest.raises(NotIdempotent):
-            pierce_split(Matrix.identity(2), mat([["1", "1"], ["0", "1"]]))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            pierce_split(Matrix.identity(2), Matrix.identity(3))
 
 
 class TestDistributivity:

@@ -1,0 +1,32 @@
+"""The library keeps no invariant in an assert, which ``python -O`` strips."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import blockginv
+
+SRC = Path(blockginv.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+
+
+def test_library_has_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_theorem_and_generator_tests_pass_optimized():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_theorems.py", "tests/test_generators.py"],
+        cwd=TESTS.parent, env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stdout[-3000:] + out.stderr[-3000:]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from blockginv.generators import GenSpec, gen_pair
 from blockginv.ginverse import NotGroupInvertible, drazin
 from blockginv.matrices import Matrix, ShapeMismatch
 from blockginv.scalars import GaussianRational
@@ -15,17 +16,15 @@ from blockginv.theorems import (
     assemble_M,
     block_group_inverse,
     check_conditions,
-    cor22_group_inverse,
-    cor24_group_inverse,
-    cor25_group_inverse,
-    cor32_group_inverse,
-    cor33_group_inverse,
-    cor34_group_inverse,
-    thm21_group_inverse,
-    thm23_group_inverse,
-    thm31_group_inverse,
 )
 from conftest import mat
+from paper_forms import (
+    blocks,
+    cor24_direct,
+    cor32_direct,
+    thm23_direct,
+    thm31_statement,
+)
 
 
 def oracle_of(e, f, theorem):
@@ -38,7 +37,7 @@ WORKED_F = [["i", "i"], ["0", "0"]]
 
 class TestWorkedExample:
     def test_blocks_and_assembly(self):
-        result = thm31_group_inverse(mat(WORKED_E), mat(WORKED_F))
+        result = block_group_inverse("thm3.1", mat(WORKED_E), mat(WORKED_F))
         assert result.theorem == "thm3.1"
         assert result.gamma == mat([["0", "1"], ["0", "-1"]])
         assert result.delta == mat([["-i", "-i"], ["0", "0"]])
@@ -53,22 +52,20 @@ class TestWorkedExample:
 
     def test_ingredients(self):
         e, f = mat(WORKED_E), mat(WORKED_F)
-        result = thm31_group_inverse(e, f)
+        result = block_group_inverse("thm3.1", e, f)
         assert result.intermediates["E_D"] == e
         assert result.intermediates["E_pi"].is_zero()
         assert result.intermediates["F_sharp"] == mat([["-i", "-i"], ["0", "0"]])
         assert result.intermediates["F_pi"] == mat([["0", "-1"], ["0", "1"]])
 
     def test_statement_form_agrees(self):
-        result = thm31_group_inverse(mat(WORKED_E), mat(WORKED_F))
-        assert result.intermediates["gamma_stmt"] == result.gamma
-        assert result.intermediates["delta_stmt"] == result.delta
-        assert result.intermediates["lambda_stmt"] == result.lambda_blk
-        assert result.intermediates["xi_stmt"] == result.xi
+        e, f = mat(WORKED_E), mat(WORKED_F)
+        result = block_group_inverse("thm3.1", e, f)
+        assert blocks(result) == thm31_statement(e, f)
 
     def test_matches_oracle(self):
         e, f = mat(WORKED_E), mat(WORKED_F)
-        result = thm31_group_inverse(e, f)
+        result = block_group_inverse("thm3.1", e, f)
         oracle = oracle_of(e, f, "thm3.1")
         assert oracle.index == 1
         assert result.assembled == oracle.drazin
@@ -79,7 +76,7 @@ class TestThm21:
     F = [["1", "0"], ["0", "0"]]
 
     def test_frozen_pair(self):
-        result = thm21_group_inverse(mat(self.E), mat(self.F))
+        result = block_group_inverse("thm2.1", mat(self.E), mat(self.F))
         expected = mat([
             ["0", "0", "1", "0"],
             ["0", "1", "-1", "1"],
@@ -92,14 +89,14 @@ class TestThm21:
         assert result.assembled == oracle.drazin
 
     def test_one_by_one(self):
-        result = thm21_group_inverse(mat([["0"]]), mat([["1"]]))
+        result = block_group_inverse("thm2.1", mat([["0"]]), mat([["1"]]))
         assert result.assembled == mat([["0", "1"], ["1", "0"]])
 
     def test_standing_hypothesis_violation(self):
         e = mat([["0", "1"], ["0", "0"]])
         f = mat([["1", "0"], ["0", "0"]])
         with pytest.raises(HypothesisViolated) as info:
-            thm21_group_inverse(e, f)
+            block_group_inverse("thm2.1", e, f)
         assert info.value.condition == "FEF^pi=0"
         assert info.value.residual == mat([["0", "1"], ["0", "0"]])
 
@@ -107,14 +104,14 @@ class TestThm21:
         f = mat([["0", "1"], ["0", "0"]])
         e = mat([["1", "1"], ["0", "0"]])
         with pytest.raises(NotGroupInvertible) as info:
-            thm21_group_inverse(e, f)
+            block_group_inverse("thm2.1", e, f)
         assert info.value.condition == "F group-invertible"
         assert info.value.index == 2
 
     def test_refuses_when_existence_condition_fails(self):
         e, f = mat([["0"]]), mat([["0"]])
         with pytest.raises(NotGroupInvertible) as info:
-            thm21_group_inverse(e, f)
+            block_group_inverse("thm2.1", e, f)
         assert info.value.condition == "E^pi F^pi=0"
         assert oracle_of(e, f, "thm2.1").index == 2
 
@@ -123,7 +120,7 @@ class TestCor22:
     def test_matches_oracle_and_conjugation(self):
         e = mat([["1", "0"], ["1", "1"]])
         f = mat([["1", "0"], ["0", "0"]])
-        result = cor22_group_inverse(e, f)
+        result = block_group_inverse("cor2.2", e, f)
         oracle = oracle_of(e, f, "cor2.2")
         assert oracle.index == 1
         assert result.assembled == oracle.drazin
@@ -131,7 +128,7 @@ class TestCor22:
         p = Matrix.from_blocks([[Matrix.zeros(2, 2), eye], [eye, -e]])
         p_inv = Matrix.from_blocks([[e, eye], [eye, Matrix.zeros(2, 2)]])
         assert p * p_inv == Matrix.identity(4)
-        sibling = thm21_group_inverse(e, f)
+        sibling = block_group_inverse("thm2.1", e, f)
         assert result.assembled == p_inv * sibling.assembled * p
 
 
@@ -141,16 +138,17 @@ class TestThm23AndCor24:
 
     def test_thm23_matches_oracle_and_mirror(self):
         e, f = mat(self.E), mat(self.F)
-        result = thm23_group_inverse(e, f)
+        result = block_group_inverse("thm2.3", e, f)
         oracle = oracle_of(e, f, "thm2.3")
         assert oracle.index == 1
         assert result.assembled == oracle.drazin
-        mirrored = thm21_group_inverse(e.transpose(), f.transpose())
+        mirrored = block_group_inverse("thm2.1", e.transpose(), f.transpose())
         assert result.assembled.transpose() == mirrored.assembled
+        assert blocks(result) == thm23_direct(e, f)
 
     def test_cor24_matches_oracle_and_conjugation(self):
         e, f = mat(self.E), mat(self.F)
-        result = cor24_group_inverse(e, f)
+        result = block_group_inverse("cor2.4", e, f)
         oracle = oracle_of(e, f, "cor2.4")
         assert oracle.index == 1
         assert result.assembled == oracle.drazin
@@ -158,14 +156,15 @@ class TestThm23AndCor24:
         p = Matrix.from_blocks([[e, eye], [eye, Matrix.zeros(2, 2)]])
         p_inv = Matrix.from_blocks([[Matrix.zeros(2, 2), eye], [eye, -e]])
         assert p * p_inv == Matrix.identity(4)
-        sibling = thm23_group_inverse(e, f)
+        sibling = block_group_inverse("thm2.3", e, f)
         assert result.assembled == p_inv * sibling.assembled * p
+        assert blocks(result) == cor24_direct(e, f)
 
     def test_thm23_standing_hypothesis_violation(self):
         e = mat([["0", "0"], ["1", "0"]])
         f = mat([["1", "0"], ["0", "0"]])
         with pytest.raises(HypothesisViolated) as info:
-            thm23_group_inverse(e, f)
+            block_group_inverse("thm2.3", e, f)
         assert info.value.condition == "F^pi EF=0"
 
 
@@ -173,7 +172,7 @@ class TestCor25:
     def test_commuting_diagonals(self):
         e = mat([["2", "0"], ["0", "3"]])
         f = mat([["1", "0"], ["0", "0"]])
-        result = cor25_group_inverse(e, f)
+        result = block_group_inverse("cor2.5", e, f)
         assert result.theorem == "cor2.5"
         oracle = oracle_of(e, f, "cor2.5")
         assert oracle.index == 1
@@ -186,7 +185,7 @@ class TestCor25:
         law = next(c for c in report.conditions if c.name == "EF=lambda FE")
         assert law.holds
         assert law.lam == GaussianRational(Fraction(3, 2))
-        result = cor25_group_inverse(e, f)
+        result = block_group_inverse("cor2.5", e, f)
         assert result.assembled == oracle_of(e, f, "cor2.5").drazin
 
     def test_alignment_law_without_scalar_law(self):
@@ -196,19 +195,20 @@ class TestCor25:
         assert not report.holds("EF=lambda FE")
         assert report.holds("EF^2=FEF")
         assert report.satisfied()
-        result = cor25_group_inverse(e, f)
+        result = block_group_inverse("cor2.5", e, f)
         assert result.assembled == oracle_of(e, f, "cor2.5").drazin
 
     def test_rejects_when_neither_law_holds(self):
         e = mat([["1", "1"], ["0", "1"]])
         f = mat([["1", "0"], ["1", "1"]])
         with pytest.raises(HypothesisViolated) as info:
-            cor25_group_inverse(e, f)
+            block_group_inverse("cor2.5", e, f)
         assert info.value.condition == "EF=lambda FE or EF^2=FEF"
 
     def test_refuses_when_f_not_group_invertible(self):
         with pytest.raises(NotGroupInvertible):
-            cor25_group_inverse(Matrix.identity(2), mat([["0", "1"], ["0", "0"]]))
+            block_group_inverse("cor2.5", Matrix.identity(2),
+                                mat([["0", "1"], ["0", "0"]]))
 
 
 class TestThm31Errors:
@@ -216,14 +216,14 @@ class TestThm31Errors:
         f = mat([["0", "1"], ["0", "0"]])
         e = mat([["1", "0"], ["0", "0"]])
         with pytest.raises(HypothesisViolated) as info:
-            thm31_group_inverse(e, f)
+            block_group_inverse("thm3.1", e, f)
         assert info.value.condition == "F group-invertible"
 
     def test_refuses_when_existence_condition_fails(self):
         e = mat([["1", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]])
         f = mat([["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]])
         with pytest.raises(NotGroupInvertible) as info:
-            thm31_group_inverse(e, f)
+            block_group_inverse("thm3.1", e, f)
         assert info.value.condition == "EE^pi F^pi=0"
         assert oracle_of(e, f, "thm3.1").index >= 2
 
@@ -232,7 +232,7 @@ class TestCor32:
     def test_transposed_worked_example(self):
         e = mat(WORKED_E).transpose()
         f = mat(WORKED_F).transpose()
-        result = cor32_group_inverse(e, f)
+        result = block_group_inverse("cor3.2", e, f)
         assert result.gamma == mat([["0", "0"], ["1", "-1"]])
         assert result.delta == mat([["-i", "0"], ["-i", "0"]])
         assert result.lambda_blk == mat([["-i", "0"], ["-i", "0"]])
@@ -244,27 +244,24 @@ class TestCor32:
     def test_closed_form_blocks_exposed(self):
         e = mat(WORKED_E).transpose()
         f = mat(WORKED_F).transpose()
-        result = cor32_group_inverse(e, f)
-        assert result.intermediates["gamma_stmt"] == result.gamma
-        assert result.intermediates["delta_stmt"] == result.delta
-        assert result.intermediates["lambda_stmt"] == result.lambda_blk
-        assert result.intermediates["xi_stmt"] == result.xi
+        result = block_group_inverse("cor3.2", e, f)
+        assert blocks(result) == cor32_direct(e, f)
 
 
 class TestCor33:
     def test_diagonal_pair(self):
         e = mat([["2", "0"], ["0", "1"]])
         f = mat([["1", "0"], ["0", "0"]])
-        result = cor33_group_inverse(e, f)
+        result = block_group_inverse("cor3.3", e, f)
         oracle = oracle_of(e, f, "cor3.3")
         assert oracle.index == 1
         assert result.assembled == oracle.drazin
-        assert result.intermediates["E_sharp"] == drazin(e).drazin
+        assert result.intermediates["E_D"] == drazin(e).drazin
 
     def test_non_commuting_invertible_e(self):
         e = mat([["1", "1"], ["0", "1"]])
         f = mat([["1", "0"], ["0", "0"]])
-        result = cor33_group_inverse(e, f)
+        result = block_group_inverse("cor3.3", e, f)
         expected = mat([
             ["0", "0", "1", "0"],
             ["0", "1", "0", "0"],
@@ -278,15 +275,17 @@ class TestCor33:
 
     def test_all_three_hypotheses_are_standing(self):
         with pytest.raises(HypothesisViolated) as e_info:
-            cor33_group_inverse(mat([["0", "1"], ["0", "0"]]), Matrix.identity(2))
+            block_group_inverse("cor3.3", mat([["0", "1"], ["0", "0"]]),
+                                Matrix.identity(2))
         assert e_info.value.condition == "E group-invertible"
         with pytest.raises(HypothesisViolated) as f_info:
-            cor33_group_inverse(Matrix.identity(2), mat([["0", "1"], ["0", "0"]]))
+            block_group_inverse("cor3.3", Matrix.identity(2),
+                                mat([["0", "1"], ["0", "0"]]))
         assert f_info.value.condition == "F group-invertible"
         swap = mat([["0", "1"], ["1", "0"]])
         proj = mat([["1", "0"], ["0", "0"]])
         with pytest.raises(HypothesisViolated) as s_info:
-            cor33_group_inverse(swap, proj)
+            block_group_inverse("cor3.3", swap, proj)
         assert s_info.value.condition == "F^pi EF=0"
 
 
@@ -294,7 +293,7 @@ class TestCor34:
     def test_commuting_diagonals(self):
         e = mat([["1", "0"], ["0", "2"]])
         f = mat([["3", "0"], ["0", "0"]])
-        result = cor34_group_inverse(e, f)
+        result = block_group_inverse("cor3.4", e, f)
         assert result.theorem == "cor3.4"
         oracle = oracle_of(e, f, "cor3.4")
         assert oracle.index == 1
@@ -307,14 +306,75 @@ class TestCor34:
         law = next(c for c in report.conditions if c.name == "EF=lambda FE")
         assert law.holds
         assert law.lam == GaussianRational(-1)
-        result = cor34_group_inverse(e, f)
+        result = block_group_inverse("cor3.4", e, f)
         assert result.assembled == oracle_of(e, f, "cor3.4").drazin
 
     def test_rejects_when_neither_law_holds(self):
         e = mat([["1", "1"], ["0", "1"]])
         f = mat([["1", "0"], ["1", "1"]])
         with pytest.raises(HypothesisViolated):
-            cor34_group_inverse(e, f)
+            block_group_inverse("cor3.4", e, f)
+
+
+# The condition each refusing rule's refusal instances break, in the rule's
+# own wording: the mirrored rules must not report the transposed rule's.
+REFUSAL_BLOCKERS = {
+    "thm2.1": "E^pi F^pi=0",
+    "cor2.2": "E^pi F^pi=0",
+    "thm2.3": "F^pi E^pi=0",
+    "cor2.4": "F^pi E^pi=0",
+    "cor2.5": "F^pi E^pi=0",
+    "thm3.1": "EE^pi F^pi=0",
+    "cor3.2": "F^pi E^pi E=0",
+}
+
+PROJ = [["1", "0"], ["0", "0"]]
+RIGHT_BREAKER = ([["0", "1"], ["0", "0"]], PROJ, "FEF^pi=0")
+LEFT_BREAKER = ([["0", "0"], ["1", "0"]], PROJ, "F^pi EF=0")
+NO_LAW = ([["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]],
+          "EF=lambda FE or EF^2=FEF")
+# A pair breaking each rule's first standing hypothesis, and its name.
+FIRST_STANDING_BREAKERS = {
+    "thm2.1": RIGHT_BREAKER,
+    "cor2.2": RIGHT_BREAKER,
+    "thm2.3": LEFT_BREAKER,
+    "cor2.4": LEFT_BREAKER,
+    "cor2.5": NO_LAW,
+    "thm3.1": RIGHT_BREAKER,
+    "cor3.2": LEFT_BREAKER,
+    "cor3.3": ([["0", "1"], ["0", "0"]], [["1", "0"], ["0", "1"]],
+               "E group-invertible"),
+    "cor3.4": NO_LAW,
+}
+
+
+class TestFailuresNameTheRulesOwnCondition:
+    @pytest.mark.parametrize("theorem", sorted(REFUSAL_BLOCKERS))
+    def test_refusal_names_the_blocker(self, theorem):
+        n = 4 if theorem in ("thm3.1", "cor3.2") else 3
+        e, f = gen_pair(GenSpec(theorem, n, 1, satisfy=False, seed=41))
+        blocker = REFUSAL_BLOCKERS[theorem]
+        with pytest.raises(NotGroupInvertible) as info:
+            block_group_inverse(theorem, e, f)
+        assert info.value.condition == blocker
+        assert str(info.value) == f"no group inverse: {blocker} fails"
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_standing_violation_names_the_hypothesis(self, theorem):
+        e_rows, f_rows, name = FIRST_STANDING_BREAKERS[theorem]
+        e, f = mat(e_rows), mat(f_rows)
+        with pytest.raises(HypothesisViolated) as info:
+            block_group_inverse(theorem, e, f)
+        assert info.value.condition == name
+        assert str(info.value) == f"hypothesis does not hold: {name}"
+        first, second = check_conditions(e, f, theorem).conditions[:2]
+        if first.name == "EF=lambda FE":
+            assert not first.holds
+            first = second     # the either/or reports EF^2=FEF's residual
+        else:
+            assert first.name == name
+        assert not first.holds
+        assert info.value.residual == first.residual
 
 
 class TestCheckConditions:
@@ -389,14 +449,9 @@ class TestAssemblyAndDispatch:
         with pytest.raises(ValueError):
             block_group_inverse("thm9.9", mat([["1"]]), mat([["1"]]))
 
-    def test_dispatch_runs_named_rule(self):
-        e, f = mat(WORKED_E), mat(WORKED_F)
-        direct = thm31_group_inverse(e, f)
-        routed = block_group_inverse("thm3.1", e, f)
-        assert routed == direct
-
     def test_rejects_mismatched_pair(self):
         with pytest.raises(ShapeMismatch):
-            thm21_group_inverse(Matrix.identity(2), Matrix.identity(3))
+            block_group_inverse("thm2.1", Matrix.identity(2),
+                                Matrix.identity(3))
         with pytest.raises(ShapeMismatch):
             assemble_M(mat([["1", "2"]]), mat([["1", "2"]]), BlockShape.EI_F0)
