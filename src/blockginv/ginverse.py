@@ -1,9 +1,21 @@
-"""Drazin and group inverses by exact core-nilpotent decomposition.
+"""Drazin and group inverses by Cline's successive full-rank factorizations.
 
-For a square T with Drazin index k, the columns of T^k and the null space of
-T^k split the space into an invertible core and a nilpotent part. Inverting
-the core and zeroing the nilpotent part gives T^D exactly; no limits, no
-numerics. The group inverse is the k <= 1 special case.
+A square T of rank r factors as T = B1 C1, with B1 the r pivot columns of T
+and C1 the nonzero rows of its reduced row echelon form. The r x r matrix
+M1 = C1 B1 factors again as B2 C2, and so on: the chain M_j = C_j B_j
+shrinks until some M = M_k is invertible or zero. Since
+rank(T^(j+1)) = rank(M_j), an invertible M_k means T has index k, and
+
+    T^D = B1 ... Bk M^-(k+1) Ck ... C1;
+
+a zero M_k means T is nilpotent of index k + 1, and T^D = 0. Every step
+after the first works on the shrinking M_j, never on a power of T. All of
+it is exact, so no limits and no numerics enter. The group inverse is the
+k <= 1 case.
+
+References: R. E. Cline, "Inverses of rank invariant powers of a matrix",
+SIAM J. Numer. Anal. 5 (1968); S. L. Campbell and C. D. Meyer,
+Generalized Inverses of Linear Transformations, ch. 7.
 """
 
 from __future__ import annotations
@@ -11,14 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .matrices import (
-    Matrix,
-    ShapeMismatch,
-    column_space_basis,
-    inverse,
-    kernel_basis,
-    rank,
-)
+from .matrices import Matrix, ShapeMismatch, inverse, rank, rref
 
 
 class NotGroupInvertible(ArithmeticError):
@@ -50,61 +55,60 @@ def _require_square(matrix: Matrix, op: str) -> None:
         raise ShapeMismatch(op, matrix.shape, matrix.shape)
 
 
+def _walk(matrix: Matrix) -> tuple[int, Matrix | None, Matrix | None,
+                                   Matrix | None]:
+    """Cline's chain for a square T: (index, B, C, M).
+
+    M is the first invertible M_j of the chain, starting from M_0 = T, and
+    B = B1 ... Bj, C = Cj ... C1 (None for j = 0), so T^(j+1) = B M C. When
+    the chain ends on a zero M_j instead, M is None and the index is j + 1.
+    """
+    left = right = None
+    core = matrix
+    steps = 0
+    while True:
+        r = rank(core)
+        if r == core.rows:
+            return steps, left, right, core
+        if r == 0:
+            return steps + 1, left, right, None
+        reduced, _, pivots = rref(core)
+        columns = Matrix(core.rows, r, [core[i, c] for i in range(core.rows)
+                                        for c in pivots])
+        rows = reduced.submatrix(0, r, 0, core.cols)
+        left = columns if left is None else left * columns
+        right = rows if right is None else rows * right
+        core = rows * columns
+        steps += 1
+
+
 def drazin_index(matrix: Matrix) -> int:
     """Smallest k >= 0 with rank(T^k) = rank(T^(k+1)); 0 for invertible T."""
     _require_square(matrix, "drazin_index")
-    previous = matrix.rows
-    power = matrix
-    k = 0
-    while True:
-        r = rank(power)
-        if r == previous:
-            return k
-        previous = r
-        k += 1
-        power = power * matrix
+    return _walk(matrix)[0]
 
 
 @lru_cache(maxsize=4096)
 def drazin(matrix: Matrix) -> DrazinResult:
-    """Drazin inverse via the core-nilpotent decomposition.
+    """Drazin inverse by Cline's chain of full-rank factorizations.
 
-    Walk powers of T until the rank stabilizes at index k; then
-    P = [pivot columns of T^k | kernel basis of T^k] is invertible and
-    P^-1 T P = diag(C, N) with C invertible and N nilpotent. T^D is
-    P diag(C^-1, 0) P^-1. Results are cached; matrices are immutable.
+    With index k >= 1, the chain's B, C and invertible M give
+    T T^D = B M^-k C and T^D = B M^-(k+1) C. An invertible T has index 0
+    and T^D = T^-1. Results are cached; matrices are immutable.
     """
     _require_square(matrix, "drazin")
     n = matrix.rows
-    previous = n
-    power = Matrix.identity(n)
-    k = 0
-    while True:
-        next_power = power * matrix
-        r = rank(next_power)
-        if r == previous:
-            break
-        previous = r
-        k += 1
-        power = next_power
-    if k == 0:
-        d = inverse(matrix)
-        return DrazinResult(d, 0, Matrix.zeros(n, n))
-    core_basis = column_space_basis(power)      # power == T^k here
-    null_basis = kernel_basis(power)
-    r = core_basis.cols
-    basis = Matrix.from_blocks([[core_basis, null_basis]])
-    basis_inv = inverse(basis)
-    in_basis = basis_inv * matrix * basis
-    core = in_basis.submatrix(0, r, 0, r)
+    k, left, right, core = _walk(matrix)
+    if core is None:
+        return DrazinResult(Matrix.zeros(n, n), k, Matrix.identity(n))
     core_inv = inverse(core)
-    padded = Matrix.from_blocks([
-        [core_inv, Matrix.zeros(r, n - r)],
-        [Matrix.zeros(n - r, r), Matrix.zeros(n - r, n - r)],
-    ])
-    d = basis * padded * basis_inv
-    pi = Matrix.identity(n) - matrix * d
-    return DrazinResult(d, k, pi)
+    if k == 0:
+        return DrazinResult(core_inv, 0, Matrix.zeros(n, n))
+    tail = right
+    for _ in range(k):
+        tail = core_inv * tail
+    pi = Matrix.identity(n) - left * tail
+    return DrazinResult(left * (core_inv * tail), k, pi)
 
 
 def group_inverse(matrix: Matrix) -> Matrix:

@@ -100,7 +100,7 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class BlockGroupInverse:
-    """The four result blocks, their 2n x 2n assembly, and the ingredients."""
+    """The four result blocks, their assembly, ingredients and conditions."""
 
     theorem: str
     gamma: Matrix
@@ -109,6 +109,7 @@ class BlockGroupInverse:
     xi: Matrix
     assembled: Matrix
     intermediates: dict[str, Matrix]
+    report: ConditionReport
 
 
 def _require_pair(e: Matrix, f: Matrix) -> int:
@@ -176,15 +177,20 @@ _RESIDUALS: dict[str, Callable[..., Matrix]] = {
     "F^pi E^pi E=0": lambda e, f, e_pi, f_pi: f_pi * e_pi * e,
     "F group-invertible": lambda e, f, e_pi, f_pi: f * f_pi,
     "E group-invertible": lambda e, f, e_pi, f_pi: e * e_pi,
-    "EF^2=FEF": lambda e, f, e_pi, f_pi: e * f * f - f * e * f,
+    "EF^2=FEF": lambda e, f, e_pi, f_pi: (e * f - f * e) * f,
 }
 
 
-def _evaluate(name: str, e: Matrix, f: Matrix, e_pi: Matrix,
-              f_pi: Matrix) -> Condition:
+def _evaluate(name: str, e: Matrix, f: Matrix, de: DrazinResult,
+              df: DrazinResult) -> Condition:
     if name == "EF=lambda FE":
         return Condition(name, *_lambda_commutation(e, f))
-    residual = _RESIDUALS[name](e, f, e_pi, f_pi)
+    # Index <= 1 is exactly when E E^pi (F F^pi) vanishes: skip the product.
+    if (name == "E group-invertible" and de.index <= 1
+            or name == _F_GROUP and df.index <= 1):
+        return Condition(name, True, Matrix.zeros(e.rows, e.rows))
+    residual = _RESIDUALS[name](e, f, de.spectral_idempotent,
+                                df.spectral_idempotent)
     return Condition(name, residual.is_zero(), residual)
 
 
@@ -330,31 +336,30 @@ def check_conditions(e: Matrix, f: Matrix, theorem: str) -> ConditionReport:
     """
     _require_pair(e, f)
     rule = rule_for(theorem)
-    e_pi = drazin(e).spectral_idempotent
-    f_pi = drazin(f).spectral_idempotent
+    de, df = drazin(e), drazin(f)
     return ConditionReport(theorem, tuple(
-        _evaluate(name, e, f, e_pi, f_pi) for name in rule.conditions
+        _evaluate(name, e, f, de, df) for name in rule.conditions
     ))
 
 
 def _guard(rule: Rule, e: Matrix, f: Matrix, de: DrazinResult,
-           df: DrazinResult) -> None:
+           df: DrazinResult) -> dict[str, Condition]:
     """Raise for the first of the rule's conditions that fails.
 
-    The two commutation laws are one either/or hypothesis, reported with
-    the residual of EF^2=FEF.
+    Returns the conditions it evaluated, by name. The two commutation laws
+    are one either/or hypothesis: EF^2=FEF is evaluated only when
+    EF=lambda FE fails, and a failure of both is reported with its
+    residual.
     """
-    e_pi, f_pi = de.spectral_idempotent, df.spectral_idempotent
-    # Index <= 1 is exactly when E E^pi (F F^pi) vanishes: skip the product.
-    group_invertible = {"E group-invertible": de.index <= 1,
-                        _F_GROUP: df.index <= 1}
+    evaluated: dict[str, Condition] = {}
     for name in rule.conditions:
-        if name == "EF^2=FEF" or group_invertible.get(name):
+        if name == "EF^2=FEF":
             continue
-        condition = _evaluate(name, e, f, e_pi, f_pi)
+        condition = evaluated[name] = _evaluate(name, e, f, de, df)
         if name == "EF=lambda FE" and not condition.holds:
             name = "EF=lambda FE or EF^2=FEF"
-            condition = _evaluate("EF^2=FEF", e, f, e_pi, f_pi)
+            condition = evaluated["EF^2=FEF"] = _evaluate(
+                "EF^2=FEF", e, f, de, df)
         if condition.holds:
             continue
         if name not in rule.refusing:
@@ -367,6 +372,7 @@ def _guard(rule: Rule, e: Matrix, f: Matrix, de: DrazinResult,
         raise NotGroupInvertible(
             f"no group inverse: {name} fails", condition=name
         )
+    return evaluated
 
 
 def _transposed(result: DrazinResult) -> DrazinResult:
@@ -380,12 +386,18 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
     Raises HypothesisViolated or NotGroupInvertible for the first of the
     rule's conditions that fails, in the order ``check_conditions`` lists
     them. ``intermediates`` holds E^D, F#, E^pi and F^pi, plus the corners
-    of N^# for thm3.1.
+    of N^# for thm3.1. ``report`` equals ``check_conditions(e, f,
+    theorem)`` and reuses the residuals the check above evaluated.
     """
     rule = rule_for(theorem)
     _require_pair(e, f)
     de, df = drazin(e), drazin(f)
-    _guard(rule, e, f, de, df)
+    evaluated = _guard(rule, e, f, de, df)
+    report = ConditionReport(theorem, tuple(
+        evaluated[name] if name in evaluated
+        else _evaluate(name, e, f, de, df)
+        for name in rule.conditions
+    ))
     route = RULES[rule.delegate] if rule.delegate else rule
     if route.mirrored:
         # Transposing swaps the off-diagonal blocks. The ingredients of the
@@ -405,4 +417,5 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
         {"E_D": de.drazin, "F_sharp": df.drazin,
          "E_pi": de.spectral_idempotent, "F_pi": df.spectral_idempotent,
          **extras},
+        report,
     )

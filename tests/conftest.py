@@ -46,6 +46,36 @@ def square_matrices(min_n=1, max_n=3):
     return st.integers(min_n, max_n).flatmap(build)
 
 
+def _sized(rows, cols):
+    return st.lists(scalars(), min_size=rows * cols,
+                    max_size=rows * cols).map(
+        lambda entries: Matrix(rows, cols, entries))
+
+
+def _strictly_upper(n):
+    def build(entries):
+        it = iter(entries)
+        return Matrix(n, n, [next(it) if j > i else GaussianRational(0)
+                             for i in range(n) for j in range(n)])
+    return st.lists(scalars(), min_size=n * (n - 1) // 2,
+                    max_size=n * (n - 1) // 2).map(build)
+
+
+def singular_square_matrices(min_n=0, max_n=6):
+    """X Y U + V: X is n x r, Y is r x n, U and V strictly upper triangular.
+
+    The first column is zero, so every draw with n >= 1 is singular, and
+    r = 0 gives a nilpotent V. Keeping r <= n/2 leaves room for the
+    nilpotent part: about a third of the draws have index 2 or more.
+    """
+    def build(n):
+        return st.integers(0, n // 2).flatmap(lambda r: st.builds(
+            lambda x, y, u, v: x * y * u + v,
+            _sized(n, r), _sized(r, n), _strictly_upper(n), _strictly_upper(n),
+        ))
+    return st.integers(min_n, max_n).flatmap(build)
+
+
 def rect_matrices(max_dim=3):
     def build(dims):
         rows, cols = dims

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given
 
-from blockginv.generators import gen_group_invertible
+from blockginv.generators import GenSpec, gen_group_invertible, gen_pair
 from blockginv.ginverse import (
     NotGroupInvertible,
     block_triangular_drazin,
@@ -15,7 +15,9 @@ from blockginv.ginverse import (
     group_inverse,
 )
 from blockginv.matrices import Matrix, ShapeMismatch, rank
-from conftest import mat, square_matrices
+from blockginv.theorems import SHAPE_FOR_THEOREM, assemble_M
+from conftest import mat, singular_square_matrices
+from reference_drazin import reference_drazin
 
 
 class TestDrazinExamples:
@@ -58,9 +60,41 @@ class TestDrazinExamples:
         assert d * m * d == d
         assert m ** (result.index + 1) * d == m ** result.index
 
+    def test_empty_matrix(self):
+        empty = Matrix.zeros(0, 0)
+        result = drazin(empty)
+        assert result.index == drazin_index(empty) == 0
+        assert result.drazin == result.spectral_idempotent == empty
+
+    def test_jordan_block_ends_the_chain_on_zero(self):
+        # The chain shrinks J5 one rank at a time and ends on a zero 1x1.
+        jordan = Matrix.from_rows([[1 if j == i + 1 else 0 for j in range(5)]
+                                   for i in range(5)])
+        result = drazin(jordan)
+        assert result.index == drazin_index(jordan) == 5
+        assert result.drazin.is_zero()
+        assert result.spectral_idempotent == Matrix.identity(5)
+
+    def test_complex_index_three(self):
+        # [[a, b], [0, N]] with N = J3 nilpotent: the top row of T^D is
+        # (a^-1, sum_j a^-(j+2) b N^j) and the rest is zero.
+        m = mat([["i", "1", "0", "0"], ["0", "0", "1", "0"],
+                 ["0", "0", "0", "1"], ["0", "0", "0", "0"]])
+        result = drazin(m)
+        assert result.index == drazin_index(m) == 3
+        zero_row = ["0", "0", "0", "0"]
+        assert result.drazin == mat([["-i", "-1", "i", "1"], zero_row,
+                                     zero_row, zero_row])
+        assert result.spectral_idempotent == mat([
+            ["0", "i", "1", "-i"], ["0", "1", "0", "0"],
+            ["0", "0", "1", "0"], ["0", "0", "0", "1"],
+        ])
+
     def test_non_square_raises(self):
         with pytest.raises(ShapeMismatch):
             drazin(mat([["1", "2"]]))
+        with pytest.raises(ShapeMismatch):
+            drazin_index(mat([["1", "2"]]))
 
 
 class TestGroupInverse:
@@ -133,16 +167,19 @@ class TestBlockTriangular:
 
 
 class TestDefiningIdentities:
-    @given(square_matrices())
+    @given(singular_square_matrices())
     def test_drazin_axioms(self, m):
         result = drazin(m)
         d = result.drazin
         k = result.index
+        assert drazin_index(m) == k
         assert m * d == d * m
         assert d * m * d == d
         assert m ** (k + 1) * d == m ** k
+        if k >= 1:
+            assert rank(m ** (k - 1)) > rank(m ** k)
 
-    @given(square_matrices())
+    @given(singular_square_matrices())
     def test_spectral_idempotent(self, m):
         result = drazin(m)
         pi = result.spectral_idempotent
@@ -150,3 +187,19 @@ class TestDefiningIdentities:
         assert m * pi == pi * m
         assert (m * pi) ** max(result.index, 1) == Matrix.zeros(m.rows, m.rows)
         assert rank(m + pi) == m.rows
+
+
+class TestAgainstReference:
+    """The chain against the core-nilpotent construction, exactly."""
+
+    @given(singular_square_matrices())
+    def test_singular_matrices(self, m):
+        assert drazin(m) == reference_drazin(m)
+
+    @pytest.mark.parametrize("theorem,rank_f,seed", [
+        ("thm2.1", 5, 101), ("cor2.4", 3, 202), ("thm3.1", 6, 303),
+    ])
+    def test_assembled_block_matrices(self, theorem, rank_f, seed):
+        e, f = gen_pair(GenSpec(theorem, 8, rank_f, True, seed))
+        big = assemble_M(e, f, SHAPE_FOR_THEOREM[theorem])
+        assert drazin(big) == reference_drazin(big)

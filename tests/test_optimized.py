@@ -26,7 +26,8 @@ def test_theorem_and_generator_tests_pass_optimized():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_theorems.py", "tests/test_generators.py"],
+         "tests/test_theorems.py", "tests/test_generators.py",
+         "tests/test_ginverse.py"],
         cwd=TESTS.parent, env=env, capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stdout[-3000:] + out.stderr[-3000:]

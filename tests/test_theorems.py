@@ -432,6 +432,25 @@ class TestCheckConditions:
             assert report.satisfied()
 
 
+class TestBlockReport:
+    """The report a block inverse carries is the check_conditions report."""
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    @pytest.mark.parametrize("rank_f", [1, 3])
+    def test_seeded_pairs(self, theorem, rank_f):
+        e, f = gen_pair(GenSpec(theorem, 3, rank_f, True, seed=17))
+        result = block_group_inverse(theorem, e, f)
+        assert result.report == check_conditions(e, f, theorem)
+
+    def test_alignment_law_without_scalar_law(self):
+        # The check evaluates EF^2=FEF itself once EF=lambda FE fails.
+        e = mat([["1", "1"], ["0", "1"]])
+        f = mat([["1", "0"], ["0", "0"]])
+        for theorem in ("cor2.5", "cor3.4"):
+            result = block_group_inverse(theorem, e, f)
+            assert result.report == check_conditions(e, f, theorem)
+
+
 class TestAssemblyAndDispatch:
     def test_layouts(self):
         e, f = mat([["2"]]), mat([["3"]])
