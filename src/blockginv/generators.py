@@ -358,19 +358,17 @@ def verify_instance(e: Matrix, f: Matrix, theorem: str) -> VerificationReport:
     the formula refused with NotGroupInvertible and the index is at least 2.
     Anything else, including a standing-hypothesis violation, is MISMATCH.
     """
-    conditions = check_conditions(e, f, theorem)
+    try:
+        result = block_group_inverse(theorem, e, f)
+    except (NotGroupInvertible, HypothesisViolated) as exc:
+        # The guard stopped at the first failing condition; report them all.
+        formula, conditions = None, check_conditions(e, f, theorem)
+        error, refused = str(exc), isinstance(exc, NotGroupInvertible)
+    else:
+        formula, conditions = result.assembled, result.report
+        error, refused = None, False
     big = assemble_M(e, f, SHAPE_FOR_THEOREM[theorem])
     oracle = drazin(big)
-    formula = None
-    error = None
-    refused = False
-    try:
-        formula = block_group_inverse(theorem, e, f).assembled
-    except NotGroupInvertible as exc:
-        error = str(exc)
-        refused = True
-    except HypothesisViolated as exc:
-        error = str(exc)
     if formula is not None and formula == oracle.drazin and oracle.index <= 1:
         verdict = Verdict.AGREE_EXISTS
     elif refused and oracle.index >= 2:

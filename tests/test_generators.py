@@ -14,7 +14,7 @@ from blockginv.generators import (
 )
 from blockginv.ginverse import drazin
 from blockginv.matrices import rank
-from blockginv.theorems import THEOREM_IDS, check_conditions
+from blockginv.theorems import THEOREM_IDS, check_conditions, rule_for
 from conftest import mat
 
 
@@ -119,6 +119,19 @@ class TestVerifyInstance:
         report = verify_instance(e, f, "thm2.1")
         assert report.verdict is Verdict.MISMATCH
         assert report.error is not None
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_conditions_are_the_full_report(self, theorem):
+        # On success the report comes from the block inverse; after a
+        # refusal or a violation it is evaluated in full.
+        pairs = [gen_pair(GenSpec(theorem, 3, 1, True, seed=23)),
+                 (mat([["0", "1"], ["0", "0"]]),
+                  mat([["1", "0"], ["0", "0"]]))]
+        if rule_for(theorem).blocker is not None:
+            pairs.append(gen_pair(GenSpec(theorem, 3, 0, False, seed=23)))
+        for e, f in pairs:
+            assert verify_instance(e, f, theorem).conditions == \
+                check_conditions(e, f, theorem)
 
 
 class TestRunCampaign:
