@@ -39,10 +39,7 @@ class InputError(ValueError):
 
 
 def matrix_to_rows(matrix: Matrix) -> list[list[str]]:
-    return [
-        [str(matrix[i, j]) for j in range(matrix.cols)]
-        for i in range(matrix.rows)
-    ]
+    return [[str(x) for x in row] for row in matrix.to_lists()]
 
 
 def matrix_from_rows(rows: object, where: str = "matrix") -> Matrix:

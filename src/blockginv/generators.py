@@ -27,6 +27,7 @@ from .theorems import (
     SHAPE_FOR_THEOREM,
     ConditionReport,
     HypothesisViolated,
+    _full_report,
     assemble_M,
     block_group_inverse,
     check_conditions,
@@ -362,7 +363,8 @@ def verify_instance(e: Matrix, f: Matrix, theorem: str) -> VerificationReport:
         result = block_group_inverse(theorem, e, f)
     except (NotGroupInvertible, HypothesisViolated) as exc:
         # The guard stopped at the first failing condition; report them all.
-        formula, conditions = None, check_conditions(e, f, theorem)
+        formula, conditions = None, _full_report(
+            theorem, e, f, drazin(e), drazin(f), exc._evaluated)
         error, refused = str(exc), isinstance(exc, NotGroupInvertible)
     else:
         formula, conditions = result.assembled, result.report

@@ -73,8 +73,7 @@ def _walk(matrix: Matrix) -> tuple[int, Matrix | None, Matrix | None,
         if r == 0:
             return steps + 1, left, right, None
         reduced, _, pivots = rref(core)
-        columns = Matrix(core.rows, r, [core[i, c] for i in range(core.rows)
-                                        for c in pivots])
+        columns = core.columns(pivots)
         rows = reduced.submatrix(0, r, 0, core.cols)
         left = columns if left is None else left * columns
         right = rows if right is None else rows * right

@@ -1,43 +1,41 @@
 """Dense matrices over Q(i) with exact, fraction-free kernels.
 
-Matrices are immutable, stored row-major as GaussianRational entries, and
-sized rows x cols where either dimension may be zero (empty bases fall out
-of rank computations naturally).
+A Matrix is immutable and sized rows x cols; either dimension may be zero
+(empty bases fall out of rank computations naturally). It is stored as
+Gaussian-integer numerators over one shared denominator: ``_den`` is a
+positive int, and ``_re`` and ``_im`` are row-major tuples of ints, so
+entry (i, j) is (_re[k] + _im[k]*i) / _den with k = i*cols + j. ``_im`` is
+None exactly when the matrix is real. The form is canonical: the gcd of
+the denominator and all numerators is 1 (the zero matrix has denominator
+1), so equal matrices have equal storage. Entries become GaussianRational
+values only when read.
 
-The arithmetic kernels work on Gaussian integers (Python ints for the real
-and imaginary parts) rather than on entries:
+Sums and scalar multiples combine the numerator lists over one LCM
+denominator, and products take integer dot products of the stored rows
+and columns; each result is reduced by one gcd. ``rank`` (Bareiss forward
+elimination) and ``rref`` (fraction-free Gauss-Jordan, FFGJ) start from
+the numerator rows, each divided by its content. Every step divides
+exactly by the previous pivot in Z[i]; a remainder raises ArithmeticError.
+``rref`` divides by the last pivot once, at the end. Pivots are the first
+nonzero entry in column order, so outputs are deterministic.
 
-* The product clears each row of the left factor and each column of the
-  right factor to Gaussian integers over one LCM denominator, takes plain
-  integer dot products, and reduces each output entry once.
-* ``rank`` and ``rref`` clear each row the same way, which keeps its row
-  space. ``rank`` runs Bareiss forward elimination and ``rref`` runs
-  fraction-free Gauss-Jordan elimination (FFGJ). Every step divides
-  exactly by the previous pivot in Z[i]; a remainder raises
-  ArithmeticError. ``rref`` normalizes its rows by the pivot once, at the
-  end.
-
-Pivots are always the first nonzero entry in column order, and every
-result is exact and canonical, so outputs are deterministic.
-
-References: E. H. Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22 (1968);
-G. C. Nakos, P. R. Turner and R. M. Williams, "Fraction-free algorithms
-for linear and polynomial equations", SIGSAM Bull. 31 (1997).
+References: FLINT's fmpq_mat (https://flintlib.org/doc/fmpq_mat.html);
+E. H. Bareiss, Math. Comp. 22 (1968); G. C. Nakos, P. R. Turner and
+R. M. Williams, "Fraction-free algorithms for linear and polynomial
+equations", SIGSAM Bull. 31 (1997).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
-from operator import mul
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from operator import add, mul, sub
+from typing import Callable, Iterable, Sequence
 
-from .scalars import ZERO, GaussianRational
+from .scalars import GaussianRational
 
 _Entry = GaussianRational | int | Fraction
-_ZERO_Q = Fraction(0)
 
 
 class ShapeMismatch(ValueError):
@@ -62,21 +60,56 @@ def _coerce_entry(value: _Entry) -> GaussianRational:
     return coerced
 
 
+def _matrix(rows: int, cols: int, den: int, re: Sequence[int],
+            im: Sequence[int] | None) -> Matrix:
+    """A Matrix on numerators over den > 0, brought to canonical form."""
+    if im is not None and not any(im):
+        im = None
+    g = gcd(den, *re) if im is None else gcd(den, *re, *im)
+    if g > 1:
+        den //= g
+        re = [a // g for a in re]
+        if im is not None:
+            im = [b // g for b in im]
+    out = object.__new__(Matrix)
+    out.rows, out.cols, out._den = rows, cols, den
+    out._re = tuple(re)
+    out._im = None if im is None else tuple(im)
+    return out
+
+
+def _lifted(m: Matrix, den: int) -> tuple[Sequence[int], Sequence[int]]:
+    """m's numerators over den, a multiple of m._den (a real m: im zeros)."""
+    s = den // m._den
+    im = (0,) * len(m._re) if m._im is None else m._im
+    if s == 1:
+        return m._re, im
+    return [a * s for a in m._re], [b * s for b in im]
+
+
+def _entry(den: int, re: int, im: int) -> GaussianRational:
+    return GaussianRational._new(Fraction(re, den), Fraction(im, den))
+
+
 class Matrix:
-    """An immutable rows x cols matrix of GaussianRational entries."""
+    """An immutable rows x cols matrix over Q(i)."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_den", "_re", "_im")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[GaussianRational]):
+    def __init__(self, rows: int, cols: int, entries: Sequence[_Entry]):
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self._data = tuple(entries)
+        parts = [(x.re, x.im) for x in map(_coerce_entry, entries)]
+        # Over the LCM of lowest-term denominators the form is canonical.
+        den = lcm(*(q.denominator for pair in parts for q in pair))
+        re = tuple(a.numerator * (den // a.denominator) for a, _ in parts)
+        im = tuple(b.numerator * (den // b.denominator) for _, b in parts)
+        self.rows, self.cols, self._den, self._re = rows, cols, den, re
+        self._im = im if any(im) else None
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[_Entry]]) -> Matrix:
-        grid = [[_coerce_entry(x) for x in row] for row in rows]
+        grid = [list(row) for row in rows]
         height = len(grid)
         width = len(grid[0]) if grid else 0
         if any(len(row) != width for row in grid):
@@ -85,12 +118,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        one = GaussianRational(1)
-        return cls(n, n, [one if i == j else ZERO for i in range(n) for j in range(n)])
+        return _matrix(n, n, 1, [int(i == j) for i in range(n)
+                                 for j in range(n)], None)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Matrix:
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return _matrix(rows, cols, 1, [0] * (rows * cols), None)
 
     @classmethod
     def from_blocks(cls, grid: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -102,7 +135,6 @@ class Matrix:
         if not grid or not grid[0]:
             raise ValueError("empty block grid")
         widths = [b.cols for b in grid[0]]
-        data: list[GaussianRational] = []
         for block_row in grid:
             if [b.cols for b in block_row] != widths:
                 raise ShapeMismatch(
@@ -115,10 +147,17 @@ class Matrix:
                     raise ShapeMismatch(
                         "from_blocks", (height, b.cols), (b.rows, b.cols)
                     )
-            for i in range(height):
-                for b in block_row:
-                    data.extend(b._data[i * b.cols:(i + 1) * b.cols])
-        return cls(sum(row[0].rows for row in grid), sum(widths), data)
+        den = lcm(*(b._den for block_row in grid for b in block_row))
+        re: list[int] = []
+        im: list[int] = []
+        for block_row in grid:
+            lifted = [(b.cols, *_lifted(b, den)) for b in block_row]
+            for i in range(block_row[0].rows):
+                for width, b_re, b_im in lifted:
+                    re.extend(b_re[i * width:(i + 1) * width])
+                    im.extend(b_im[i * width:(i + 1) * width])
+        return _matrix(sum(row[0].rows for row in grid), sum(widths), den,
+                       re, im)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -132,73 +171,85 @@ class Matrix:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) outside {self.rows}x{self.cols}")
-        return self._data[i * self.cols + j]
+        k = i * self.cols + j
+        return _entry(self._den, self._re[k],
+                      0 if self._im is None else self._im[k])
 
     def row(self, i: int) -> tuple[GaussianRational, ...]:
-        return self._data[i * self.cols:(i + 1) * self.cols]
+        lo, hi = i * self.cols, (i + 1) * self.cols
+        im = repeat(0) if self._im is None else self._im[lo:hi]
+        return tuple(map(_entry, repeat(self._den), self._re[lo:hi], im))
 
     def to_lists(self) -> list[list[GaussianRational]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def _take(self, rows: int, cols: int, indices: list[int]) -> Matrix:
+        im = self._im
+        return _matrix(rows, cols, self._den, [self._re[k] for k in indices],
+                       None if im is None else [im[k] for k in indices])
+
     def submatrix(self, row_start: int, row_stop: int,
                   col_start: int, col_stop: int) -> Matrix:
-        data = []
-        for i in range(row_start, row_stop):
-            data.extend(self._data[i * self.cols + col_start:
-                                   i * self.cols + col_stop])
-        return Matrix(row_stop - row_start, col_stop - col_start, data)
+        return self._take(
+            row_stop - row_start, col_stop - col_start,
+            [i * self.cols + j for i in range(row_start, row_stop)
+             for j in range(col_start, col_stop)])
+
+    def columns(self, picks: Sequence[int]) -> Matrix:
+        """The listed columns, in the order given."""
+        return self._take(self.rows, len(picks),
+                          [i * self.cols + c for i in range(self.rows)
+                           for c in picks])
 
     def transpose(self) -> Matrix:
-        return Matrix(self.cols, self.rows,
-                      [self._data[i * self.cols + j]
-                       for j in range(self.cols) for i in range(self.rows)])
+        rows, cols = self.rows, self.cols
+        return self._take(cols, rows, [i * cols + j for j in range(cols)
+                                       for i in range(rows)])
 
     def is_zero(self) -> bool:
-        return not any(self._data)
+        return self._im is None and not any(self._re)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.rows == other.rows and self.cols == other.cols
-                and self._data == other._data)
+                and self._den == other._den and self._re == other._re
+                and self._im == other._im)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._data))
+        return hash((self.rows, self.cols, self._den, self._re, self._im))
+
+    def _sum(self, other, op: Callable[[int, int], int], name: str):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.shape != other.shape:
+            raise ShapeMismatch(name, self.shape, other.shape)
+        den = lcm(self._den, other._den)
+        a, b = _lifted(self, den)
+        c, d = _lifted(other, den)
+        return _matrix(self.rows, self.cols, den, list(map(op, a, c)),
+                       list(map(op, b, d)))
 
     def __add__(self, other: Matrix) -> Matrix:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ShapeMismatch("add", self.shape, other.shape)
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self._data, other._data)])
+        return self._sum(other, add, "add")
 
     def __sub__(self, other: Matrix) -> Matrix:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ShapeMismatch("sub", self.shape, other.shape)
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self._data, other._data)])
+        return self._sum(other, sub, "sub")
 
     def __neg__(self) -> Matrix:
-        return Matrix(self.rows, self.cols, [-a for a in self._data])
+        return _matrix(self.rows, self.cols, self._den,
+                       [-a for a in self._re],
+                       None if self._im is None else [-b for b in self._im])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ShapeMismatch("mul", self.shape, other.shape)
             return _product(self, other)
-        scalar = GaussianRational._coerce(other)
-        if scalar is None:
-            return NotImplemented
-        return Matrix(self.rows, self.cols, [scalar * a for a in self._data])
+        return _scaled(self, other)
 
     def __rmul__(self, other):
-        scalar = GaussianRational._coerce(other)
-        if scalar is None:
-            return NotImplemented
-        return Matrix(self.rows, self.cols, [scalar * a for a in self._data])
+        return _scaled(self, other)
 
     def __pow__(self, exponent: int) -> Matrix:
         if not self.is_square:
@@ -224,66 +275,69 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} {self})"
 
 
-# A Gaussian-integer vector is a pair (re, im) of equally long int lists.
-# In a product, im is None for a row or column without imaginary part; in
-# elimination, it is None when the whole matrix is real. A Gaussian-integer
-# scalar is a plain (re, im) pair of ints.
+# In elimination, a Gaussian-integer row is a pair (re, im) of int lists,
+# im None for a real matrix; a Gaussian-integer scalar is an (re, im) pair.
 _ZiVector = tuple[list[int], list[int] | None]
 _Zi = tuple[int, int]
 
 
-def _cleared(entries: Sequence[GaussianRational]
-             ) -> tuple[int, list[int], list[int] | None]:
-    """Scale entries by the LCM of their denominators: (den, re, im)."""
-    reals = [x.re for x in entries]
-    imags = [x.im for x in entries]
-    if not any(imags):
-        den = lcm(*[q.denominator for q in reals])
-        return den, [q.numerator * (den // q.denominator) for q in reals], None
-    den = lcm(*[q.denominator for q in reals], *[q.denominator for q in imags])
-    return (den, [q.numerator * (den // q.denominator) for q in reals],
-            [q.numerator * (den // q.denominator) for q in imags])
-
-
-def _scalar(re: int, im: int, den: int) -> GaussianRational:
-    """(re + im*i) / den for a nonzero den, reduced once."""
-    if not im:
-        return GaussianRational._new(Fraction(re, den), _ZERO_Q) if re else ZERO
-    return GaussianRational._new(Fraction(re, den), Fraction(im, den))
+def _scaled(matrix: Matrix, value) -> Matrix:
+    """The matrix times a scalar (p + q*i)/r, read off a 1 x 1 Matrix."""
+    scalar = GaussianRational._coerce(value)
+    if scalar is None:
+        return NotImplemented
+    c = Matrix(1, 1, [scalar])
+    (p,), (q,) = _lifted(c, c._den)
+    a, b = _lifted(matrix, matrix._den)
+    return _matrix(matrix.rows, matrix.cols, matrix._den * c._den,
+                   [s * p - t * q for s, t in zip(a, b)],
+                   [s * q + t * p for s, t in zip(a, b)])
 
 
 def _product(left: Matrix, right: Matrix) -> Matrix:
-    """Matrix product by integer dot products over cleared rows and columns.
+    """Matrix product by integer dot products of the stored numerators.
 
     Row i of the left factor is (a + b*i)/s and column j of the right one
     is (c + d*i)/t with integer vectors a, b, c, d, so entry (i, j) is
-    (a.c - b.d + (a.d + b.c)*i) / (s*t), reduced once.
+    (a.c - b.d + (a.d + b.c)*i) / (s*t); one gcd reduces the result. A
+    complex product takes three dot products per entry (Gauss's trick):
+    a.c - b.d = (a+b).c - b.(c+d) and a.d + b.c = (a+b).c + a.(d-c).
     """
-    width = right.cols
-    rows = [_cleared(left.row(i)) for i in range(left.rows)]
-    cols = [_cleared(right._data[j::width]) for j in range(width)]
-    data: list[GaussianRational] = []
-    for s, a, b in rows:
-        for t, c, d in cols:
-            re = sum(map(mul, a, c))
-            im = 0
-            if b is not None:
-                im = sum(map(mul, b, c))
-                if d is not None:
-                    re -= sum(map(mul, b, d))
-            if d is not None:
-                im += sum(map(mul, a, d))
-            data.append(_scalar(re, im, s * t))
-    return Matrix(left.rows, width, data)
+    n, width = left.cols, right.cols
+    den = left._den * right._den
+    a_rows = [left._re[i * n:(i + 1) * n] for i in range(left.rows)]
+    c_cols = [right._re[j::width] for j in range(width)]
+    if left._im is None and right._im is None:
+        return _matrix(left.rows, width, den,
+                       [sum(map(mul, a, c)) for a in a_rows for c in c_cols],
+                       None)
+    left_im = _lifted(left, left._den)[1]
+    right_im = _lifted(right, right._den)[1]
+    rows = [(a, b, list(map(add, a, b))) for a, b in zip(
+        a_rows, (left_im[i * n:(i + 1) * n] for i in range(left.rows)))]
+    cols = [(c, list(map(add, c, d)), list(map(sub, d, c))) for c, d in zip(
+        c_cols, (right_im[j::width] for j in range(width)))]
+    re: list[int] = []
+    im: list[int] = []
+    for a, b, a_plus_b in rows:
+        for c, c_plus_d, d_minus_c in cols:
+            k = sum(map(mul, a_plus_b, c))
+            re.append(k - sum(map(mul, b, c_plus_d)))
+            im.append(k + sum(map(mul, a, d_minus_c)))
+    return _matrix(left.rows, width, den, re, im)
 
 
 def _integer_rows(matrix: Matrix) -> list[_ZiVector]:
-    """Each row scaled to Gaussian integers; scaling keeps the row space."""
-    cleared = [_cleared(matrix.row(i)) for i in range(matrix.rows)]
-    if all(im is None for _, _, im in cleared):
-        return [(re, None) for _, re, _ in cleared]
-    zeros = [0] * matrix.cols
-    return [(re, zeros if im is None else im) for _, re, im in cleared]
+    """The numerator rows, each divided by its content (keeps row space)."""
+    w, re, im = matrix.cols, matrix._re, matrix._im
+    rows = []
+    for i in range(matrix.rows):
+        a = re[i * w:(i + 1) * w]
+        b = None if im is None else im[i * w:(i + 1) * w]
+        g = gcd(*a, *(b or ())) or 1
+        rows.append(([x // g for x in a],
+                     None if b is None else [y // g for y in b]))
+    return rows
 
 
 def _lead(vector: _ZiVector, col: int) -> _Zi:
@@ -350,11 +404,10 @@ def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
 
     Returns (R, rank, pivot_columns). Pivots are chosen as the first
-    nonzero entry in column order. The rows are cleared to Gaussian
-    integers, and each step divides exactly by the previous pivot, so
-    every pivot ends up equal to the last one; dividing by it once at the
-    end normalizes the pivots to 1. The output is canonical for the row
-    space.
+    nonzero entry in column order. Each step divides exactly by the
+    previous pivot, so every pivot ends up equal to the last one, d; R is
+    the final Gaussian-integer rows over d, which normalizes the pivots to
+    1. The output is canonical for the row space.
     """
     rows = _integer_rows(matrix)
     height, width = matrix.rows, matrix.cols
@@ -383,19 +436,20 @@ def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
         d = p
         pivot_cols.append(col)
     found = len(pivot_cols)
-    data: list[GaussianRational] = []
+    # R is rows / d: the rows times the conjugate of d, over its norm.
     dr, di = d
-    norm = dr * dr + di * di
+    out_re: list[int] = []
+    out_im: list[int] = []
     for re, im in rows[:found]:
         if im is None:
-            im = repeat(0)
-        if di:
-            data.extend(_scalar(a * dr + b * di, b * dr - a * di, norm)
-                        for a, b in zip(re, im))
+            out_re += [a * dr for a in re]
         else:
-            data.extend(_scalar(a, b, dr) for a, b in zip(re, im))
-    data.extend([ZERO] * ((height - found) * width))
-    return Matrix(height, width, data), found, tuple(pivot_cols)
+            out_re += [a * dr + b * di for a, b in zip(re, im)]
+            out_im += [b * dr - a * di for a, b in zip(re, im)]
+    zeros = [0] * ((height - found) * width)
+    return (_matrix(height, width, dr * dr + di * di, out_re + zeros,
+                    None if matrix._im is None else out_im + zeros),
+            found, tuple(pivot_cols))
 
 
 def rank(matrix: Matrix) -> int:
@@ -444,25 +498,23 @@ def kernel_basis(matrix: Matrix) -> Matrix:
     """Columns spanning the null space, one per free column of the rref.
 
     The result is cols x (cols - rank); for full column rank that is a
-    cols x 0 matrix.
+    cols x 0 matrix. Its rows at the pivot columns are minus the rref's
+    free columns, and its rows at the free columns are the identity.
     """
-    reduced, rank_found, pivot_cols = rref(matrix)
+    reduced, found, pivot_cols = rref(matrix)
     width = matrix.cols
     free_cols = [c for c in range(width) if c not in pivot_cols]
-    one = GaussianRational(1)
-    columns = []
-    for free in free_cols:
-        vec = [ZERO] * width
-        vec[free] = one
-        for row_idx, pivot_col in enumerate(pivot_cols):
-            vec[pivot_col] = -reduced[row_idx, free]
-        columns.append(vec)
-    data = [columns[j][i] for i in range(width) for j in range(len(free_cols))]
-    return Matrix(width, len(free_cols), data)
+    k = len(free_cols)
+    stacked = Matrix.from_blocks([
+        [-reduced.submatrix(0, found, 0, width).columns(free_cols)],
+        [Matrix.identity(k)],
+    ])
+    # Row r of the stack is row (pivot_cols + free_cols)[r] of the result.
+    order = sorted(range(width), key=[*pivot_cols, *free_cols].__getitem__)
+    return stacked._take(width, k, [r * k + j for r in order
+                                    for j in range(k)])
 
 
 def column_space_basis(matrix: Matrix) -> Matrix:
     """The pivot columns of the matrix itself, spanning its range."""
-    _, rank_found, pivot_cols = rref(matrix)
-    data = [matrix[i, c] for i in range(matrix.rows) for c in pivot_cols]
-    return Matrix(matrix.rows, rank_found, data)
+    return matrix.columns(rref(matrix)[2])

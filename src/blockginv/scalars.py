@@ -1,34 +1,21 @@
 """Exact scalar arithmetic over the Gaussian rationals Q(i).
 
 A scalar is (a/b) + (c/d)i with both parts kept as ``fractions.Fraction``
-values, so numerators and denominators stay in lowest terms with positive
-denominators and nothing ever rounds.
+values and combined only through Fraction's public arithmetic, so each
+part stays in lowest terms with a positive denominator and nothing ever
+rounds. Matrices keep their own integer storage (see ``matrices``) and
+build a GaussianRational only when an entry is read; the arithmetic here
+serves single values, such as parsed input and the scalar of the
+commutation law EF = lambda FE.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _DIGITS = frozenset("0123456789")
-
-_FRACTION_NEW = Fraction.__new__
-
-
-def _frac(num: int, den: int) -> Fraction:
-    # Build a Fraction from a raw numerator and a positive denominator,
-    # reducing once. Bypasses Fraction.__new__'s type dispatch, which
-    # dominates the cost of exact linear algebra if left in the loop.
-    g = gcd(num, den)
-    if g > 1:
-        num //= g
-        den //= g
-    out = _FRACTION_NEW(Fraction)
-    out._numerator = num
-    out._denominator = den
-    return out
 
 
 class ScalarParseError(ValueError):
@@ -93,16 +80,7 @@ class GaussianRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.re, other.re
-        c, d = self.im, other.im
-        an, ad = a._numerator, a._denominator
-        bn, bd = b._numerator, b._denominator
-        cn, cd = c._numerator, c._denominator
-        dn, dd = d._numerator, d._denominator
-        return GaussianRational._new(
-            _frac(an * bd + bn * ad, ad * bd),
-            _frac(cn * dd + dn * cd, cd * dd),
-        )
+        return GaussianRational._new(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -110,16 +88,7 @@ class GaussianRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.re, other.re
-        c, d = self.im, other.im
-        an, ad = a._numerator, a._denominator
-        bn, bd = b._numerator, b._denominator
-        cn, cd = c._numerator, c._denominator
-        dn, dd = d._numerator, d._denominator
-        return GaussianRational._new(
-            _frac(an * bd - bn * ad, ad * bd),
-            _frac(cn * dd - dn * cd, cd * dd),
-        )
+        return GaussianRational._new(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other) -> GaussianRational:
         other = self._coerce(other)
@@ -128,13 +97,7 @@ class GaussianRational:
         return other - self
 
     def __neg__(self) -> GaussianRational:
-        re = _FRACTION_NEW(Fraction)
-        re._numerator = -self.re._numerator
-        re._denominator = self.re._denominator
-        im = _FRACTION_NEW(Fraction)
-        im._numerator = -self.im._numerator
-        im._denominator = self.im._denominator
-        return GaussianRational._new(re, im)
+        return GaussianRational._new(-self.re, -self.im)
 
     def __mul__(self, other) -> GaussianRational:
         other = self._coerce(other)
@@ -142,27 +105,10 @@ class GaussianRational:
             return NotImplemented
         a, b = self.re, self.im
         c, d = other.re, other.im
-        an, ad = a._numerator, a._denominator
-        cn, cd = c._numerator, c._denominator
         # Purely real factors dominate in practice; skip the cross terms.
-        if not b._numerator:
-            if not d._numerator:
-                return GaussianRational._new(_frac(an * cn, ad * cd), _ZERO)
-            return GaussianRational._new(
-                _frac(an * cn, ad * cd),
-                _frac(an * d._numerator, ad * d._denominator),
-            )
-        bn, bd = b._numerator, b._denominator
-        if not d._numerator:
-            return GaussianRational._new(
-                _frac(an * cn, ad * cd),
-                _frac(bn * cn, bd * cd),
-            )
-        dn, dd = d._numerator, d._denominator
-        return GaussianRational._new(
-            _frac(an * cn * bd * dd - bn * dn * ad * cd, ad * cd * bd * dd),
-            _frac(an * dn * bd * cd + bn * cn * ad * dd, ad * dd * bd * cd),
-        )
+        if not (b or d):
+            return GaussianRational._new(a * c, _ZERO)
+        return GaussianRational._new(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 

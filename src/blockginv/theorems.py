@@ -335,10 +335,18 @@ def check_conditions(e: Matrix, f: Matrix, theorem: str) -> ConditionReport:
     the EF=lambda FE entry also carries the scalar when one exists.
     """
     _require_pair(e, f)
+    return _full_report(theorem, e, f, drazin(e), drazin(f), {})
+
+
+def _full_report(theorem: str, e: Matrix, f: Matrix, de: DrazinResult,
+                 df: DrazinResult, evaluated: dict[str, Condition]
+                 ) -> ConditionReport:
+    """check_conditions' report, reusing the conditions in ``evaluated``."""
     rule = rule_for(theorem)
-    de, df = drazin(e), drazin(f)
     return ConditionReport(theorem, tuple(
-        _evaluate(name, e, f, de, df) for name in rule.conditions
+        evaluated[name] if name in evaluated
+        else _evaluate(name, e, f, de, df)
+        for name in rule.conditions
     ))
 
 
@@ -346,10 +354,10 @@ def _guard(rule: Rule, e: Matrix, f: Matrix, de: DrazinResult,
            df: DrazinResult) -> dict[str, Condition]:
     """Raise for the first of the rule's conditions that fails.
 
-    Returns the conditions it evaluated, by name. The two commutation laws
-    are one either/or hypothesis: EF^2=FEF is evaluated only when
-    EF=lambda FE fails, and a failure of both is reported with its
-    residual.
+    Returns the conditions it evaluated, by name; the exception it raises
+    carries them as ``_evaluated``. The two commutation laws are one
+    either/or hypothesis: EF^2=FEF is evaluated only when EF=lambda FE
+    fails, and a failure of both is reported with its residual.
     """
     evaluated: dict[str, Condition] = {}
     for name in rule.conditions:
@@ -363,15 +371,16 @@ def _guard(rule: Rule, e: Matrix, f: Matrix, de: DrazinResult,
         if condition.holds:
             continue
         if name not in rule.refusing:
-            raise HypothesisViolated(name, condition.residual)
-        if name == _F_GROUP:
-            raise NotGroupInvertible(
-                f"no group inverse: F has Drazin index {df.index}",
-                index=df.index, condition=name,
+            error = HypothesisViolated(name, condition.residual)
+        else:
+            index = df.index if name == _F_GROUP else None
+            error = NotGroupInvertible(
+                f"no group inverse: F has Drazin index {index}" if index
+                else f"no group inverse: {name} fails",
+                index=index, condition=name,
             )
-        raise NotGroupInvertible(
-            f"no group inverse: {name} fails", condition=name
-        )
+        error._evaluated = evaluated
+        raise error
     return evaluated
 
 
@@ -392,12 +401,7 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
     rule = rule_for(theorem)
     _require_pair(e, f)
     de, df = drazin(e), drazin(f)
-    evaluated = _guard(rule, e, f, de, df)
-    report = ConditionReport(theorem, tuple(
-        evaluated[name] if name in evaluated
-        else _evaluate(name, e, f, de, df)
-        for name in rule.conditions
-    ))
+    report = _full_report(theorem, e, f, de, df, _guard(rule, e, f, de, df))
     route = RULES[rule.delegate] if rule.delegate else rule
     if route.mirrored:
         # Transposing swaps the off-diagonal blocks. The ingredients of the

@@ -12,6 +12,7 @@ from blockginv.generators import (
     run_campaign,
     verify_instance,
 )
+from blockginv import theorems
 from blockginv.ginverse import drazin
 from blockginv.matrices import rank
 from blockginv.theorems import THEOREM_IDS, check_conditions, rule_for
@@ -132,6 +133,30 @@ class TestVerifyInstance:
         for e, f in pairs:
             assert verify_instance(e, f, theorem).conditions == \
                 check_conditions(e, f, theorem)
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_each_condition_is_evaluated_once(self, theorem, monkeypatch):
+        # The guard's exception hands its conditions to the report, so a
+        # refusal or a violation evaluates no residual twice.
+        pairs = [(mat([["0", "1"], ["0", "0"]]),
+                  mat([["1", "0"], ["0", "0"]]))]
+        if rule_for(theorem).blocker is not None:
+            pairs.append(gen_pair(GenSpec(theorem, 3, 0, False, seed=23)))
+        evaluate = theorems._evaluate
+        verdicts = []
+        for e, f in pairs:
+            names = []
+
+            def counting(name, *args):
+                names.append(name)
+                return evaluate(name, *args)
+
+            monkeypatch.setattr(theorems, "_evaluate", counting)
+            report = verify_instance(e, f, theorem)
+            monkeypatch.setattr(theorems, "_evaluate", evaluate)
+            verdicts.append(report.verdict)
+            assert sorted(names) == sorted(rule_for(theorem).conditions)
+        assert set(verdicts) - {Verdict.AGREE_EXISTS}
 
 
 class TestRunCampaign:

@@ -3,12 +3,15 @@
 import os
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import blockginv
 from blockginv import matrices
+from blockginv.ginverse import drazin
 from blockginv.matrices import (
     Matrix,
     ShapeMismatch,
@@ -20,7 +23,14 @@ from blockginv.matrices import (
     rref,
 )
 from blockginv.scalars import GaussianRational, I
-from conftest import mat, rect_matrices, scalars, square_matrices
+from conftest import (
+    mat,
+    nonzero_scalars,
+    rect_matrices,
+    scalars,
+    singular_square_matrices,
+    square_matrices,
+)
 
 
 class TestConstruction:
@@ -233,3 +243,114 @@ class TestDistributivity:
         b = b.submatrix(0, n, 0, n)
         c = c.submatrix(0, n, 0, n)
         assert (a + b) * c == a * c + b * c
+
+
+def assert_canonical(m: Matrix) -> None:
+    """Numerators over one positive denominator, with gcd 1 overall, and
+    no imaginary part stored for a real matrix."""
+    assert isinstance(m._den, int) and m._den > 0
+    assert isinstance(m._re, tuple) and len(m._re) == m.rows * m.cols
+    imag = () if m._im is None else m._im
+    assert m._im is None or (isinstance(imag, tuple)
+                             and len(imag) == len(m._re))
+    assert gcd(m._den, *m._re, *imag) == 1
+    real = all(not x.im for row in m.to_lists() for x in row)
+    assert (m._im is None) == real
+
+
+def square_pairs(max_n=3):
+    return st.integers(1, max_n).flatmap(lambda n: st.tuples(
+        *[st.lists(st.lists(scalars(), min_size=n, max_size=n),
+                   min_size=n, max_size=n).map(Matrix.from_rows)] * 2))
+
+
+multipliers = st.one_of(scalars(), st.integers(-4, 4),
+                        st.fractions(max_denominator=5))
+
+
+class TestCanonicalForm:
+    def test_zero_matrix_has_denominator_one(self):
+        zero = mat([["1/3", "1/2i"]]) - mat([["1/3", "1/2i"]])
+        assert (zero._den, zero._re, zero._im) == (1, (0, 0), None)
+        assert zero == Matrix.zeros(1, 2)
+        assert hash(zero) == hash(Matrix.zeros(1, 2))
+
+    def test_shared_denominator(self):
+        m = mat([["1/2", "1/3"], ["2/3i", "4"]])
+        assert m._den == 6
+        assert m._re == (3, 2, 0, 24)
+        assert m._im == (0, 0, 4, 0)
+        assert m.submatrix(0, 1, 0, 2)._re == (3, 2)
+        assert m.submatrix(1, 2, 1, 2)._re == (4,)
+
+    @given(rect_matrices())
+    def test_construction_and_round_trip(self, m):
+        assert_canonical(m)
+        again = Matrix.from_rows(m.to_lists())
+        assert again == m and hash(again) == hash(m)
+        assert Matrix(m.rows, m.cols, [x for row in m.to_lists()
+                                       for x in row]) == m
+
+    @given(square_pairs())
+    def test_sums_products_and_negation(self, pair):
+        a, b = pair
+        for result in (a + b, a - b, -a, a * b, b * a, a - a):
+            assert_canonical(result)
+        back = (a + b) - b
+        assert back == a and hash(back) == hash(a)
+        eye = Matrix.identity(a.rows)
+        assert a * eye == a and eye * a == a
+        assert hash(a * eye) == hash(a)
+        assert -(-a) == a
+
+    @given(rect_matrices(), multipliers)
+    def test_scalar_multiplication_both_sides(self, m, c):
+        left, right = c * m, m * c
+        assert_canonical(left)
+        assert_canonical(right)
+        assert left == right == Matrix.from_rows(
+            [[c * x for x in row] for row in m.to_lists()])
+
+    @given(rect_matrices(), st.data())
+    def test_reshuffles(self, m, data):
+        assert_canonical(m.transpose())
+        assert m.transpose().transpose() == m
+        r0 = data.draw(st.integers(0, m.rows))
+        r1 = data.draw(st.integers(r0, m.rows))
+        c0 = data.draw(st.integers(0, m.cols))
+        c1 = data.draw(st.integers(c0, m.cols))
+        part = m.submatrix(r0, r1, c0, c1)
+        assert_canonical(part)
+        assert part.to_lists() == [row[c0:c1]
+                                   for row in m.to_lists()[r0:r1]]
+        picks = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=4))
+        picked = m.columns(picks)
+        assert_canonical(picked)
+        assert picked.to_lists() == [[row[c] for c in picks]
+                                     for row in m.to_lists()]
+
+    @given(square_pairs(), nonzero_scalars())
+    def test_from_blocks(self, pair, c):
+        a, b = pair
+        whole = Matrix.from_blocks([[a, c * b], [Matrix.zeros(a.rows, a.cols),
+                                                 Matrix.identity(a.rows)]])
+        assert_canonical(whole)
+        n = a.rows
+        assert whole.submatrix(0, n, 0, n) == a
+        assert whole.submatrix(0, n, n, 2 * n) == c * b
+        assert whole.submatrix(n, 2 * n, 0, n).is_zero()
+
+    @given(square_matrices())
+    def test_elimination_results(self, m):
+        reduced, _, _ = rref(m)
+        assert_canonical(reduced)
+        assert_canonical(kernel_basis(m))
+        assert_canonical(column_space_basis(m))
+        if rank(m) == m.rows:
+            assert_canonical(inverse(m))
+
+    @given(singular_square_matrices(max_n=4))
+    def test_drazin_results(self, m):
+        result = drazin(m)
+        assert_canonical(result.drazin)
+        assert_canonical(result.spectral_idempotent)

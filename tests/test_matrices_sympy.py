@@ -1,9 +1,10 @@
 """The matrix layer against sympy's DomainMatrix over QQ_I.
 
 The closed forms and the Drazin oracle both run on ``Matrix``, so a bug
-there could make them agree on a wrong answer. These tests check the
-product, rank, rref and inverse against an implementation that shares no
-code with blockginv.
+there could make them agree on a wrong answer. These tests check sums,
+differences, negation, scalar multiples, the product, rank, rref and
+inverse, and the scalar operations + - * /, against an implementation that
+shares no code with blockginv.
 """
 
 from fractions import Fraction
@@ -22,23 +23,27 @@ from blockginv.theorems import SHAPE_FOR_THEOREM, assemble_M
 from conftest import scalars
 
 
+def to_qq_i(x: GaussianRational):
+    return QQ_I(QQ(x.re.numerator, x.re.denominator),
+                QQ(x.im.numerator, x.im.denominator))
+
+
+def from_qq_i(x) -> GaussianRational:
+    return GaussianRational(
+        Fraction(int(x.x.numerator), int(x.x.denominator)),
+        Fraction(int(x.y.numerator), int(x.y.denominator)),
+    )
+
+
 def to_sympy(m: Matrix) -> DomainMatrix:
-    def entry(x):
-        return QQ_I(QQ(x.re.numerator, x.re.denominator),
-                    QQ(x.im.numerator, x.im.denominator))
-    return DomainMatrix([[entry(x) for x in row] for row in m.to_lists()],
+    return DomainMatrix([[to_qq_i(x) for x in row] for row in m.to_lists()],
                         m.shape, QQ_I)
 
 
 def from_sympy(dm: DomainMatrix) -> Matrix:
-    def entry(x):
-        return GaussianRational(
-            Fraction(int(x.x.numerator), int(x.x.denominator)),
-            Fraction(int(x.y.numerator), int(x.y.denominator)),
-        )
     rows, cols = dm.shape
     return Matrix(rows, cols,
-                  [entry(x) for row in dm.to_list() for x in row])
+                  [from_qq_i(x) for row in dm.to_list() for x in row])
 
 
 def grids(rows, cols):
@@ -66,6 +71,18 @@ def product_pairs(draw):
     return draw(matrices(rows, inner)), draw(matrices(inner, cols))
 
 
+@st.composite
+def same_shape_pairs(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return draw(matrices(rows, cols)), draw(matrices(rows, cols))
+
+
+def assert_sums_agree(a: Matrix, b: Matrix) -> None:
+    assert a + b == from_sympy(to_sympy(a) + to_sympy(b))
+    assert a - b == from_sympy(to_sympy(a) - to_sympy(b))
+    assert -a == from_sympy(-to_sympy(a))
+
+
 def assert_rank_rref_agree(m: Matrix) -> None:
     reduced, rank_found, pivots = rref(m)
     expected, expected_pivots = to_sympy(m).rref()
@@ -86,6 +103,32 @@ def assert_inverse_agrees(m: Matrix) -> None:
 def test_product(pair):
     a, b = pair
     assert a * b == from_sympy(to_sympy(a) * to_sympy(b))
+
+
+@given(same_shape_pairs())
+def test_sum_difference_and_negation(pair):
+    assert_sums_agree(*pair)
+
+
+@given(matrices(), scalars())
+def test_scalar_multiple(m, c):
+    expected = from_sympy(to_sympy(m) * to_qq_i(c))
+    assert c * m == expected
+    assert m * c == expected
+
+
+@given(scalars(), scalars())
+def test_scalar_arithmetic(a, b):
+    x, y = to_qq_i(a), to_qq_i(b)
+    assert a + b == from_qq_i(x + y)
+    assert a - b == from_qq_i(x - y)
+    assert a * b == from_qq_i(x * y)
+    assert -a == from_qq_i(-x)
+    if b:
+        assert a / b == from_qq_i(x / y)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
 
 
 @given(matrices())
@@ -125,6 +168,13 @@ def test_drazin_outputs_have_large_entries(drazin_outputs):
 def test_product_of_drazin_outputs(drazin_outputs):
     for a, b in zip(drazin_outputs, drazin_outputs[1:] + drazin_outputs[:1]):
         assert a * b == from_sympy(to_sympy(a) * to_sympy(b))
+
+
+def test_sums_and_scalar_multiples_of_drazin_outputs(drazin_outputs):
+    for a, b in zip(drazin_outputs, drazin_outputs[1:] + drazin_outputs[:1]):
+        assert_sums_agree(a, b)
+        c = a[0, 0] - b[1, 2]
+        assert c * a == from_sympy(to_sympy(a) * to_qq_i(c))
 
 
 def test_rank_and_rref_of_drazin_outputs(drazin_outputs):

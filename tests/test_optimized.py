@@ -1,4 +1,5 @@
-"""The library keeps no invariant in an assert, which ``python -O`` strips."""
+"""The library keeps no invariant in an assert, which ``python -O`` strips,
+and relies on no private field of ``fractions.Fraction``."""
 
 import ast
 import os
@@ -22,12 +23,25 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_touches_no_private_fraction_fields():
+    private = {"_numerator", "_denominator"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in private
+        or isinstance(node, ast.Constant) and node.value in private
+    ]
+    assert found == []
+
+
 def test_theorem_and_generator_tests_pass_optimized():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_theorems.py", "tests/test_generators.py",
-         "tests/test_ginverse.py"],
+         "tests/test_ginverse.py", "tests/test_matrices.py",
+         "tests/test_scalars.py"],
         cwd=TESTS.parent, env=env, capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stdout[-3000:] + out.stderr[-3000:]
