@@ -76,13 +76,17 @@ def matrix_from_rows(rows: object, where: str = "matrix") -> Matrix:
 
 def load_matrix(path: str) -> Matrix:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 ({exc})") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise InputError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict) or "rows" not in payload:
         raise InputError(f'{path}: expected an object with a "rows" key')
     return matrix_from_rows(payload["rows"], where=path)

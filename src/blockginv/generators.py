@@ -27,7 +27,6 @@ from .theorems import (
     SHAPE_FOR_THEOREM,
     ConditionReport,
     HypothesisViolated,
-    _full_report,
     assemble_M,
     block_group_inverse,
     check_conditions,
@@ -278,28 +277,16 @@ def _draw_cor34(rng: random.Random, spec: GenSpec) -> tuple[Matrix, Matrix]:
     return _conjugate(rng, Matrix.from_rows(rows), _diagonal(f_diag))
 
 
-def _negative_target(report: ConditionReport, theorem: str) -> bool:
-    """Standing hypotheses hold, only the existence condition fails."""
-    blocker = rule_for(theorem).blocker
-    if report.holds(blocker):
-        return False
-    commutation = False
-    for condition in report.conditions:
-        if condition.name in ("EF=lambda FE", "EF^2=FEF"):
-            commutation = True
-        elif condition.name != blocker and not condition.holds:
-            return False
-    if commutation:
-        return report.holds("EF=lambda FE") or report.holds("EF^2=FEF")
-    return True
-
-
-def _require_refusals(theorem: str) -> None:
+def _spare_dims(theorem: str, negative: bool) -> int:
+    """How far rank_f must stay below n: 0 for positive draws, else 1 or 2."""
+    if not negative:
+        return 0
     if rule_for(theorem).blocker is None:
         raise GenerationExhausted(
             f"{theorem}: the inverse exists whenever the hypotheses hold, "
             "so there are no refusal instances"
         )
+    return 2 if theorem in _NILPOTENT_NEGATIVES else 1
 
 
 def _check_feasible(spec: GenSpec) -> None:
@@ -308,17 +295,11 @@ def _check_feasible(spec: GenSpec) -> None:
         raise ValueError("n must be at least 1")
     if not 0 <= spec.rank_f <= spec.n:
         raise ValueError(f"rank_f {spec.rank_f} out of range for n {spec.n}")
-    if spec.satisfy:
-        return
-    _require_refusals(spec.theorem)
-    if spec.theorem in _NILPOTENT_NEGATIVES:
-        if spec.rank_f > spec.n - 2:
-            raise GenerationExhausted(
-                f"{spec.theorem}: refusal instances need rank_f <= n-2"
-            )
-    elif spec.rank_f >= spec.n:
+    spare = _spare_dims(spec.theorem, not spec.satisfy)
+    if spec.rank_f > spec.n - spare:
         raise GenerationExhausted(
-            f"{spec.theorem}: refusal instances need rank_f < n"
+            f"{spec.theorem}: refusal instances need "
+            + ("rank_f <= n-2" if spare == 2 else "rank_f < n")
         )
 
 
@@ -330,6 +311,7 @@ def gen_pair(spec: GenSpec) -> tuple[Matrix, Matrix]:
     attempt budget.
     """
     _check_feasible(spec)
+    target = None if spec.satisfy else rule_for(spec.theorem).blocker
     rng = random.Random(spec.seed)
     for _ in range(_ATTEMPTS):
         if spec.theorem == "cor2.5":
@@ -338,11 +320,8 @@ def gen_pair(spec: GenSpec) -> tuple[Matrix, Matrix]:
             e, f = _draw_cor34(rng, spec)
         else:
             e, f = _draw_flavored(rng, spec)
-        report = check_conditions(e, f, spec.theorem)
-        if spec.satisfy:
-            if report.satisfied():
-                return e, f
-        elif _negative_target(report, spec.theorem):
+        failure = check_conditions(e, f, spec.theorem).first_failure()
+        if (failure.name if failure else None) == target:
             return e, f
     raise GenerationExhausted(
         f"{spec.theorem}: no draw hit the target in {_ATTEMPTS} attempts "
@@ -362,9 +341,7 @@ def verify_instance(e: Matrix, f: Matrix, theorem: str) -> VerificationReport:
     try:
         result = block_group_inverse(theorem, e, f)
     except (NotGroupInvertible, HypothesisViolated) as exc:
-        # The guard stopped at the first failing condition; report them all.
-        formula, conditions = None, _full_report(
-            theorem, e, f, drazin(e), drazin(f), exc._evaluated)
+        formula, conditions = None, exc.report
         error, refused = str(exc), isinstance(exc, NotGroupInvertible)
     else:
         formula, conditions = result.assembled, result.report
@@ -397,19 +374,13 @@ def _run_trial(spec: GenSpec) -> Trial:
 
 
 def _draw_dims(rng: random.Random, theorem: str, max_n: int,
-               negative: bool) -> tuple[int, int]:
-    if not negative:
-        n = rng.randint(1, max_n)
-        return n, rng.randint(0, n)
-    if theorem in _NILPOTENT_NEGATIVES:
-        if max_n < 2:
-            raise GenerationExhausted(
-                f"{theorem}: refusal instances need n >= 2"
-            )
-        n = rng.randint(2, max_n)
-        return n, rng.randint(0, n - 2)
-    n = rng.randint(1, max_n)
-    return n, rng.randint(0, n - 1)
+               spare: int) -> tuple[int, int]:
+    if max_n < spare:
+        raise GenerationExhausted(
+            f"{theorem}: refusal instances need n >= {spare}"
+        )
+    n = rng.randint(max(spare, 1), max_n)
+    return n, rng.randint(0, n - spare)
 
 
 def run_campaign(theorem: str, trials: int, max_n: int, seed: int,
@@ -425,12 +396,11 @@ def run_campaign(theorem: str, trials: int, max_n: int, seed: int,
         raise ValueError("trials must be nonnegative")
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    if negative:
-        _require_refusals(theorem)
+    spare = _spare_dims(theorem, negative)
     rng = random.Random(seed)
     specs = []
     for i in range(trials):
-        n, rank_f = _draw_dims(rng, theorem, max_n, negative)
+        n, rank_f = _draw_dims(rng, theorem, max_n, spare)
         specs.append(GenSpec(theorem, n, rank_f, not negative,
                              seed * 1_000_003 + i))
     if jobs <= 1:

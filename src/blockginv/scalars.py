@@ -158,6 +158,19 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
+def _digits(text: str, pos: int) -> tuple[int, int]:
+    """Parse the ASCII digit run at pos; returns (value, next_pos)."""
+    start = pos
+    while pos < len(text) and text[pos] in _DIGITS:
+        pos += 1
+    if pos == start:
+        raise ScalarParseError("expected a digit", pos)
+    try:
+        return int(text[start:pos]), pos
+    except ValueError:  # more digits than Python converts to an int
+        raise ScalarParseError("too many digits", start) from None
+
+
 def _parse_term(text: str, pos: int) -> tuple[Fraction, bool, int]:
     """Parse ``["-"] (digits ["/" digits] ["i"] | "i")`` starting at pos.
 
@@ -171,21 +184,11 @@ def _parse_term(text: str, pos: int) -> tuple[Fraction, bool, int]:
         pos += 1
     if pos < n and text[pos] == "i":
         return (-_ONE if negative else _ONE), True, pos + 1
-    start = pos
-    while pos < n and text[pos] in _DIGITS:
-        pos += 1
-    if pos == start:
-        raise ScalarParseError("expected a digit", pos)
-    numerator = int(text[start:pos])
+    numerator, pos = _digits(text, pos)
     denominator = 1
     if pos < n and text[pos] == "/":
-        pos += 1
-        den_start = pos
-        while pos < n and text[pos] in _DIGITS:
-            pos += 1
-        if pos == den_start:
-            raise ScalarParseError("expected a digit", pos)
-        denominator = int(text[den_start:pos])
+        den_start = pos + 1
+        denominator, pos = _digits(text, den_start)
         if denominator == 0:
             raise ScalarParseError("denominator must be nonzero", den_start)
     value = Fraction(-numerator if negative else numerator, denominator)

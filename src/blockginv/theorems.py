@@ -5,11 +5,12 @@ Three 2n x 2n layouts are covered, each built from a square pair (E, F):
     EI_F0 = [[E, I], [F, 0]]    EF_I0 = [[E, F], [I, 0]]    EF_F0 = [[E, F], [F, 0]]
 
 The nine rules form one table, ``RULES``. A record holds the rule's
-layout, its conditions in the order ``check_conditions`` reports them, and
+layout, its hypotheses in the order ``check_conditions`` reports them, and
 its route to the four result blocks. Standing hypotheses come first: when
 one fails the rule says nothing and HypothesisViolated is raised. Refusal
 conditions follow: when one fails the rule certifies that the block matrix
-has no group inverse and NotGroupInvertible is raised. F^pi is the
+has no group inverse and NotGroupInvertible is raised. Every decision is
+read off one full report by ``ConditionReport.first_failure``. F^pi is the
 spectral idempotent I - F F^D of F, and E^pi that of E.
 
 Three formula kernels do all the block algebra: Theorem 2.1 for
@@ -19,8 +20,8 @@ layout [[E, F], [I, 0]] under the same hypothesis, and Theorem 3.1 for
 (thm2.3, cor2.4, cor3.2, cor3.3) run a kernel on (E^T, F^T): transposing
 the block matrix turns their layout and hypotheses into the kernel's, and
 swaps the two off-diagonal result blocks. The commutation rules cor2.5 and
-cor3.4 delegate to the route of thm2.3 and cor3.3: either law, with F
-group invertible, forces F^pi E F = 0.
+cor3.4 run on the transposes too, through thm2.3's and cor3.3's kernels:
+either law, with F group invertible, forces F^pi E F = 0.
 """
 
 from __future__ import annotations
@@ -42,7 +43,12 @@ class BlockShape(enum.Enum):
     EF_F0 = "EF_F0"
 
 
+# The either/or hypothesis of cor2.5 and cor3.4: one of the two laws holds.
 _COMMUTATION_PAIR = ("EF=lambda FE", "EF^2=FEF")
+
+
+def _names(hypothesis: str | tuple[str, ...]) -> tuple[str, ...]:
+    return (hypothesis,) if isinstance(hypothesis, str) else hypothesis
 
 
 class HypothesisViolated(ArithmeticError):
@@ -79,23 +85,23 @@ class ConditionReport:
                 return condition.holds
         raise KeyError(name)
 
-    def satisfied(self) -> bool:
-        """True iff ``block_group_inverse`` would accept this pair.
+    def first_failure(self) -> Condition | None:
+        """The first of the rule's hypotheses that fails, or None.
 
-        The two commutation laws count as one either/or hypothesis; every
-        other listed condition must hold individually.
+        An either/or hypothesis fails only when none of its conditions
+        holds; it is then named "A or B" and carries B's residual.
         """
-        either_ok = True
-        saw_commutation = False
-        for condition in self.conditions:
-            if condition.name in _COMMUTATION_PAIR:
-                if not saw_commutation:
-                    either_ok = False
-                    saw_commutation = True
-                either_ok = either_ok or condition.holds
-            elif not condition.holds:
-                return False
-        return either_ok
+        by_name = {condition.name: condition for condition in self.conditions}
+        for hypothesis in RULES[self.theorem].hypotheses:
+            names = _names(hypothesis)
+            if not any(by_name[name].holds for name in names):
+                return Condition(" or ".join(names), False,
+                                 by_name[names[-1]].residual)
+        return None
+
+    def satisfied(self) -> bool:
+        """True iff ``block_group_inverse`` would accept this pair."""
+        return self.first_failure() is None
 
 
 @dataclass(frozen=True)
@@ -132,42 +138,34 @@ def assemble_M(e: Matrix, f: Matrix, shape: BlockShape) -> Matrix:
     return Matrix.from_blocks(grid)
 
 
-def _lambda_commutation(e: Matrix, f: Matrix):
-    """Decide EF = lambda FE for a single scalar lambda.
+def _commutation(e: Matrix, f: Matrix) -> tuple[Condition, Condition]:
+    """Decide EF = lambda FE and EF^2 = FEF from one pair of products.
 
-    Returns (holds, residual, lambda). When both products vanish the law
-    holds with lambda = 0. When exactly one vanishes no scalar is searched
-    for and the law is reported failed (with the nonzero product as
-    residual). Otherwise lambda is read off the first position, in
-    row-major order, where both products are nonzero, and then checked
-    globally.
+    When both products vanish the scalar law holds with lambda = 0. When
+    exactly one vanishes no scalar is searched for and the law is reported
+    failed (with the nonzero product as residual). Otherwise lambda is read
+    off the first position, in row-major order, where both products are
+    nonzero, and then checked globally. EF^2 - FEF is formed as
+    (EF - FE) F, and is zero without a product when EF = FE.
     """
     ef = e * f
     fe = f * e
-    if ef.is_zero() and fe.is_zero():
-        return True, ef, ZERO
     if ef.is_zero() or fe.is_zero():
-        return False, fe if ef.is_zero() else ef, None
-    lam = None
-    for i in range(ef.rows):
-        for j in range(ef.cols):
-            p = ef[i, j]
-            q = fe[i, j]
-            if p and q:
-                lam = p / q
-                break
-        if lam is not None:
-            break
-    if lam is None:
-        return False, ef, None
-    residual = ef - lam * fe
-    if residual.is_zero():
-        return True, residual, lam
-    return False, residual, None
+        lam, residual = ZERO, fe if ef.is_zero() else ef
+    else:
+        lam = next((p / q for i in range(ef.rows)
+                    for p, q in zip(ef.row(i), fe.row(i)) if p and q), None)
+        residual = ef if lam is None else ef - lam * fe
+    holds = residual.is_zero()
+    diff = ef - fe
+    aligned = diff if diff.is_zero() else diff * f
+    return (Condition(_COMMUTATION_PAIR[0], holds, residual,
+                      lam if holds else None),
+            Condition(_COMMUTATION_PAIR[1], aligned.is_zero(), aligned))
 
 
 # The matrix that vanishes iff the named condition holds, from
-# (E, F, E^pi, F^pi). "EF=lambda FE" is decided by _lambda_commutation.
+# (E, F, E^pi, F^pi). The commutation pair is decided by _commutation.
 _RESIDUALS: dict[str, Callable[..., Matrix]] = {
     "FEF^pi=0": lambda e, f, e_pi, f_pi: f * e * f_pi,
     "F^pi EF=0": lambda e, f, e_pi, f_pi: f_pi * e * f,
@@ -177,21 +175,21 @@ _RESIDUALS: dict[str, Callable[..., Matrix]] = {
     "F^pi E^pi E=0": lambda e, f, e_pi, f_pi: f_pi * e_pi * e,
     "F group-invertible": lambda e, f, e_pi, f_pi: f * f_pi,
     "E group-invertible": lambda e, f, e_pi, f_pi: e * e_pi,
-    "EF^2=FEF": lambda e, f, e_pi, f_pi: (e * f - f * e) * f,
 }
 
 
-def _evaluate(name: str, e: Matrix, f: Matrix, de: DrazinResult,
-              df: DrazinResult) -> Condition:
-    if name == "EF=lambda FE":
-        return Condition(name, *_lambda_commutation(e, f))
+def _evaluate(hypothesis: str | tuple[str, ...], e: Matrix, f: Matrix,
+              de: DrazinResult, df: DrazinResult) -> tuple[Condition, ...]:
+    """The conditions of one hypothesis, in report order."""
+    if hypothesis == _COMMUTATION_PAIR:
+        return _commutation(e, f)
     # Index <= 1 is exactly when E E^pi (F F^pi) vanishes: skip the product.
-    if (name == "E group-invertible" and de.index <= 1
-            or name == _F_GROUP and df.index <= 1):
-        return Condition(name, True, Matrix.zeros(e.rows, e.rows))
-    residual = _RESIDUALS[name](e, f, de.spectral_idempotent,
-                                df.spectral_idempotent)
-    return Condition(name, residual.is_zero(), residual)
+    if (hypothesis == "E group-invertible" and de.index <= 1
+            or hypothesis == _F_GROUP and df.index <= 1):
+        return (Condition(hypothesis, True, Matrix.zeros(e.rows, e.rows)),)
+    residual = _RESIDUALS[hypothesis](e, f, de.spectral_idempotent,
+                                      df.spectral_idempotent)
+    return (Condition(hypothesis, residual.is_zero(), residual),)
 
 
 def _thm21(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
@@ -264,25 +262,30 @@ def _thm31(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
 
 @dataclass(frozen=True)
 class Rule:
-    """One closed-form rule: its layout, conditions and route.
+    """One closed-form rule: its layout, hypotheses and route.
 
-    ``standing`` then ``refusing`` is the order in which the conditions are
-    reported and checked. The route is ``kernel``, run on (E^T, F^T) when
-    ``mirrored``, or else the route of the rule named by ``delegate``. A
-    kernel maps (E, F, drazin(E), drazin(F)) to the blocks (gamma, delta,
-    lambda, xi) and a dict of extra ingredients.
+    ``standing`` then ``refusing`` is the order in which the hypotheses are
+    reported and decided. A hypothesis is one condition name, or a tuple of
+    names of which at least one must hold: the commutation pair of cor2.5
+    and cor3.4. The route is ``kernel``, run on (E^T, F^T) when
+    ``mirrored``. A kernel maps (E, F, drazin(E), drazin(F)) to the blocks
+    (gamma, delta, lambda, xi) and a dict of extra ingredients.
     """
 
     shape: BlockShape
-    standing: tuple[str, ...]
-    refusing: tuple[str, ...] = ()
-    kernel: Callable | None = None
+    standing: tuple[str | tuple[str, ...], ...]
+    refusing: tuple[str, ...]
+    kernel: Callable
     mirrored: bool = False
-    delegate: str | None = None
+
+    @property
+    def hypotheses(self) -> tuple[str | tuple[str, ...], ...]:
+        return self.standing + self.refusing
 
     @property
     def conditions(self) -> tuple[str, ...]:
-        return self.standing + self.refusing
+        """Every condition name, either/or pairs flattened, in report order."""
+        return tuple(name for h in self.hypotheses for name in _names(h))
 
     @property
     def blocker(self) -> str | None:
@@ -301,18 +304,18 @@ RULES: dict[str, Rule] = {
                    (_F_GROUP, "F^pi E^pi=0"), _thm21, mirrored=True),
     "cor2.4": Rule(BlockShape.EI_F0, ("F^pi EF=0",),
                    (_F_GROUP, "F^pi E^pi=0"), _cor22, mirrored=True),
-    "cor2.5": Rule(BlockShape.EF_I0, _COMMUTATION_PAIR,
-                   (_F_GROUP, "F^pi E^pi=0"), delegate="thm2.3"),
+    "cor2.5": Rule(BlockShape.EF_I0, (_COMMUTATION_PAIR,),
+                   (_F_GROUP, "F^pi E^pi=0"), _thm21, mirrored=True),
     "thm3.1": Rule(BlockShape.EF_F0, ("FEF^pi=0", _F_GROUP),
                    ("EE^pi F^pi=0",), _thm31),
     "cor3.2": Rule(BlockShape.EF_F0, ("F^pi EF=0", _F_GROUP),
                    ("F^pi E^pi E=0",), _thm31, mirrored=True),
     "cor3.3": Rule(BlockShape.EF_F0,
-                   ("E group-invertible", _F_GROUP, "F^pi EF=0"),
-                   kernel=_thm31, mirrored=True),
+                   ("E group-invertible", _F_GROUP, "F^pi EF=0"), (),
+                   _thm31, mirrored=True),
     "cor3.4": Rule(BlockShape.EF_F0,
-                   (*_COMMUTATION_PAIR, "E group-invertible", _F_GROUP),
-                   delegate="cor3.3"),
+                   (_COMMUTATION_PAIR, "E group-invertible", _F_GROUP), (),
+                   _thm31, mirrored=True),
 }
 
 THEOREM_IDS = tuple(RULES)
@@ -335,53 +338,16 @@ def check_conditions(e: Matrix, f: Matrix, theorem: str) -> ConditionReport:
     the EF=lambda FE entry also carries the scalar when one exists.
     """
     _require_pair(e, f)
-    return _full_report(theorem, e, f, drazin(e), drazin(f), {})
+    return _report(theorem, e, f, drazin(e), drazin(f))
 
 
-def _full_report(theorem: str, e: Matrix, f: Matrix, de: DrazinResult,
-                 df: DrazinResult, evaluated: dict[str, Condition]
-                 ) -> ConditionReport:
-    """check_conditions' report, reusing the conditions in ``evaluated``."""
-    rule = rule_for(theorem)
+def _report(theorem: str, e: Matrix, f: Matrix, de: DrazinResult,
+            df: DrazinResult) -> ConditionReport:
     return ConditionReport(theorem, tuple(
-        evaluated[name] if name in evaluated
-        else _evaluate(name, e, f, de, df)
-        for name in rule.conditions
+        condition
+        for hypothesis in rule_for(theorem).hypotheses
+        for condition in _evaluate(hypothesis, e, f, de, df)
     ))
-
-
-def _guard(rule: Rule, e: Matrix, f: Matrix, de: DrazinResult,
-           df: DrazinResult) -> dict[str, Condition]:
-    """Raise for the first of the rule's conditions that fails.
-
-    Returns the conditions it evaluated, by name; the exception it raises
-    carries them as ``_evaluated``. The two commutation laws are one
-    either/or hypothesis: EF^2=FEF is evaluated only when EF=lambda FE
-    fails, and a failure of both is reported with its residual.
-    """
-    evaluated: dict[str, Condition] = {}
-    for name in rule.conditions:
-        if name == "EF^2=FEF":
-            continue
-        condition = evaluated[name] = _evaluate(name, e, f, de, df)
-        if name == "EF=lambda FE" and not condition.holds:
-            name = "EF=lambda FE or EF^2=FEF"
-            condition = evaluated["EF^2=FEF"] = _evaluate(
-                "EF^2=FEF", e, f, de, df)
-        if condition.holds:
-            continue
-        if name not in rule.refusing:
-            error = HypothesisViolated(name, condition.residual)
-        else:
-            index = df.index if name == _F_GROUP else None
-            error = NotGroupInvertible(
-                f"no group inverse: F has Drazin index {index}" if index
-                else f"no group inverse: {name} fails",
-                index=index, condition=name,
-            )
-        error._evaluated = evaluated
-        raise error
-    return evaluated
 
 
 def _transposed(result: DrazinResult) -> DrazinResult:
@@ -392,21 +358,35 @@ def _transposed(result: DrazinResult) -> DrazinResult:
 def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse:
     """Group inverse of the named rule's block matrix, from its closed form.
 
-    Raises HypothesisViolated or NotGroupInvertible for the first of the
-    rule's conditions that fails, in the order ``check_conditions`` lists
-    them. ``intermediates`` holds E^D, F#, E^pi and F^pi, plus the corners
-    of N^# for thm3.1. ``report`` equals ``check_conditions(e, f,
-    theorem)`` and reuses the residuals the check above evaluated.
+    The full condition report is built first and equals ``check_conditions(e,
+    f, theorem)``. When its ``first_failure()`` is a standing hypothesis,
+    HypothesisViolated is raised; when it is a refusal condition,
+    NotGroupInvertible. Either exception carries the report as ``report``.
+    ``intermediates`` holds E^D, F#, E^pi and F^pi, plus the corners of N^#
+    for thm3.1.
     """
     rule = rule_for(theorem)
     _require_pair(e, f)
     de, df = drazin(e), drazin(f)
-    report = _full_report(theorem, e, f, de, df, _guard(rule, e, f, de, df))
-    route = RULES[rule.delegate] if rule.delegate else rule
-    if route.mirrored:
+    report = _report(theorem, e, f, de, df)
+    failure = report.first_failure()
+    if failure is not None:
+        name = failure.name
+        if name not in rule.refusing:
+            error = HypothesisViolated(name, failure.residual)
+        else:
+            index = df.index if name == _F_GROUP else None
+            error = NotGroupInvertible(
+                f"no group inverse: F has Drazin index {index}" if index
+                else f"no group inverse: {name} fails",
+                index=index, condition=name,
+            )
+        error.report = report
+        raise error
+    if rule.mirrored:
         # Transposing swaps the off-diagonal blocks. The ingredients of the
         # transposed problem are not kept.
-        (gamma, lambda_blk, delta, xi), _ = route.kernel(
+        (gamma, lambda_blk, delta, xi), _ = rule.kernel(
             e.transpose(), f.transpose(), _transposed(de), _transposed(df)
         )
         gamma, delta, lambda_blk, xi = (
@@ -414,7 +394,7 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
         )
         extras = {}
     else:
-        (gamma, delta, lambda_blk, xi), extras = route.kernel(e, f, de, df)
+        (gamma, delta, lambda_blk, xi), extras = rule.kernel(e, f, de, df)
     assembled = Matrix.from_blocks([[gamma, delta], [lambda_blk, xi]])
     return BlockGroupInverse(
         theorem, gamma, delta, lambda_blk, xi, assembled,

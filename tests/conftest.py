@@ -26,6 +26,26 @@ def mat(rows):
     ])
 
 
+PROJ = [["1", "0"], ["0", "0"]]
+RIGHT_BREAKER = ([["0", "1"], ["0", "0"]], PROJ, "FEF^pi=0")
+LEFT_BREAKER = ([["0", "0"], ["1", "0"]], PROJ, "F^pi EF=0")
+NO_LAW = ([["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]],
+          "EF=lambda FE or EF^2=FEF")
+# A pair breaking each rule's first standing hypothesis, and its name.
+FIRST_STANDING_BREAKERS = {
+    "thm2.1": RIGHT_BREAKER,
+    "cor2.2": RIGHT_BREAKER,
+    "thm2.3": LEFT_BREAKER,
+    "cor2.4": LEFT_BREAKER,
+    "cor2.5": NO_LAW,
+    "thm3.1": RIGHT_BREAKER,
+    "cor3.2": LEFT_BREAKER,
+    "cor3.3": ([["0", "1"], ["0", "0"]], [["1", "0"], ["0", "1"]],
+               "E group-invertible"),
+    "cor3.4": NO_LAW,
+}
+
+
 _fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 

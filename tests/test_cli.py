@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, and error JSON."""
 
 import json
+import sys
 
 import pytest
 
@@ -8,6 +9,8 @@ from blockginv.cli import main
 from blockginv.matrices import Matrix
 from blockginv.scalars import parse_scalar
 from conftest import mat
+
+TOO_MANY_DIGITS = "9" * (sys.get_int_max_str_digits() + 1)
 
 
 def write_matrix(path, rows):
@@ -274,6 +277,30 @@ class TestInputErrors:
         payload = json.loads(err)
         assert payload["error"] == "InputError"
         assert "offset 0" in payload["message"]
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"rows": [["\xff"]]}')
+        code, out, err = run_cli(capsys, ["drazin", str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "InputError"
+
+    def test_json_integer_past_the_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": [[%s]]}' % TOO_MANY_DIGITS)
+        code, out, err = run_cli(capsys, ["drazin", str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "InputError"
+
+    def test_scalar_string_past_the_digit_limit(self, tmp_path, capsys):
+        # matrix_from_rows reports a bad entry as an InputError that names
+        # the entry and the parser's offset.
+        path = write_matrix(tmp_path / "m.json", [["1/" + TOO_MANY_DIGITS]])
+        code, out, err = run_cli(capsys, ["drazin", path])
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "InputError"
+        assert "too many digits (offset 2)" in payload["message"]
 
     @pytest.mark.parametrize("entry", [1.5, True, None, ["1"]])
     def test_non_scalar_entries_rejected(self, entry, tmp_path, capsys):

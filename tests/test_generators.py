@@ -12,11 +12,11 @@ from blockginv.generators import (
     run_campaign,
     verify_instance,
 )
-from blockginv import theorems
+from blockginv import generators, theorems
 from blockginv.ginverse import drazin
 from blockginv.matrices import rank
 from blockginv.theorems import THEOREM_IDS, check_conditions, rule_for
-from conftest import mat
+from conftest import FIRST_STANDING_BREAKERS, mat
 
 
 class TestBuildingBlocks:
@@ -136,7 +136,7 @@ class TestVerifyInstance:
 
     @pytest.mark.parametrize("theorem", THEOREM_IDS)
     def test_each_condition_is_evaluated_once(self, theorem, monkeypatch):
-        # The guard's exception hands its conditions to the report, so a
+        # The exception carries the block inverse's full report, so a
         # refusal or a violation evaluates no residual twice.
         pairs = [(mat([["0", "1"], ["0", "0"]]),
                   mat([["1", "0"], ["0", "0"]]))]
@@ -147,9 +147,10 @@ class TestVerifyInstance:
         for e, f in pairs:
             names = []
 
-            def counting(name, *args):
-                names.append(name)
-                return evaluate(name, *args)
+            def counting(hypothesis, *args):
+                conditions = evaluate(hypothesis, *args)
+                names.extend(condition.name for condition in conditions)
+                return conditions
 
             monkeypatch.setattr(theorems, "_evaluate", counting)
             report = verify_instance(e, f, theorem)
@@ -157,6 +158,29 @@ class TestVerifyInstance:
             verdicts.append(report.verdict)
             assert sorted(names) == sorted(rule_for(theorem).conditions)
         assert set(verdicts) - {Verdict.AGREE_EXISTS}
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_drazin_is_called_only_for_the_oracle(self, theorem, monkeypatch):
+        # The benchmark times generators.drazin as the oracle, so nothing
+        # else may go through that name: not even after a refusal.
+        e_rows, f_rows, _ = FIRST_STANDING_BREAKERS[theorem]
+        pairs = [gen_pair(GenSpec(theorem, 3, 1, True, seed=23)),
+                 (mat(e_rows), mat(f_rows))]
+        if rule_for(theorem).blocker is not None:
+            pairs.append(gen_pair(GenSpec(theorem, 3, 0, False, seed=23)))
+        verdicts = set()
+        for e, f in pairs:
+            calls = []
+
+            def counting(matrix):
+                calls.append(matrix.shape)
+                return drazin(matrix)
+
+            monkeypatch.setattr(generators, "drazin", counting)
+            verdicts.add(verify_instance(e, f, theorem).verdict)
+            monkeypatch.setattr(generators, "drazin", drazin)
+            assert calls == [(2 * e.rows, 2 * e.rows)]
+        assert len(verdicts) == len(pairs)
 
 
 class TestRunCampaign:

@@ -1,5 +1,6 @@
 """Scalar arithmetic, rendering, and the string parser."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,15 @@ class TestParsing:
     def test_rejects_with_offset(self, text, offset):
         with pytest.raises(ScalarParseError) as info:
             parse_scalar(text)
+        assert info.value.offset == offset
+
+    @pytest.mark.parametrize("template, offset", [
+        ("{}", 0), ("-{}i", 1), ("1/{}", 2), ("1+{}/2i", 2),
+    ])
+    def test_rejects_digit_runs_past_the_int_limit(self, template, offset):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ScalarParseError, match="too many digits") as info:
+            parse_scalar(template.format(digits))
         assert info.value.offset == offset
 
 

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blockginv.generators import GenSpec, gen_pair
 from blockginv.ginverse import NotGroupInvertible, drazin
@@ -16,8 +18,14 @@ from blockginv.theorems import (
     assemble_M,
     block_group_inverse,
     check_conditions,
+    rule_for,
 )
-from conftest import mat
+from conftest import (
+    FIRST_STANDING_BREAKERS,
+    mat,
+    singular_square_matrices,
+    square_matrices,
+)
 from paper_forms import (
     blocks,
     cor24_direct,
@@ -328,25 +336,6 @@ REFUSAL_BLOCKERS = {
     "cor3.2": "F^pi E^pi E=0",
 }
 
-PROJ = [["1", "0"], ["0", "0"]]
-RIGHT_BREAKER = ([["0", "1"], ["0", "0"]], PROJ, "FEF^pi=0")
-LEFT_BREAKER = ([["0", "0"], ["1", "0"]], PROJ, "F^pi EF=0")
-NO_LAW = ([["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]],
-          "EF=lambda FE or EF^2=FEF")
-# A pair breaking each rule's first standing hypothesis, and its name.
-FIRST_STANDING_BREAKERS = {
-    "thm2.1": RIGHT_BREAKER,
-    "cor2.2": RIGHT_BREAKER,
-    "thm2.3": LEFT_BREAKER,
-    "cor2.4": LEFT_BREAKER,
-    "cor2.5": NO_LAW,
-    "thm3.1": RIGHT_BREAKER,
-    "cor3.2": LEFT_BREAKER,
-    "cor3.3": ([["0", "1"], ["0", "0"]], [["1", "0"], ["0", "1"]],
-               "E group-invertible"),
-    "cor3.4": NO_LAW,
-}
-
 
 class TestFailuresNameTheRulesOwnCondition:
     @pytest.mark.parametrize("theorem", sorted(REFUSAL_BLOCKERS))
@@ -375,6 +364,53 @@ class TestFailuresNameTheRulesOwnCondition:
             assert first.name == name
         assert not first.holds
         assert info.value.residual == first.residual
+
+
+def _pairs_of_one_size():
+    def build(n):
+        square = st.one_of(square_matrices(n, n),
+                           singular_square_matrices(n, n))
+        return st.tuples(square, square)
+    return st.integers(1, 3).flatmap(build)
+
+
+class TestOneDecision:
+    """block_group_inverse, satisfied() and gen_pair decide alike."""
+
+    @staticmethod
+    def assert_same_decision(theorem, e, f):
+        rule = rule_for(theorem)
+        report = check_conditions(e, f, theorem)
+        failure = report.first_failure()
+        try:
+            block_group_inverse(theorem, e, f)
+        except (HypothesisViolated, NotGroupInvertible) as exc:
+            assert failure is not None and not report.satisfied()
+            assert exc.condition == failure.name
+            assert isinstance(exc, NotGroupInvertible) == \
+                (failure.name in rule.refusing)
+            assert exc.report == report
+        else:
+            assert failure is None and report.satisfied()
+
+    @given(pair=_pairs_of_one_size())
+    def test_drawn_pairs(self, pair):
+        for theorem in THEOREM_IDS:
+            self.assert_same_decision(theorem, *pair)
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_breakers(self, theorem):
+        for e_rows, f_rows, _ in FIRST_STANDING_BREAKERS.values():
+            self.assert_same_decision(theorem, mat(e_rows), mat(f_rows))
+
+    @pytest.mark.parametrize("theorem", sorted(REFUSAL_BLOCKERS))
+    def test_refusal_draws(self, theorem):
+        n = 4 if theorem in ("thm3.1", "cor3.2") else 3
+        for seed in range(3):
+            e, f = gen_pair(GenSpec(theorem, n, 1, satisfy=False, seed=seed))
+            failure = check_conditions(e, f, theorem).first_failure()
+            assert failure.name == rule_for(theorem).blocker
+            self.assert_same_decision(theorem, e, f)
 
 
 class TestCheckConditions:
