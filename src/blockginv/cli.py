@@ -18,12 +18,15 @@ import argparse
 import json
 import sys
 from collections import Counter
+from itertools import repeat
+from math import gcd
 from pathlib import Path
 
 from .generators import GenerationExhausted, Verdict, run_campaign
 from .ginverse import NotGroupInvertible, drazin, group_inverse
 from .matrices import Matrix, ShapeMismatch
-from .scalars import GaussianRational, ScalarParseError, parse_scalar
+from .scalars import (GaussianRational, ScalarParseError, parse_scalar,
+                      scalar_text)
 from .theorems import (
     SHAPE_FOR_THEOREM,
     THEOREM_IDS,
@@ -38,8 +41,24 @@ class InputError(ValueError):
     """A matrix file is missing, malformed, or not a matrix."""
 
 
+class OutputError(ValueError):
+    """A result entry has too many digits to print."""
+
+
+def _entry_text(re: int, im: int, den: int) -> str:
+    g, h = gcd(re, den), gcd(im, den)
+    return scalar_text(re // g, den // g, im // h, den // h)
+
+
 def matrix_to_rows(matrix: Matrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in matrix.to_lists()]
+    """The entries as scalar strings, formatted from the stored integers."""
+    w, im = matrix.cols, matrix._im or repeat(0)
+    try:
+        texts = list(map(_entry_text, matrix._re, im, repeat(matrix._den)))
+    except ValueError as exc:  # Python's limit on int-to-str digits
+        raise OutputError(f"a result entry exceeds Python's limit of "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
+    return [texts[i * w:(i + 1) * w] for i in range(matrix.rows)]
 
 
 def matrix_from_rows(rows: object, where: str = "matrix") -> Matrix:
@@ -317,10 +336,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputError as exc:
         return _fail(1, "InputError", str(exc))
-    except ScalarParseError as exc:
-        return _fail(1, "ParseError", str(exc))
     except ShapeMismatch as exc:
         return _fail(1, "ShapeMismatch", str(exc))
+    except OutputError as exc:
+        return _fail(1, "OutputError", str(exc))
     except GenerationExhausted as exc:
         return _fail(1, "GenerationExhausted", str(exc))
     except NotGroupInvertible as exc:

@@ -9,9 +9,10 @@ rank(T^(j+1)) = rank(M_j), an invertible M_k means T has index k, and
     T^D = B1 ... Bk M^-(k+1) Ck ... C1;
 
 a zero M_k means T is nilpotent of index k + 1, and T^D = 0. Every step
-after the first works on the shrinking M_j, never on a power of T. All of
-it is exact, so no limits and no numerics enter. The group inverse is the
-k <= 1 case.
+after the first works on the shrinking M_j, never on a power of T. A
+nonzero determinant mod a prime proves M_j invertible; failing that, its
+exact rref decides, so no limits and no numerics enter. The group inverse
+is the k <= 1 case.
 
 References: R. E. Cline, "Inverses of rank invariant powers of a matrix",
 SIAM J. Numer. Anal. 5 (1968); S. L. Campbell and C. D. Meyer,
@@ -23,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .matrices import Matrix, ShapeMismatch, inverse, rank, rref
+from .matrices import (Matrix, ShapeMismatch, _certainly_invertible,
+                       inverse, rref)
 
 
 class NotGroupInvertible(ArithmeticError):
@@ -67,12 +69,13 @@ def _walk(matrix: Matrix) -> tuple[int, Matrix | None, Matrix | None,
     core = matrix
     steps = 0
     while True:
-        r = rank(core)
-        if r == core.rows:
+        if _certainly_invertible(core):
+            return steps, left, right, core
+        reduced, r, pivots = rref(core)
+        if r == core.rows:  # invertible after all: an unlucky prime
             return steps, left, right, core
         if r == 0:
             return steps + 1, left, right, None
-        reduced, _, pivots = rref(core)
         columns = core.columns(pivots)
         rows = reduced.submatrix(0, r, 0, core.cols)
         left = columns if left is None else left * columns
@@ -93,7 +96,8 @@ def drazin(matrix: Matrix) -> DrazinResult:
 
     With index k >= 1, the chain's B, C and invertible M give
     T T^D = B M^-k C and T^D = B M^-(k+1) C. An invertible T has index 0
-    and T^D = T^-1. Results are cached; matrices are immutable.
+    and T^D = T^-1. The chain runs one rref per step, one inverse at the
+    end and no rank pass. Results are cached; matrices are immutable.
     """
     _require_square(matrix, "drazin")
     n = matrix.rows

@@ -13,11 +13,14 @@ values only when read.
 Sums and scalar multiples combine the numerator lists over one LCM
 denominator, and products take integer dot products of the stored rows
 and columns; each result is reduced by one gcd. ``rank`` (Bareiss forward
-elimination) and ``rref`` (fraction-free Gauss-Jordan, FFGJ) start from
-the numerator rows, each divided by its content. Every step divides
-exactly by the previous pivot in Z[i]; a remainder raises ArithmeticError.
-``rref`` divides by the last pivot once, at the end. Pivots are the first
-nonzero entry in column order, so outputs are deterministic.
+elimination), ``rref`` and ``inverse`` (one fraction-free Gauss-Jordan
+kernel, FFGJ) start from the numerator rows, each divided by its content.
+Every step divides exactly by the previous pivot d in Z[i], with conj(d)
+folded into the step for a non-real d; a remainder raises ArithmeticError.
+Rows are compact: a pivoted column is d in its own row, so no row keeps
+it, and ``inverse`` runs in place, its identity columns taking the freed
+slots. Both divide by the last pivot once, at the end. Pivots are the
+first nonzero entry in column order, so outputs are deterministic.
 
 References: FLINT's fmpq_mat (https://flintlib.org/doc/fmpq_mat.html);
 E. H. Bareiss, Math. Comp. 22 (1968); G. C. Nakos, P. R. Turner and
@@ -327,22 +330,31 @@ def _product(left: Matrix, right: Matrix) -> Matrix:
     return _matrix(left.rows, width, den, re, im)
 
 
-def _integer_rows(matrix: Matrix) -> list[_ZiVector]:
-    """The numerator rows, each divided by its content (keeps row space)."""
+def _integer_rows(matrix: Matrix) -> tuple[list[_ZiVector], list[int]]:
+    """The numerator rows, each divided by its content, and the contents."""
     w, re, im = matrix.cols, matrix._re, matrix._im
-    rows = []
+    rows, contents = [], []
     for i in range(matrix.rows):
         a = re[i * w:(i + 1) * w]
         b = None if im is None else im[i * w:(i + 1) * w]
         g = gcd(*a, *(b or ())) or 1
         rows.append(([x // g for x in a],
                      None if b is None else [y // g for y in b]))
-    return rows
+        contents.append(g)
+    return rows, contents
 
 
 def _lead(vector: _ZiVector, col: int) -> _Zi:
     re, im = vector
     return re[col], (0 if im is None else im[col])
+
+
+def _times_conj(vector: _ZiVector, d: _Zi) -> tuple[list[int], list[int]]:
+    """The vector times conj(d): over the norm |d|^2, the vector over d."""
+    (re, im), (dr, di) = vector, d
+    im = im or [0] * len(re)
+    return ([a * dr + b * di for a, b in zip(re, im)],
+            [b * dr - a * di for a, b in zip(re, im)])
 
 
 def _exact_quotients(values: list[int], d: int) -> list[int]:
@@ -352,146 +364,171 @@ def _exact_quotients(values: list[int], d: int) -> list[int]:
     return [q for q, _ in pairs]
 
 
-def _divide(re: list[int], im: list[int] | None, d: _Zi) -> _ZiVector:
-    """(re + im*i) / d entrywise; the division must be exact in Z[i].
+def _combine(p: _Zi, x: _ZiVector, c: _Zi, y: _ZiVector,
+             d: _Zi) -> _ZiVector:
+    """(p*x - c*y) / d for vectors x and y.
 
-    A non-real d is handled by multiplying with its conjugate and dividing
-    by its norm.
+    This is the Bareiss step: with d the previous pivot, every entry is a
+    minor of the cleared matrix, so the division is exact, and checked. A
+    non-real d is folded in: p and c are taken times conj(d), and the
+    division is by the real norm |d|^2.
     """
-    dr, di = d
+    (pr, pi), (cr, ci), (dr, di) = p, c, d
     if di:
-        re, im = ([a * dr + b * di for a, b in zip(re, im)],
-                  [b * dr - a * di for a, b in zip(re, im)])
+        (pr, cr), (pi, ci) = _times_conj(([pr, cr], [pi, ci]), d)
         dr = dr * dr + di * di
+    (xr, xi), (yr, yi) = x, y
+    if xi is None:
+        im = None
+        re = ([pr * a - cr * e for a, e in zip(xr, yr)] if cr
+              else [pr * a for a in xr])
+    elif not (cr or ci):
+        re = [pr * a - pi * b for a, b in zip(xr, xi)]
+        im = [pr * b + pi * a for a, b in zip(xr, xi)]
+    elif pi or ci:
+        re = [pr * a - pi * b - cr * e + ci * f
+              for a, b, e, f in zip(xr, xi, yr, yi)]
+        im = [pr * b + pi * a - cr * f - ci * e
+              for a, b, e, f in zip(xr, xi, yr, yi)]
+    else:
+        re = [pr * a - cr * e for a, e in zip(xr, yr)]
+        im = [pr * b - cr * f for b, f in zip(xi, yi)]
     if dr == 1:
         return re, im
     return (_exact_quotients(re, dr),
             None if im is None else _exact_quotients(im, dr))
 
 
-def _combine(p: _Zi, x: _ZiVector, c: _Zi, y: _ZiVector, d: _Zi,
-             start: int) -> _ZiVector:
-    """(p*x - c*y) / d on columns start.. of the vectors x and y.
+def _pop(vector: _ZiVector, slot: int, tail: _Zi | None) -> _Zi:
+    """Remove and return the vector's entry at slot; append tail if given."""
+    re, im = vector
+    out = re.pop(slot), (0 if im is None else im.pop(slot))
+    if tail:
+        re.append(tail[0])
+        if im is not None:
+            im.append(tail[1])
+    return out
 
-    This is the Bareiss step: with d the previous pivot, every entry is a
-    minor of the cleared matrix, so the division is exact.
+
+def _gauss_jordan(rows: list[_ZiVector], width: int,
+                  invert: bool) -> tuple[list[int], _Zi, list[int]]:
+    """FFGJ on compact rows, in place: (pivot_cols, last pivot, order).
+
+    order[i] is the input index of what is now row i. Each step divides
+    exactly by the previous pivot d, so a pivoted column is d in its own
+    row and 0 in every other one, and no row keeps it. To invert, the rows
+    are those of [N | I] with the identity half kept out in the same way
+    until the step that pivots on its row appends it.
     """
-    pr, pi = p
-    cr, ci = c
-    xr, xi = x[0][start:], x[1]
-    if xi is None:
-        if not cr:
-            return _divide([pr * a for a in xr], None, d)
-        return _divide([pr * a - cr * b for a, b in zip(xr, y[0][start:])],
-                       None, d)
-    xi = xi[start:]
-    if not (cr or ci):
-        re = [pr * a - pi * b for a, b in zip(xr, xi)]
-        im = [pr * b + pi * a for a, b in zip(xr, xi)]
-    elif pi or ci:
-        yr, yi = y[0][start:], y[1][start:]
-        re = [pr * a - pi * b - cr * e + ci * f
-              for a, b, e, f in zip(xr, xi, yr, yi)]
-        im = [pr * b + pi * a - cr * f - ci * e
-              for a, b, e, f in zip(xr, xi, yr, yi)]
-    else:
-        re = [pr * a - cr * e for a, e in zip(xr, y[0][start:])]
-        im = [pr * b - cr * f for b, f in zip(xi, y[1][start:])]
-    return _divide(re, im, d)
-
-
-def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
-
-    Returns (R, rank, pivot_columns). Pivots are chosen as the first
-    nonzero entry in column order. Each step divides exactly by the
-    previous pivot, so every pivot ends up equal to the last one, d; R is
-    the final Gaussian-integer rows over d, which normalizes the pivots to
-    1. The output is canonical for the row space.
-    """
-    rows = _integer_rows(matrix)
-    height, width = matrix.rows, matrix.cols
+    height = len(rows)
+    order = list(range(height))
     pivot_cols: list[int] = []
     d = (1, 0)
     for col in range(width):
         top = len(pivot_cols)
         if top >= height:
             break
+        slot = col - top
         selected = next((r for r in range(top, height)
-                         if any(_lead(rows[r], col))), None)
+                         if any(_lead(rows[r], slot))), None)
         if selected is None:
             continue
         rows[top], rows[selected] = rows[selected], rows[top]
-        pivot = rows[top]
-        p = _lead(pivot, col)
-        for r in range(height):
+        order[top], order[selected] = order[selected], order[top]
+        leads = [_pop(row, slot, (d if r == top else (0, 0)) if invert
+                      else None) for r, row in enumerate(rows)]
+        pivot, p = rows[top], leads[top]
+        for r, row in enumerate(rows):
             if r != top:
-                # Rows below the pivot are zero left of col; rows above
-                # scale there, since the pivot row is zero left of col.
-                start = 0 if r < top else col
-                row = rows[r]
-                re, im = _combine(p, row, _lead(row, col), pivot, d, start)
-                rows[r] = (row[0][:start] + re,
-                           None if im is None else row[1][:start] + im)
+                rows[r] = _combine(p, row, leads[r], pivot, d)
         d = p
         pivot_cols.append(col)
-    found = len(pivot_cols)
-    # R is rows / d: the rows times the conjugate of d, over its norm.
-    dr, di = d
-    out_re: list[int] = []
-    out_im: list[int] = []
-    for re, im in rows[:found]:
-        if im is None:
-            out_re += [a * dr for a in re]
-        else:
-            out_re += [a * dr + b * di for a, b in zip(re, im)]
-            out_im += [b * dr - a * di for a, b in zip(re, im)]
-    zeros = [0] * ((height - found) * width)
-    return (_matrix(height, width, dr * dr + di * di, out_re + zeros,
-                    None if matrix._im is None else out_im + zeros),
-            found, tuple(pivot_cols))
+    return pivot_cols, d, order
+
+
+# P = 1 (mod 4) is prime and S^2 = -1 (mod P), so i -> S maps Z[i] to F_P.
+_P, _S = 2305843009213693921, 583529827753931384
+
+
+def _certainly_invertible(matrix: Matrix) -> bool:
+    """True only if the square matrix is invertible; False proves nothing.
+
+    i -> S is a ring map, so if elimination mod P finds every pivot, the
+    numerators' determinant is nonzero. It can vanish mod an unlucky P.
+    """
+    n, im = matrix.rows, matrix._im or repeat(0)
+    residues = [(a + b * _S) % _P for a, b in zip(matrix._re, im)]
+    rows = [residues[i * n:(i + 1) * n] for i in range(n)]
+    while rows:
+        k = next((k for k, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            return False
+        top = rows.pop(k)
+        inv = pow(top[0], -1, _P)
+        rows = [[(x - f * y) % _P for x, y in zip(row[1:], top[1:])]
+                for row in rows for f in (row[0] * inv,)]
+    return True
+
+
+def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
+    """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
+
+    Returns (R, rank, pivot_columns). Pivots are chosen as the first
+    nonzero entry in column order. Every pivot ends up equal to the last
+    one, d; R is the final Gaussian-integer rows over d, which normalizes
+    the pivots to 1. The output is canonical for the row space.
+    """
+    height, width = matrix.rows, matrix.cols
+    rows = _integer_rows(matrix)[0]
+    pivot_cols, d, _ = _gauss_jordan(rows, width, False)
+    free = [c for c in range(width) if c not in pivot_cols]
+    norm = d[0] * d[0] + d[1] * d[1]
+    re, im = [0] * (height * width), [0] * (height * width)
+    for t, (row, pivot_col) in enumerate(zip(rows, pivot_cols)):
+        re[t * width + pivot_col] = norm
+        for col, a, b in zip(free, *_times_conj(row, d)):
+            re[t * width + col], im[t * width + col] = a, b
+    return (_matrix(height, width, norm, re,
+                    None if matrix._im is None else im),
+            len(pivot_cols), tuple(pivot_cols))
 
 
 def rank(matrix: Matrix) -> int:
     """Rank by Bareiss forward elimination (cheaper than full rref)."""
-    rows = _integer_rows(matrix)
+    rows = _integer_rows(matrix)[0]
     found = 0
     d = (1, 0)
     for _ in range(matrix.cols):
-        if not rows:
-            break
-        selected = next((r for r, row in enumerate(rows)
-                         if any(_lead(row, 0))), None)
-        if selected is None:
-            rows = [(re[1:], None if im is None else im[1:])
-                    for re, im in rows]
-            continue
-        rows[0], rows[selected] = rows[selected], rows[0]
-        pivot = rows[0]
-        p = _lead(pivot, 0)
-        rows = [_combine(p, row, _lead(row, 0), pivot, d, 1)
-                for row in rows[1:]]
-        d = p
-        found += 1
+        leads = [_pop(row, 0, None) for row in rows]
+        selected = next((r for r, c in enumerate(leads) if any(c)), None)
+        if selected is not None:
+            p, pivot = leads.pop(selected), rows.pop(selected)
+            rows = [_combine(p, row, c, pivot, d)
+                    for row, c in zip(rows, leads)]
+            d = p
+            found += 1
     return found
 
 
 def inverse(matrix: Matrix) -> Matrix:
-    """Exact inverse via elimination on [A | I]; SingularMatrix if rank < n.
-
-    The augmented matrix always has full row rank thanks to the identity
-    half, so singularity shows up as a pivot escaping into the right half
-    rather than as a rank drop.
-    """
+    """Exact inverse by in-place Gauss-Jordan; SingularMatrix if rank < n."""
     if not matrix.is_square:
         raise ShapeMismatch("inverse", matrix.shape, matrix.shape)
     n = matrix.rows
-    augmented = Matrix.from_blocks([[matrix, Matrix.identity(n)]])
-    reduced, _, pivot_cols = rref(augmented)
-    if pivot_cols[:n] != tuple(range(n)):
-        rank_left = sum(1 for c in pivot_cols if c < n)
-        raise SingularMatrix(f"rank {rank_left} < {n}")
-    return reduced.submatrix(0, n, n, 2 * n)
+    rows, contents = _integer_rows(matrix)
+    pivot_cols, d, order = _gauss_jordan(rows, n, True)
+    if len(pivot_cols) < n:
+        raise SingularMatrix(f"rank {len(pivot_cols)} < {n}")
+    # Slot k holds column order[k] of d N'^-1, for N' the rows divided by
+    # their contents g; (diag(g) N' / den)^-1 scales column j by den / g_j.
+    scale = lcm(*contents)
+    factors = [matrix._den * (scale // contents[j]) for j in order]
+    re, im = [0] * (n * n), [0] * (n * n)
+    for i, row in enumerate(rows):
+        for j, f, a, b in zip(order, factors, *_times_conj(row, d)):
+            re[i * n + j], im[i * n + j] = a * f, b * f
+    return _matrix(n, n, (d[0] * d[0] + d[1] * d[1]) * scale, re,
+                   None if matrix._im is None else im)
 
 
 def kernel_basis(matrix: Matrix) -> Matrix:

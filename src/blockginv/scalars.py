@@ -135,22 +135,21 @@ class GaussianRational:
         return GaussianRational._new(self.re / norm, -self.im / norm)
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if not im:
-            return str(re)
-        if im == 1:
-            imag = "i"
-        elif im == -1:
-            imag = "-i"
-        else:
-            imag = f"{im}i"
-        if not re:
-            return imag
-        sign = "+" if im > 0 else ""
-        return f"{re}{sign}{imag}"
+        return scalar_text(self.re.numerator, self.re.denominator,
+                           self.im.numerator, self.im.denominator)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def scalar_text(re: int, re_den: int, im: int, im_den: int) -> str:
+    """The scalar syntax of re/re_den + (im/im_den)i, parts in lowest terms."""
+    real, imag = (str(a) if b == 1 else f"{a}/{b}"
+                  for a, b in ((re, re_den), (im, im_den)))
+    if not im:
+        return real
+    imag = {"1": "", "-1": "-"}.get(imag, imag) + "i"  # i, -i, 2i, 1/2i
+    return (real + ("+" if im > 0 else "") + imag) if re else imag
 
 
 ZERO = GaussianRational(0)

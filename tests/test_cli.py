@@ -4,11 +4,13 @@ import json
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from blockginv.cli import main
+from blockginv.cli import main, matrix_to_rows
 from blockginv.matrices import Matrix
 from blockginv.scalars import parse_scalar
-from conftest import mat
+from conftest import mat, rect_matrices, scalars
 
 TOO_MANY_DIGITS = "9" * (sys.get_int_max_str_digits() + 1)
 
@@ -302,12 +304,35 @@ class TestInputErrors:
         assert payload["error"] == "InputError"
         assert "too many digits (offset 2)" in payload["message"]
 
+    def test_result_past_the_digit_limit(self, tmp_path, capsys):
+        # The input is under the limit, but entries of its inverse are not.
+        path = write_matrix(tmp_path / "m.json", [["7" * 2200, "3" * 2199],
+                                                  ["3" * 2199, "1"]])
+        code, out, err = run_cli(capsys, ["groupinv", path])
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "OutputError"
+        assert f"{sys.get_int_max_str_digits()} digits" in payload["message"]
+
     @pytest.mark.parametrize("entry", [1.5, True, None, ["1"]])
     def test_non_scalar_entries_rejected(self, entry, tmp_path, capsys):
         path = write_matrix(tmp_path / "m.json", [[entry]])
         code, _, err = run_cli(capsys, ["drazin", path])
         assert code == 1
         assert json.loads(err)["error"] == "InputError"
+
+
+class TestMatrixToRows:
+    @given(rect_matrices(), st.lists(scalars(), max_size=3))
+    def test_matches_each_entry_str(self, m, factors):
+        for c in factors:  # spreads entries over larger shared denominators
+            m = c * m + m
+        assert matrix_to_rows(m) == [[str(x) for x in row]
+                                     for row in m.to_lists()]
+
+    def test_fixed_entries(self):
+        rows = [["0", "i", "-i", "1/2i"], ["-2/3+i", "3-i", "-1/6-5/4i", "7"]]
+        assert matrix_to_rows(mat(rows)) == rows
 
 
 class TestUsage:

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given
 
+from blockginv import ginverse, matrices
 from blockginv.generators import GenSpec, gen_group_invertible, gen_pair
 from blockginv.ginverse import (
     NotGroupInvertible,
@@ -16,7 +17,7 @@ from blockginv.ginverse import (
 )
 from blockginv.matrices import Matrix, ShapeMismatch, rank
 from blockginv.theorems import SHAPE_FOR_THEOREM, assemble_M
-from conftest import mat, singular_square_matrices
+from conftest import mat, singular_square_matrices, square_matrices
 from reference_drazin import reference_drazin
 
 
@@ -203,3 +204,70 @@ class TestAgainstReference:
         e, f = gen_pair(GenSpec(theorem, 8, rank_f, True, seed))
         big = assemble_M(e, f, SHAPE_FOR_THEOREM[theorem])
         assert drazin(big) == reference_drazin(big)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases: exact below 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class TestInvertibilityCertificate:
+    def test_modulus_is_a_prime_with_a_square_root_of_minus_one(self):
+        assert matrices._P < 2 ** 64
+        assert _is_prime(matrices._P)
+        assert matrices._P % 4 == 1
+        assert (matrices._S * matrices._S + 1) % matrices._P == 0
+        assert [n for n in range(50) if _is_prime(n)] == [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+        assert not _is_prime(3215031751)  # a strong pseudoprime to 2, 3, 5, 7
+
+    @given(square_matrices(max_n=4))
+    def test_holds_only_for_invertible_matrices(self, m):
+        if matrices._certainly_invertible(m):
+            assert rank(m) == m.rows
+
+    def test_drazin_runs_one_elimination_per_step(self, monkeypatch):
+        calls = {"rank": 0, "rref": 0, "inverse": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(matrices, "rank", counted("rank", matrices.rank))
+        for name in ("rref", "inverse"):
+            monkeypatch.setattr(ginverse, name,
+                                counted(name, getattr(ginverse, name)))
+        jordan = Matrix.from_rows([[1 if j == i + 1 else 0 for j in range(5)]
+                                   for i in range(5)])
+        e, f = gen_pair(GenSpec("thm3.1", 4, 2, True, 5))
+        cases = [
+            (mat([["1", "2"], ["0", "-1"]]), 0),
+            (mat([["i", "1", "0", "0"], ["0", "0", "1", "0"],
+                  ["0", "0", "0", "1"], ["0", "0", "0", "0"]]), 3),
+            (assemble_M(e, f, SHAPE_FOR_THEOREM["thm3.1"]), 1),
+        ]
+        for m, index in cases:
+            calls.update(rank=0, rref=0, inverse=0)
+            assert drazin.__wrapped__(m).index == index
+            assert calls == {"rank": 0, "rref": index, "inverse": 1}
+        calls.update(rank=0, rref=0, inverse=0)
+        assert drazin.__wrapped__(jordan).index == 5
+        assert calls == {"rank": 0, "rref": 5, "inverse": 0}

@@ -141,15 +141,17 @@ class TestExactDivision:
     def test_non_real_previous_pivot_after_row_swap(self, monkeypatch):
         # Column 0 pivots on i. Row 1 is then zero in column 1, so column 1
         # swaps rows, and the next step divides by the non-real pivot i.
+        # The step folds conj(d) in, so the pivot is recorded where it
+        # enters the step, not at the division by its norm.
         m = mat([["i", "1", "0"], ["0", "0", "1"], ["1", "2", "3"]])
         divisors = []
-        divide = matrices._divide
+        combine = matrices._combine
 
-        def recording_divide(re, im, d):
+        def recording_combine(p, x, c, y, d):
             divisors.append(d)
-            return divide(re, im, d)
+            return combine(p, x, c, y, d)
 
-        monkeypatch.setattr(matrices, "_divide", recording_divide)
+        monkeypatch.setattr(matrices, "_combine", recording_combine)
         assert rank(m) == 3
         assert (0, 1) in divisors
         divisors.clear()
@@ -158,6 +160,7 @@ class TestExactDivision:
         assert m * m_inv == Matrix.identity(3)
         assert m_inv * m == Matrix.identity(3)
 
+    # The step (1*x - 0*x) / d is x / d, divided after the conj(d) fold.
     @pytest.mark.parametrize("re, im, d", [
         ([4, 3], None, (2, 0)),
         ([2, 1], [0, 0], (1, 1)),
@@ -165,13 +168,14 @@ class TestExactDivision:
     ])
     def test_inexact_division_raises(self, re, im, d):
         with pytest.raises(ArithmeticError):
-            matrices._divide(re, im, d)
+            matrices._combine((1, 0), (re, im), (0, 0), (re, im), d)
 
     def test_guard_survives_optimized_mode(self):
         code = (
-            "from blockginv.matrices import _divide\n"
+            "from blockginv.matrices import _combine\n"
+            "x = ([2, 1], [0, 0])\n"
             "try:\n"
-            "    _divide([2, 1], [0, 0], (1, 1))\n"
+            "    _combine((1, 0), x, (0, 0), x, (1, 1))\n"
             "except ArithmeticError:\n"
             "    print('raised')\n"
         )

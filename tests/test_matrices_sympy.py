@@ -17,10 +17,11 @@ from sympy.polys.matrices import DomainMatrix
 
 from blockginv.generators import GenSpec, gen_pair
 from blockginv.ginverse import drazin
+from blockginv import matrices as blockginv_matrices
 from blockginv.matrices import Matrix, SingularMatrix, inverse, rank, rref
 from blockginv.scalars import GaussianRational
 from blockginv.theorems import SHAPE_FOR_THEOREM, assemble_M
-from conftest import scalars
+from conftest import mat, nonzero_scalars, scalars
 
 
 def to_qq_i(x: GaussianRational):
@@ -139,6 +140,86 @@ def test_rank_and_rref(m):
 @given(st.integers(0, 4).flatmap(lambda n: matrices(n, n)))
 def test_inverse(m):
     assert_inverse_agrees(m)
+
+
+@st.composite
+def deficient_matrices(draw):
+    """Wide or tall, with free columns ahead of later pivots.
+
+    Column j copies a multiple of column j - 1, so it is free whenever that
+    column pivots; column 0 is zero in half of the draws.
+    """
+    rows, cols = draw(st.sampled_from([(2, 5), (3, 6), (5, 2), (6, 3),
+                                       (4, 4)]))
+    m = draw(matrices(rows, cols))
+    j = draw(st.integers(1, cols - 1))
+    parts = [m.columns(range(j)), draw(scalars()) * m.columns([j - 1]),
+             m.columns(range(j + 1, cols))]
+    if draw(st.booleans()):
+        parts = [Matrix.zeros(rows, 1), Matrix.from_blocks([parts]).columns(
+            range(1, cols))]
+    return Matrix.from_blocks([parts])
+
+
+@st.composite
+def swapped_invertibles(draw):
+    """Upper triangular rows, cyclically shifted: every pivot needs a swap."""
+    n = draw(st.integers(2, 4))
+    entries = [draw(nonzero_scalars()) if j == i else
+               draw(scalars()) if j > i else GaussianRational(0)
+               for i in range(n) for j in range(n)]
+    rows = Matrix(n, n, entries).to_lists()
+    return Matrix.from_rows(rows[1:] + rows[:1])
+
+
+@given(deficient_matrices())
+def test_rank_and_rref_with_free_columns(m):
+    assert_rank_rref_agree(m)
+
+
+@pytest.mark.parametrize("rows", [
+    [["0", "1", "2", "0", "1"], ["0", "2", "4", "1", "3"],
+     ["0", "3", "6", "1", "4"]],
+    [["0", "i", "1+i", "2"], ["0", "-1", "-1+i", "2i"],
+     ["0", "0", "0", "1"]],
+    [["0", "1", "i"], ["0", "2", "2i"], ["0", "0", "1"], ["0", "1", "1+i"],
+     ["0", "3", "3i"]],
+])
+def test_rank_and_rref_of_fixed_deficient_matrices(rows):
+    assert_rank_rref_agree(mat(rows))
+
+
+@given(swapped_invertibles())
+def test_inverse_with_row_swaps(m):
+    assert_inverse_agrees(m)
+
+
+@pytest.mark.parametrize("rows", [
+    [["0", "i"], ["1", "0"]],
+    [["i", "1", "0"], ["0", "0", "1"], ["1", "2", "3"]],
+    [["0", "0", "1/2-i"], ["0", "3i", "1"], ["2+i", "1", "0"]],
+])
+def test_fixed_inverses_with_row_swaps(rows):
+    assert_inverse_agrees(mat(rows))
+
+
+_P, _S = blockginv_matrices._P, blockginv_matrices._S
+
+
+@pytest.mark.parametrize("m", [
+    Matrix.from_rows([[_P, 0], [0, 1]]),
+    Matrix.from_rows([[GaussianRational(_P - _S, 1)]]),
+], ids=["diag(P, 1)", "P - S + i"])
+def test_unlucky_prime_matrices_stay_exact(m):
+    # Both determinants vanish mod P, so the certificate says nothing and
+    # the exact rank decides.
+    assert not blockginv_matrices._certainly_invertible(m)
+    expected = from_sympy(to_sympy(m).inv())
+    assert inverse(m) == expected
+    result = drazin(m)
+    assert result.index == 0
+    assert result.drazin == expected
+    assert result.spectral_idempotent.is_zero()
 
 
 def _entry_bits(m: Matrix) -> int:
