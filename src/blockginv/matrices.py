@@ -19,8 +19,12 @@ Every step divides exactly by the previous pivot d in Z[i], with conj(d)
 folded into the step for a non-real d; a remainder raises ArithmeticError.
 Rows are compact: a pivoted column is d in its own row, so no row keeps
 it, and ``inverse`` runs in place, its identity columns taking the freed
-slots. Both divide by the last pivot once, at the end. Pivots are the
-first nonzero entry in column order, so outputs are deterministic.
+slots. Both divide by the last pivot once, at the end. FFGJ pivots each
+column on its smallest candidate row by total bit length, the first on a
+tie, which keeps the minors small (identity rows go first); ``rank`` takes
+the first. No output depends on the order: the rref, its pivot columns
+and the inverse are unique, storage is canonical, and the Bareiss
+divisions are exact in any row order.
 
 References: FLINT's fmpq_mat (https://flintlib.org/doc/fmpq_mat.html);
 E. H. Bareiss, Math. Comp. 22 (1968); G. C. Nakos, P. R. Turner and
@@ -410,6 +414,12 @@ def _pop(vector: _ZiVector, slot: int, tail: _Zi | None) -> _Zi:
     return out
 
 
+def _bits(vector: _ZiVector) -> int:
+    """A row's size: the bit lengths of its real and imaginary parts, summed."""
+    re, im = vector
+    return sum(map(int.bit_length, re)) + sum(map(int.bit_length, im or ()))
+
+
 def _gauss_jordan(rows: list[_ZiVector], width: int,
                   invert: bool) -> tuple[list[int], _Zi, list[int]]:
     """FFGJ on compact rows, in place: (pivot_cols, last pivot, order).
@@ -429,10 +439,11 @@ def _gauss_jordan(rows: list[_ZiVector], width: int,
         if top >= height:
             break
         slot = col - top
-        selected = next((r for r in range(top, height)
-                         if any(_lead(rows[r], slot))), None)
-        if selected is None:
+        candidates = [r for r in range(top, height)
+                      if any(_lead(rows[r], slot))]
+        if not candidates:
             continue
+        selected = min(candidates, key=lambda r: _bits(rows[r]))
         rows[top], rows[selected] = rows[selected], rows[top]
         order[top], order[selected] = order[selected], order[top]
         leads = [_pop(row, slot, (d if r == top else (0, 0)) if invert
@@ -473,10 +484,10 @@ def _certainly_invertible(matrix: Matrix) -> bool:
 def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
 
-    Returns (R, rank, pivot_columns). Pivots are chosen as the first
-    nonzero entry in column order. Every pivot ends up equal to the last
-    one, d; R is the final Gaussian-integer rows over d, which normalizes
-    the pivots to 1. The output is canonical for the row space.
+    Returns (R, rank, pivot_columns). Each column pivots on the smallest
+    candidate row (``_bits``); R is unique, so the choice only sets the
+    cost. Every pivot ends up equal to the last one, d; R is the final
+    Gaussian-integer rows over d, which normalizes the pivots to 1.
     """
     height, width = matrix.rows, matrix.cols
     rows = _integer_rows(matrix)[0]

@@ -21,7 +21,10 @@ layout [[E, F], [I, 0]] under the same hypothesis, and Theorem 3.1 for
 the block matrix turns their layout and hypotheses into the kernel's, and
 swaps the two off-diagonal result blocks. The commutation rules cor2.5 and
 cor3.4 run on the transposes too, through thm2.3's and cor3.3's kernels:
-either law, with F group invertible, forces F^pi E F = 0.
+either law, with F group invertible, forces F^pi E F = 0. Each kernel
+forms E F# once, so they take five, six and seven n x n products; Theorem
+3.1's blocks follow from Meyer and Rose's block triangular formula in the
+basis that splits F (see _thm31).
 """
 
 from __future__ import annotations
@@ -196,15 +199,16 @@ def _thm21(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
     """[[E, I], [F, 0]]^# under F E F^pi = 0 (Theorem 2.1).
 
         gamma  = E^D F^pi
-        delta  = F# + (E^D F^pi)^2 - E^D F^pi E F#
+        delta  = F# + E^D F^pi (E^D F^pi - E F#)
         lambda = F F#
         xi     = -F F# E F#
     """
     f_sharp = df.drazin
+    e_f_sharp = e * f_sharp
     core = de.drazin * df.spectral_idempotent
+    delta = f_sharp + core * (core - e_f_sharp)
     projector = f * f_sharp
-    delta = f_sharp + core * core - core * e * f_sharp
-    return (core, delta, projector, -(projector * e * f_sharp)), {}
+    return (core, delta, projector, -(projector * e_f_sharp)), {}
 
 
 def _cor22(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
@@ -214,14 +218,14 @@ def _cor22(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
 
         gamma  = F^pi E^D F^pi
         delta  = I - F^pi E^D F^pi E
-        lambda = F# + (E^D F^pi)^2 - E^D F^pi E F#
+        lambda = F# + E^D F^pi (E^D F^pi - E F#)
         xi     = E^D F^pi - F# E - (E^D F^pi)^2 E + E^D F^pi E F# E
                = E^D F^pi - lambda E
     """
     f_sharp, f_pi = df.drazin, df.spectral_idempotent
     core = de.drazin * f_pi
     gamma = f_pi * core
-    lambda_blk = f_sharp + core * core - core * e * f_sharp
+    lambda_blk = f_sharp + core * (core - e * f_sharp)
     delta = Matrix.identity(e.rows) - gamma * e
     return (gamma, delta, lambda_blk, core - lambda_blk * e), {}
 
@@ -229,35 +233,26 @@ def _cor22(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
 def _thm31(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
     """[[E, F], [F, 0]]^# under F E F^pi = 0, F group invertible (Thm 3.1).
 
-    The blocks come from a factorization through N = [[E, I], [F^2, 0]],
-    whose group inverse has corners
+    In a basis where F = diag(C, 0) with C invertible, F E F^pi = 0 makes
+    E = [[A, 0], [X, D]]. Ordered (x1, y1 | x2, y2), M is block lower
+    triangular [[K, 0], [L, N]] with K = [[A, C], [C, 0]] invertible,
+    L = [[X, 0], [0, 0]] and N = diag(D, 0), and E E^pi F^pi = 0 makes D
+    group invertible. Meyer and Rose's formula (SIAM J. Appl. Math. 33,
+    1977), M^# = [[K^-1, 0], [N^pi L K^-2 - N^# L K^-1, N^#]], then gives
 
-        alpha = E^D F^pi + E^pi F^pi E (F#)^2
-        beta  = (F#)^2 + (E^D F^pi)^2 - E^pi F^pi E (F#)^2 E (F#)^2
-                - E^D F^pi E (F#)^2
-        gamma = F F#
-        delta = -F F# E (F#)^2
+        gamma  = alpha = E^D F^pi + E^pi F^pi E (F#)^2
+        delta  = F# - alpha E F#
+        lambda = F#
+        xi     = -F# E F#
 
-    and M^# = [[E, I], [F, 0]] (N^#)^2 diag(I, F). The four corners are
-    returned as extra ingredients.
+    in seven products. alpha is returned as an extra ingredient.
     """
     f_sharp, f_pi = df.drazin, df.spectral_idempotent
-    f_sharp2 = f_sharp * f_sharp
-    core = de.drazin * f_pi
-    edge = de.spectral_idempotent * f_pi * e * f_sharp2
-    alpha = core + edge
-    beta = f_sharp2 + core * core - alpha * e * f_sharp2
-    gamma_n = f * f_sharp
-    delta_n = -(gamma_n * e * f_sharp2)
-    lifted_alpha = e * alpha + gamma_n
-    lifted_beta = e * beta + delta_n
-    gamma = lifted_alpha * alpha + lifted_beta * gamma_n
-    delta = (lifted_alpha * beta + lifted_beta * delta_n) * f
-    lambda_blk = f * (alpha * alpha + beta * gamma_n)
-    xi = f * (alpha * beta + beta * delta_n) * f
-    return (gamma, delta, lambda_blk, xi), {
-        "alpha": alpha, "beta": beta, "gamma": gamma_n, "delta": delta_n,
-    }
+    e_f_sharp = e * f_sharp
+    alpha = (de.drazin * f_pi
+             + de.spectral_idempotent * f_pi * e_f_sharp * f_sharp)
+    return (alpha, f_sharp - alpha * e_f_sharp, f_sharp,
+            -(f_sharp * e_f_sharp)), {"alpha": alpha}
 
 
 @dataclass(frozen=True)
@@ -362,8 +357,7 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
     f, theorem)``. When its ``first_failure()`` is a standing hypothesis,
     HypothesisViolated is raised; when it is a refusal condition,
     NotGroupInvertible. Either exception carries the report as ``report``.
-    ``intermediates`` holds E^D, F#, E^pi and F^pi, plus the corners of N^#
-    for thm3.1.
+    ``intermediates`` holds E^D, F#, E^pi and F^pi, plus alpha for thm3.1.
     """
     rule = rule_for(theorem)
     _require_pair(e, f)

@@ -59,6 +59,35 @@ def thm31_statement(e, f):
     return gamma, delta, lambda_blk, xi
 
 
+def thm31_factored(e, f):
+    """Theorem 3.1 through N = [[E, I], [F^2, 0]], as the proof factors it.
+
+    The corners of N^# are
+
+        alpha = E^D F^pi + E^pi F^pi E (F#)^2
+        beta  = (F#)^2 + (E^D F^pi)^2 - E^pi F^pi E (F#)^2 E (F#)^2
+                - E^D F^pi E (F#)^2
+        gamma = F F#
+        delta = -F F# E (F#)^2
+
+    and M^# = [[E, I], [F, 0]] (N^#)^2 diag(I, F).
+    """
+    e_d, e_pi, f_sharp, f_pi = _ingredients(e, f)
+    f_sharp2 = f_sharp * f_sharp
+    core = e_d * f_pi
+    alpha = core + e_pi * f_pi * e * f_sharp2
+    beta = f_sharp2 + core * core - alpha * e * f_sharp2
+    gamma_n = f * f_sharp
+    delta_n = -(gamma_n * e * f_sharp2)
+    lifted_alpha = e * alpha + gamma_n
+    lifted_beta = e * beta + delta_n
+    gamma = lifted_alpha * alpha + lifted_beta * gamma_n
+    delta = (lifted_alpha * beta + lifted_beta * delta_n) * f
+    lambda_blk = f * (alpha * alpha + beta * gamma_n)
+    xi = f * (alpha * beta + beta * delta_n) * f
+    return gamma, delta, lambda_blk, xi
+
+
 def cor32_direct(e, f):
     """[[E, F], [F, 0]]^# under F^pi E F = 0 (Corollary 3.2), direct form."""
     e_d, e_pi, f_sharp, f_pi = _ingredients(e, f)

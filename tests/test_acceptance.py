@@ -27,6 +27,7 @@ from paper_forms import (
     cor24_direct,
     cor32_direct,
     thm23_direct,
+    thm31_factored,
     thm31_statement,
 )
 
@@ -154,6 +155,14 @@ def test_criterion_5_route_consistency(corpus):
         for t in corpus["thm3.1"]:
             result = block_group_inverse("thm3.1", t.e, t.f)
             assert blocks(result) == thm31_statement(t.e, t.f)
+
+
+def test_thm31_matches_factored_route(corpus):
+    # The library's three blocks against the proof's route through N^#.
+    for t in corpus["thm3.1"]:
+        gamma, delta, lambda_blk, xi = thm31_factored(t.e, t.f)
+        assert t.report.formula == Matrix.from_blocks([[gamma, delta],
+                                                       [lambda_blk, xi]])
 
 
 def _battery_scalar(rng):

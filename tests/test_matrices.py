@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -135,6 +136,32 @@ class TestRowReduction:
     @given(square_matrices())
     def test_rank_matches_rref(self, m):
         assert rank(m) == rref(m)[1]
+
+
+def _first_nonzero_pivots():
+    """Every row the same size: the first candidate row pivots."""
+    return mock.patch.object(matrices, "_bits", lambda vector: 0)
+
+
+class TestPivotChoice:
+    def test_smaller_candidate_row_pivots(self):
+        m = mat([["4115", "226", "7"], ["1", "2", "0"], ["0", "3", "1"]])
+        rows = matrices._integer_rows(m)[0]
+        assert matrices._gauss_jordan(rows, 3, False)[2][0] == 1
+        with _first_nonzero_pivots():
+            rows = matrices._integer_rows(m)[0]
+            assert matrices._gauss_jordan(rows, 3, False)[2][0] == 0
+
+    def test_size_counts_both_parts(self):
+        assert matrices._bits(([4, -1, 0], None)) == 4
+        assert matrices._bits(([4, -1, 0], [0, 2, -8])) == 10
+
+    @given(st.one_of(rect_matrices(4), singular_square_matrices(max_n=4)))
+    def test_outputs_equal_first_nonzero_pivoting(self, m):
+        square = m.is_square and rank(m) == m.rows
+        results = rref(m), inverse(m) if square else None
+        with _first_nonzero_pivots():
+            assert results == (rref(m), inverse(m) if square else None)
 
 
 class TestExactDivision:

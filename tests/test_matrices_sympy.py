@@ -8,6 +8,7 @@ shares no code with blockginv.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -201,6 +202,29 @@ def test_inverse_with_row_swaps(m):
 ])
 def test_fixed_inverses_with_row_swaps(rows):
     assert_inverse_agrees(mat(rows))
+
+
+def _complex_deficient_layouts():
+    """Two assembled 2n matrices per layout, complex and rank-deficient."""
+    found = []
+    for theorem in ("thm2.1", "cor2.2", "thm3.1"):
+        pairs = (gen_pair(GenSpec(theorem, 3 + seed % 3, 1, seed % 2 == 0,
+                                  seed=seed))
+                 for seed in range(60))
+        complex_pairs = ((e, f) for e, f in pairs
+                         if e._im is not None or f._im is not None)
+        found += [assemble_M(e, f, SHAPE_FOR_THEOREM[theorem])
+                  for e, f in islice(complex_pairs, 2)]
+    return found
+
+
+@pytest.mark.parametrize("m", _complex_deficient_layouts())
+def test_rref_and_inverse_of_assembled_layouts(m):
+    # The identity and zero blocks give small rows that pivot first.
+    assert m._im is not None and to_sympy(m).rank() < m.rows
+    assert_rank_rref_agree(m)
+    assert_inverse_agrees(m)
+    assert_inverse_agrees(m + Matrix.identity(m.rows))
 
 
 _P, _S = blockginv_matrices._P, blockginv_matrices._S

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from blockginv import matrices
 from blockginv.generators import GenSpec, gen_pair
 from blockginv.ginverse import NotGroupInvertible, drazin
 from blockginv.matrices import Matrix, ShapeMismatch
@@ -31,6 +32,7 @@ from paper_forms import (
     cor24_direct,
     cor32_direct,
     thm23_direct,
+    thm31_factored,
     thm31_statement,
 )
 
@@ -217,6 +219,46 @@ class TestCor25:
         with pytest.raises(NotGroupInvertible):
             block_group_inverse("cor2.5", Matrix.identity(2),
                                 mat([["0", "1"], ["0", "0"]]))
+
+
+class TestFactoredRoute:
+    """Theorem 3.1 and its corollaries against the route through N^#."""
+
+    @given(theorem=st.sampled_from(["thm3.1", "cor3.2", "cor3.3", "cor3.4"]),
+           n=st.integers(1, 5), data=st.data())
+    def test_drawn_pairs(self, theorem, n, data):
+        rank_f = data.draw(st.integers(0, n))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        e, f = gen_pair(GenSpec(theorem, n, rank_f, True, seed=seed))
+        assembled = block_group_inverse(theorem, e, f).assembled
+        if rule_for(theorem).mirrored:
+            # The mirrored rules are the kernel's on the transposes.
+            e, f = e.transpose(), f.transpose()
+            assembled = assembled.transpose()
+        gamma, delta, lambda_blk, xi = thm31_factored(e, f)
+        assert assembled == Matrix.from_blocks([[gamma, delta],
+                                                [lambda_blk, xi]])
+
+
+class TestProductCounts:
+    """Each kernel call evaluates a fixed number of n x n products."""
+
+    @pytest.mark.parametrize("theorem, products", [
+        ("thm2.1", 5), ("cor2.2", 6), ("thm3.1", 7),
+    ])
+    def test_kernel_products(self, theorem, products, monkeypatch):
+        e, f = gen_pair(GenSpec(theorem, 3, 1, True, seed=17))
+        de, df = drazin(e), drazin(f)
+        calls = []
+        product = matrices._product
+
+        def counting_product(left, right):
+            calls.append(left.shape)
+            return product(left, right)
+
+        monkeypatch.setattr(matrices, "_product", counting_product)
+        rule_for(theorem).kernel(e, f, de, df)
+        assert len(calls) == products
 
 
 class TestThm31Errors:
