@@ -1,8 +1,9 @@
 """Exact Drazin and group inverses over the Gaussian rationals.
 
-Scalars are pairs of ``fractions.Fraction``; matrix products and
-elimination clear denominators and run on Gaussian integers. Results are
-exact and every equality check is literal. The ``theorems`` module carries
+Scalars are pairs of ``fractions.Fraction``; a matrix is stored as
+Gaussian-integer numerators over one shared denominator, so products and
+elimination run on Gaussian integers. Results are exact and every
+equality check is literal. The ``theorems`` module carries
 closed-form group inverses for three anti-triangular block layouts, one
 table of nine rules over three formula kernels; the ``generators`` module
 draws seeded random instances and checks the closed forms against the

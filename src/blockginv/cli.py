@@ -52,9 +52,10 @@ def _entry_text(re: int, im: int, den: int) -> str:
 
 def matrix_to_rows(matrix: Matrix) -> list[list[str]]:
     """The entries as scalar strings, formatted from the stored integers."""
-    w, im = matrix.cols, matrix._im or repeat(0)
+    w = matrix.cols
     try:
-        texts = list(map(_entry_text, matrix._re, im, repeat(matrix._den)))
+        texts = list(map(_entry_text, matrix._re, matrix._im,
+                         repeat(matrix._den)))
     except ValueError as exc:  # Python's limit on int-to-str digits
         raise OutputError(f"a result entry exceeds Python's limit of "
                           f"{sys.get_int_max_str_digits()} digits") from exc
@@ -133,7 +134,7 @@ def _condition_json(condition: Condition) -> dict:
         "residual": matrix_to_rows(condition.residual),
     }
     if condition.lam is not None:
-        out["lambda"] = str(condition.lam)
+        out["lambda"] = matrix_to_rows(Matrix(1, 1, [condition.lam]))[0][0]
     return out
 
 

@@ -16,6 +16,7 @@ and with any worker count.
 from __future__ import annotations
 
 import enum
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -403,10 +404,11 @@ def run_campaign(theorem: str, trials: int, max_n: int, seed: int,
         n, rank_f = _draw_dims(rng, theorem, max_n, spare)
         specs.append(GenSpec(theorem, n, rank_f, not negative,
                              seed * 1_000_003 + i))
-    if jobs <= 1:
+    workers = min(jobs, len(specs), os.cpu_count() or 1)
+    if workers <= 1:
         return [_run_trial(spec) for spec in specs]
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(specs) // (jobs * 4) or 1)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(specs) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_trial, specs, chunksize=chunk))

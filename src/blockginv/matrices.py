@@ -4,10 +4,10 @@ A Matrix is immutable and sized rows x cols; either dimension may be zero
 (empty bases fall out of rank computations naturally). It is stored as
 Gaussian-integer numerators over one shared denominator: ``_den`` is a
 positive int, and ``_re`` and ``_im`` are row-major tuples of ints, so
-entry (i, j) is (_re[k] + _im[k]*i) / _den with k = i*cols + j. ``_im`` is
-None exactly when the matrix is real. The form is canonical: the gcd of
-the denominator and all numerators is 1 (the zero matrix has denominator
-1), so equal matrices have equal storage. Entries become GaussianRational
+entry (i, j) is (_re[k] + _im[k]*i) / _den with k = i*cols + j; a real
+matrix has an all-zero ``_im``. The form is canonical: the gcd of the
+denominator and all numerators is 1 (the zero matrix has denominator 1),
+so equal matrices have equal storage. Entries become GaussianRational
 values only when read.
 
 Sums and scalar multiples combine the numerator lists over one LCM
@@ -68,30 +68,25 @@ def _coerce_entry(value: _Entry) -> GaussianRational:
 
 
 def _matrix(rows: int, cols: int, den: int, re: Sequence[int],
-            im: Sequence[int] | None) -> Matrix:
+            im: Sequence[int]) -> Matrix:
     """A Matrix on numerators over den > 0, brought to canonical form."""
-    if im is not None and not any(im):
-        im = None
-    g = gcd(den, *re) if im is None else gcd(den, *re, *im)
+    g = gcd(den, *re, *im)
     if g > 1:
         den //= g
         re = [a // g for a in re]
-        if im is not None:
-            im = [b // g for b in im]
+        im = [b // g for b in im]
     out = object.__new__(Matrix)
     out.rows, out.cols, out._den = rows, cols, den
-    out._re = tuple(re)
-    out._im = None if im is None else tuple(im)
+    out._re, out._im = tuple(re), tuple(im)
     return out
 
 
 def _lifted(m: Matrix, den: int) -> tuple[Sequence[int], Sequence[int]]:
-    """m's numerators over den, a multiple of m._den (a real m: im zeros)."""
+    """m's numerators over den, a multiple of m._den."""
     s = den // m._den
-    im = (0,) * len(m._re) if m._im is None else m._im
     if s == 1:
-        return m._re, im
-    return [a * s for a in m._re], [b * s for b in im]
+        return m._re, m._im
+    return [a * s for a in m._re], [b * s for b in m._im]
 
 
 def _entry(den: int, re: int, im: int) -> GaussianRational:
@@ -111,8 +106,8 @@ class Matrix:
         den = lcm(*(q.denominator for pair in parts for q in pair))
         re = tuple(a.numerator * (den // a.denominator) for a, _ in parts)
         im = tuple(b.numerator * (den // b.denominator) for _, b in parts)
-        self.rows, self.cols, self._den, self._re = rows, cols, den, re
-        self._im = im if any(im) else None
+        self.rows, self.cols, self._den = rows, cols, den
+        self._re, self._im = re, im
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[_Entry]]) -> Matrix:
@@ -126,11 +121,12 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> Matrix:
         return _matrix(n, n, 1, [int(i == j) for i in range(n)
-                                 for j in range(n)], None)
+                                 for j in range(n)], [0] * (n * n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Matrix:
-        return _matrix(rows, cols, 1, [0] * (rows * cols), None)
+        zero = [0] * (rows * cols)
+        return _matrix(rows, cols, 1, zero, zero)
 
     @classmethod
     def from_blocks(cls, grid: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -179,21 +175,19 @@ class Matrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) outside {self.rows}x{self.cols}")
         k = i * self.cols + j
-        return _entry(self._den, self._re[k],
-                      0 if self._im is None else self._im[k])
+        return _entry(self._den, self._re[k], self._im[k])
 
     def row(self, i: int) -> tuple[GaussianRational, ...]:
         lo, hi = i * self.cols, (i + 1) * self.cols
-        im = repeat(0) if self._im is None else self._im[lo:hi]
-        return tuple(map(_entry, repeat(self._den), self._re[lo:hi], im))
+        return tuple(map(_entry, repeat(self._den), self._re[lo:hi],
+                         self._im[lo:hi]))
 
     def to_lists(self) -> list[list[GaussianRational]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def _take(self, rows: int, cols: int, indices: list[int]) -> Matrix:
-        im = self._im
         return _matrix(rows, cols, self._den, [self._re[k] for k in indices],
-                       None if im is None else [im[k] for k in indices])
+                       [self._im[k] for k in indices])
 
     def submatrix(self, row_start: int, row_stop: int,
                   col_start: int, col_stop: int) -> Matrix:
@@ -214,7 +208,7 @@ class Matrix:
                                        for i in range(rows)])
 
     def is_zero(self) -> bool:
-        return self._im is None and not any(self._re)
+        return not any(self._re) and not any(self._im)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -245,8 +239,7 @@ class Matrix:
 
     def __neg__(self) -> Matrix:
         return _matrix(self.rows, self.cols, self._den,
-                       [-a for a in self._re],
-                       None if self._im is None else [-b for b in self._im])
+                       [-a for a in self._re], [-b for b in self._im])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -282,9 +275,9 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} {self})"
 
 
-# In elimination, a Gaussian-integer row is a pair (re, im) of int lists,
-# im None for a real matrix; a Gaussian-integer scalar is an (re, im) pair.
-_ZiVector = tuple[list[int], list[int] | None]
+# In elimination, a Gaussian-integer row is a pair (re, im) of int lists
+# and a Gaussian-integer scalar is an (re, im) pair of ints.
+_ZiVector = tuple[list[int], list[int]]
 _Zi = tuple[int, int]
 
 
@@ -294,8 +287,8 @@ def _scaled(matrix: Matrix, value) -> Matrix:
     if scalar is None:
         return NotImplemented
     c = Matrix(1, 1, [scalar])
-    (p,), (q,) = _lifted(c, c._den)
-    a, b = _lifted(matrix, matrix._den)
+    (p,), (q,) = c._re, c._im
+    a, b = matrix._re, matrix._im
     return _matrix(matrix.rows, matrix.cols, matrix._den * c._den,
                    [s * p - t * q for s, t in zip(a, b)],
                    [s * q + t * p for s, t in zip(a, b)])
@@ -306,24 +299,16 @@ def _product(left: Matrix, right: Matrix) -> Matrix:
 
     Row i of the left factor is (a + b*i)/s and column j of the right one
     is (c + d*i)/t with integer vectors a, b, c, d, so entry (i, j) is
-    (a.c - b.d + (a.d + b.c)*i) / (s*t); one gcd reduces the result. A
-    complex product takes three dot products per entry (Gauss's trick):
+    (a.c - b.d + (a.d + b.c)*i) / (s*t); one gcd reduces the result. Each
+    entry takes three dot products (Gauss's trick):
     a.c - b.d = (a+b).c - b.(c+d) and a.d + b.c = (a+b).c + a.(d-c).
     """
     n, width = left.cols, right.cols
-    den = left._den * right._den
-    a_rows = [left._re[i * n:(i + 1) * n] for i in range(left.rows)]
-    c_cols = [right._re[j::width] for j in range(width)]
-    if left._im is None and right._im is None:
-        return _matrix(left.rows, width, den,
-                       [sum(map(mul, a, c)) for a in a_rows for c in c_cols],
-                       None)
-    left_im = _lifted(left, left._den)[1]
-    right_im = _lifted(right, right._den)[1]
-    rows = [(a, b, list(map(add, a, b))) for a, b in zip(
-        a_rows, (left_im[i * n:(i + 1) * n] for i in range(left.rows)))]
-    cols = [(c, list(map(add, c, d)), list(map(sub, d, c))) for c, d in zip(
-        c_cols, (right_im[j::width] for j in range(width)))]
+    rows = [(a, b, list(map(add, a, b))) for a, b in (
+        (left._re[i * n:(i + 1) * n], left._im[i * n:(i + 1) * n])
+        for i in range(left.rows))]
+    cols = [(c, list(map(add, c, d)), list(map(sub, d, c))) for c, d in (
+        (right._re[j::width], right._im[j::width]) for j in range(width))]
     re: list[int] = []
     im: list[int] = []
     for a, b, a_plus_b in rows:
@@ -331,7 +316,7 @@ def _product(left: Matrix, right: Matrix) -> Matrix:
             k = sum(map(mul, a_plus_b, c))
             re.append(k - sum(map(mul, b, c_plus_d)))
             im.append(k + sum(map(mul, a, d_minus_c)))
-    return _matrix(left.rows, width, den, re, im)
+    return _matrix(left.rows, width, left._den * right._den, re, im)
 
 
 def _integer_rows(matrix: Matrix) -> tuple[list[_ZiVector], list[int]]:
@@ -339,24 +324,16 @@ def _integer_rows(matrix: Matrix) -> tuple[list[_ZiVector], list[int]]:
     w, re, im = matrix.cols, matrix._re, matrix._im
     rows, contents = [], []
     for i in range(matrix.rows):
-        a = re[i * w:(i + 1) * w]
-        b = None if im is None else im[i * w:(i + 1) * w]
-        g = gcd(*a, *(b or ())) or 1
-        rows.append(([x // g for x in a],
-                     None if b is None else [y // g for y in b]))
+        a, b = re[i * w:(i + 1) * w], im[i * w:(i + 1) * w]
+        g = gcd(*a, *b) or 1
+        rows.append(([x // g for x in a], [y // g for y in b]))
         contents.append(g)
     return rows, contents
-
-
-def _lead(vector: _ZiVector, col: int) -> _Zi:
-    re, im = vector
-    return re[col], (0 if im is None else im[col])
 
 
 def _times_conj(vector: _ZiVector, d: _Zi) -> tuple[list[int], list[int]]:
     """The vector times conj(d): over the norm |d|^2, the vector over d."""
     (re, im), (dr, di) = vector, d
-    im = im or [0] * len(re)
     return ([a * dr + b * di for a, b in zip(re, im)],
             [b * dr - a * di for a, b in zip(re, im)])
 
@@ -382,11 +359,7 @@ def _combine(p: _Zi, x: _ZiVector, c: _Zi, y: _ZiVector,
         (pr, cr), (pi, ci) = _times_conj(([pr, cr], [pi, ci]), d)
         dr = dr * dr + di * di
     (xr, xi), (yr, yi) = x, y
-    if xi is None:
-        im = None
-        re = ([pr * a - cr * e for a, e in zip(xr, yr)] if cr
-              else [pr * a for a in xr])
-    elif not (cr or ci):
+    if not (cr or ci):
         re = [pr * a - pi * b for a, b in zip(xr, xi)]
         im = [pr * b + pi * a for a, b in zip(xr, xi)]
     elif pi or ci:
@@ -399,25 +372,23 @@ def _combine(p: _Zi, x: _ZiVector, c: _Zi, y: _ZiVector,
         im = [pr * b - cr * f for b, f in zip(xi, yi)]
     if dr == 1:
         return re, im
-    return (_exact_quotients(re, dr),
-            None if im is None else _exact_quotients(im, dr))
+    return _exact_quotients(re, dr), _exact_quotients(im, dr)
 
 
 def _pop(vector: _ZiVector, slot: int, tail: _Zi | None) -> _Zi:
     """Remove and return the vector's entry at slot; append tail if given."""
     re, im = vector
-    out = re.pop(slot), (0 if im is None else im.pop(slot))
+    out = re.pop(slot), im.pop(slot)
     if tail:
         re.append(tail[0])
-        if im is not None:
-            im.append(tail[1])
+        im.append(tail[1])
     return out
 
 
 def _bits(vector: _ZiVector) -> int:
     """A row's size: the bit lengths of its real and imaginary parts, summed."""
     re, im = vector
-    return sum(map(int.bit_length, re)) + sum(map(int.bit_length, im or ()))
+    return sum(map(int.bit_length, re)) + sum(map(int.bit_length, im))
 
 
 def _gauss_jordan(rows: list[_ZiVector], width: int,
@@ -440,7 +411,7 @@ def _gauss_jordan(rows: list[_ZiVector], width: int,
             break
         slot = col - top
         candidates = [r for r in range(top, height)
-                      if any(_lead(rows[r], slot))]
+                      if rows[r][0][slot] or rows[r][1][slot]]
         if not candidates:
             continue
         selected = min(candidates, key=lambda r: _bits(rows[r]))
@@ -467,8 +438,8 @@ def _certainly_invertible(matrix: Matrix) -> bool:
     i -> S is a ring map, so if elimination mod P finds every pivot, the
     numerators' determinant is nonzero. It can vanish mod an unlucky P.
     """
-    n, im = matrix.rows, matrix._im or repeat(0)
-    residues = [(a + b * _S) % _P for a, b in zip(matrix._re, im)]
+    n = matrix.rows
+    residues = [(a + b * _S) % _P for a, b in zip(matrix._re, matrix._im)]
     rows = [residues[i * n:(i + 1) * n] for i in range(n)]
     while rows:
         k = next((k for k, row in enumerate(rows) if row[0]), None)
@@ -499,9 +470,8 @@ def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
         re[t * width + pivot_col] = norm
         for col, a, b in zip(free, *_times_conj(row, d)):
             re[t * width + col], im[t * width + col] = a, b
-    return (_matrix(height, width, norm, re,
-                    None if matrix._im is None else im),
-            len(pivot_cols), tuple(pivot_cols))
+    return (_matrix(height, width, norm, re, im), len(pivot_cols),
+            tuple(pivot_cols))
 
 
 def rank(matrix: Matrix) -> int:
@@ -538,8 +508,7 @@ def inverse(matrix: Matrix) -> Matrix:
     for i, row in enumerate(rows):
         for j, f, a, b in zip(order, factors, *_times_conj(row, d)):
             re[i * n + j], im[i * n + j] = a * f, b * f
-    return _matrix(n, n, (d[0] * d[0] + d[1] * d[1]) * scale, re,
-                   None if matrix._im is None else im)
+    return _matrix(n, n, (d[0] * d[0] + d[1] * d[1]) * scale, re, im)
 
 
 def kernel_basis(matrix: Matrix) -> Matrix:

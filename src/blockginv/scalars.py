@@ -105,9 +105,6 @@ class GaussianRational:
             return NotImplemented
         a, b = self.re, self.im
         c, d = other.re, other.im
-        # Purely real factors dominate in practice; skip the cross terms.
-        if not (b or d):
-            return GaussianRational._new(a * c, _ZERO)
         return GaussianRational._new(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__

@@ -314,6 +314,21 @@ class TestInputErrors:
         assert payload["error"] == "OutputError"
         assert f"{sys.get_int_max_str_digits()} digits" in payload["message"]
 
+    @pytest.mark.parametrize("command", ["check", "block"])
+    def test_lambda_past_the_digit_limit(self, command, tmp_path, capsys):
+        # EF = lambda FE with lambda = 10^(2k): every input entry has at
+        # most k + 1 digits, under the limit, but lambda has 2k + 1, over it.
+        k = sys.get_int_max_str_digits() // 2 + 1
+        e = write_matrix(tmp_path / "E.json", [["0", "1"], ["0", "0"]])
+        f = write_matrix(tmp_path / "F.json", [["1/1" + "0" * k, "0"],
+                                               ["0", "1" + "0" * k]])
+        code, out, err = run_cli(capsys, [command, "--theorem", "cor2.5",
+                                          "--E", e, "--F", f])
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "OutputError"
+        assert f"{sys.get_int_max_str_digits()} digits" in payload["message"]
+
     @pytest.mark.parametrize("entry", [1.5, True, None, ["1"]])
     def test_non_scalar_entries_rejected(self, entry, tmp_path, capsys):
         path = write_matrix(tmp_path / "m.json", [[entry]])

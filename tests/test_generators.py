@@ -1,5 +1,8 @@
 """Instance generation: determinism, postconditions, verdicts, exhaustion."""
 
+import concurrent.futures
+import os
+
 import pytest
 
 from blockginv.generators import (
@@ -202,6 +205,37 @@ class TestRunCampaign:
         parallel = run_campaign("thm3.1", 6, 4, seed=12, jobs=2)
         assert first == second
         assert first == parallel
+
+    def test_pool_is_capped_by_trials_and_cpus(self, monkeypatch):
+        # A stand-in pool records its size and maps in-process, so no
+        # worker process is ever started, whatever jobs asks for.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                assert chunksize >= 1
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        serial = run_campaign("thm2.1", 4, 3, seed=1)
+        assert run_campaign("thm2.1", 4, 3, seed=1, jobs=5000) == serial
+        assert run_campaign("thm2.1", 2, 3, seed=1, jobs=5000) == serial[:2]
+        assert run_campaign("thm2.1", 0, 3, seed=1, jobs=5000) == []
+        assert sizes == [3, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert run_campaign("thm2.1", 4, 3, seed=1, jobs=5000) == serial
+        assert sizes == [3, 2]
 
     def test_no_negative_campaign_for_unconditional_rules(self):
         with pytest.raises(GenerationExhausted):

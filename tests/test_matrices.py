@@ -153,7 +153,7 @@ class TestPivotChoice:
             assert matrices._gauss_jordan(rows, 3, False)[2][0] == 0
 
     def test_size_counts_both_parts(self):
-        assert matrices._bits(([4, -1, 0], None)) == 4
+        assert matrices._bits(([4, -1, 0], [0, 0, 0])) == 4
         assert matrices._bits(([4, -1, 0], [0, 2, -8])) == 10
 
     @given(st.one_of(rect_matrices(4), singular_square_matrices(max_n=4)))
@@ -189,7 +189,7 @@ class TestExactDivision:
 
     # The step (1*x - 0*x) / d is x / d, divided after the conj(d) fold.
     @pytest.mark.parametrize("re, im, d", [
-        ([4, 3], None, (2, 0)),
+        ([4, 3], [0, 0], (2, 0)),
         ([2, 1], [0, 0], (1, 1)),
         ([1], [1], (0, 2)),
     ])
@@ -277,16 +277,13 @@ class TestDistributivity:
 
 
 def assert_canonical(m: Matrix) -> None:
-    """Numerators over one positive denominator, with gcd 1 overall, and
-    no imaginary part stored for a real matrix."""
+    """Real and imaginary numerators over one positive denominator, with
+    gcd 1 overall; a real matrix stores all-zero imaginary numerators."""
     assert isinstance(m._den, int) and m._den > 0
-    assert isinstance(m._re, tuple) and len(m._re) == m.rows * m.cols
-    imag = () if m._im is None else m._im
-    assert m._im is None or (isinstance(imag, tuple)
-                             and len(imag) == len(m._re))
-    assert gcd(m._den, *m._re, *imag) == 1
-    real = all(not x.im for row in m.to_lists() for x in row)
-    assert (m._im is None) == real
+    for part in (m._re, m._im):
+        assert isinstance(part, tuple) and len(part) == m.rows * m.cols
+        assert all(type(x) is int for x in part)
+    assert gcd(m._den, *m._re, *m._im) == 1
 
 
 def square_pairs(max_n=3):
@@ -302,7 +299,7 @@ multipliers = st.one_of(scalars(), st.integers(-4, 4),
 class TestCanonicalForm:
     def test_zero_matrix_has_denominator_one(self):
         zero = mat([["1/3", "1/2i"]]) - mat([["1/3", "1/2i"]])
-        assert (zero._den, zero._re, zero._im) == (1, (0, 0), None)
+        assert (zero._den, zero._re, zero._im) == (1, (0, 0), (0, 0))
         assert zero == Matrix.zeros(1, 2)
         assert hash(zero) == hash(Matrix.zeros(1, 2))
 
