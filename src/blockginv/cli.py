@@ -107,6 +107,8 @@ def load_matrix(path: str) -> Matrix:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
     except ValueError as exc:  # an integer past Python's digit limit
         raise InputError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(payload, dict) or "rows" not in payload:
         raise InputError(f'{path}: expected an object with a "rows" key')
     return matrix_from_rows(payload["rows"], where=path)

@@ -321,7 +321,7 @@ def gen_pair(spec: GenSpec) -> tuple[Matrix, Matrix]:
             e, f = _draw_cor34(rng, spec)
         else:
             e, f = _draw_flavored(rng, spec)
-        failure = check_conditions(e, f, spec.theorem).first_failure()
+        failure = check_conditions(e, f, spec.theorem).first_failure
         if (failure.name if failure else None) == target:
             return e, f
     raise GenerationExhausted(

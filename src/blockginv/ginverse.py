@@ -128,7 +128,8 @@ def cline(a: Matrix, b: Matrix) -> DrazinResult:
     """Drazin inverse of a*b from the one of b*a: (ab)^D = a ((ba)^D)^2 b.
 
     Works for rectangular a (m x n) and b (n x m); the index and spectral
-    idempotent are derived for the product a*b.
+    idempotent are derived for the product a*b. No kernel calls it; it is
+    public, and acceptance criterion 6 checks it against ``drazin(a * b)``.
     """
     if a.cols != b.rows or a.rows != b.cols:
         raise ShapeMismatch("cline", a.shape, b.shape)

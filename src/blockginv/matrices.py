@@ -362,14 +362,11 @@ def _combine(p: _Zi, x: _ZiVector, c: _Zi, y: _ZiVector,
     if not (cr or ci):
         re = [pr * a - pi * b for a, b in zip(xr, xi)]
         im = [pr * b + pi * a for a, b in zip(xr, xi)]
-    elif pi or ci:
+    else:
         re = [pr * a - pi * b - cr * e + ci * f
               for a, b, e, f in zip(xr, xi, yr, yi)]
         im = [pr * b + pi * a - cr * f - ci * e
               for a, b, e, f in zip(xr, xi, yr, yi)]
-    else:
-        re = [pr * a - cr * e for a, e in zip(xr, yr)]
-        im = [pr * b - cr * f for b, f in zip(xi, yi)]
     if dr == 1:
         return re, im
     return _exact_quotients(re, dr), _exact_quotients(im, dr)

@@ -9,9 +9,10 @@ layout, its hypotheses in the order ``check_conditions`` reports them, and
 its route to the four result blocks. Standing hypotheses come first: when
 one fails the rule says nothing and HypothesisViolated is raised. Refusal
 conditions follow: when one fails the rule certifies that the block matrix
-has no group inverse and NotGroupInvertible is raised. Every decision is
-read off one full report by ``ConditionReport.first_failure``. F^pi is the
-spectral idempotent I - F F^D of F, and E^pi that of E.
+has no group inverse and NotGroupInvertible is raised. The one walk that
+builds a report records ``ConditionReport.first_failure``, and every
+decision reads it. F^pi is the spectral idempotent I - F F^D of F, and
+E^pi that of E.
 
 Three formula kernels do all the block algebra: Theorem 2.1 for
 [[E, I], [F, 0]] under F E F^pi = 0, Corollary 2.2 for the conjugate
@@ -48,6 +49,7 @@ class BlockShape(enum.Enum):
 
 # The either/or hypothesis of cor2.5 and cor3.4: one of the two laws holds.
 _COMMUTATION_PAIR = ("EF=lambda FE", "EF^2=FEF")
+_F_GROUP = "F group-invertible"
 
 
 def _names(hypothesis: str | tuple[str, ...]) -> tuple[str, ...]:
@@ -79,8 +81,15 @@ class Condition:
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """A rule's conditions and its first failing hypothesis (None if none).
+
+    An either/or fails when none of its conditions holds; it is then named
+    "A or B" and carries B's residual.
+    """
+
     theorem: str
     conditions: tuple[Condition, ...]
+    first_failure: Condition | None
 
     def holds(self, name: str) -> bool:
         for condition in self.conditions:
@@ -88,28 +97,14 @@ class ConditionReport:
                 return condition.holds
         raise KeyError(name)
 
-    def first_failure(self) -> Condition | None:
-        """The first of the rule's hypotheses that fails, or None.
-
-        An either/or hypothesis fails only when none of its conditions
-        holds; it is then named "A or B" and carries B's residual.
-        """
-        by_name = {condition.name: condition for condition in self.conditions}
-        for hypothesis in RULES[self.theorem].hypotheses:
-            names = _names(hypothesis)
-            if not any(by_name[name].holds for name in names):
-                return Condition(" or ".join(names), False,
-                                 by_name[names[-1]].residual)
-        return None
-
     def satisfied(self) -> bool:
         """True iff ``block_group_inverse`` would accept this pair."""
-        return self.first_failure() is None
+        return self.first_failure is None
 
 
 @dataclass(frozen=True)
 class BlockGroupInverse:
-    """The four result blocks, their assembly, ingredients and conditions."""
+    """The four result blocks, their assembly and the condition report."""
 
     theorem: str
     gamma: Matrix
@@ -117,7 +112,6 @@ class BlockGroupInverse:
     lambda_blk: Matrix
     xi: Matrix
     assembled: Matrix
-    intermediates: dict[str, Matrix]
     report: ConditionReport
 
 
@@ -208,7 +202,7 @@ def _thm21(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
     core = de.drazin * df.spectral_idempotent
     delta = f_sharp + core * (core - e_f_sharp)
     projector = f * f_sharp
-    return (core, delta, projector, -(projector * e_f_sharp)), {}
+    return core, delta, projector, -(projector * e_f_sharp)
 
 
 def _cor22(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
@@ -227,7 +221,7 @@ def _cor22(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
     gamma = f_pi * core
     lambda_blk = f_sharp + core * (core - e * f_sharp)
     delta = Matrix.identity(e.rows) - gamma * e
-    return (gamma, delta, lambda_blk, core - lambda_blk * e), {}
+    return gamma, delta, lambda_blk, core - lambda_blk * e
 
 
 def _thm31(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
@@ -245,14 +239,13 @@ def _thm31(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
         lambda = F#
         xi     = -F# E F#
 
-    in seven products. alpha is returned as an extra ingredient.
+    in seven products.
     """
     f_sharp, f_pi = df.drazin, df.spectral_idempotent
     e_f_sharp = e * f_sharp
     alpha = (de.drazin * f_pi
              + de.spectral_idempotent * f_pi * e_f_sharp * f_sharp)
-    return (alpha, f_sharp - alpha * e_f_sharp, f_sharp,
-            -(f_sharp * e_f_sharp)), {"alpha": alpha}
+    return alpha, f_sharp - alpha * e_f_sharp, f_sharp, -(f_sharp * e_f_sharp)
 
 
 @dataclass(frozen=True)
@@ -263,8 +256,8 @@ class Rule:
     reported and decided. A hypothesis is one condition name, or a tuple of
     names of which at least one must hold: the commutation pair of cor2.5
     and cor3.4. The route is ``kernel``, run on (E^T, F^T) when
-    ``mirrored``. A kernel maps (E, F, drazin(E), drazin(F)) to the blocks
-    (gamma, delta, lambda, xi) and a dict of extra ingredients.
+    ``mirrored``. A kernel maps (E, F, drazin(E), drazin(F)) to the four
+    blocks (gamma, delta, lambda, xi).
     """
 
     shape: BlockShape
@@ -287,8 +280,6 @@ class Rule:
         """The existence condition that refusal instances break, if any."""
         return self.refusing[-1] if self.refusing else None
 
-
-_F_GROUP = "F group-invertible"
 
 RULES: dict[str, Rule] = {
     "thm2.1": Rule(BlockShape.EI_F0, ("FEF^pi=0",),
@@ -338,11 +329,14 @@ def check_conditions(e: Matrix, f: Matrix, theorem: str) -> ConditionReport:
 
 def _report(theorem: str, e: Matrix, f: Matrix, de: DrazinResult,
             df: DrazinResult) -> ConditionReport:
-    return ConditionReport(theorem, tuple(
-        condition
-        for hypothesis in rule_for(theorem).hypotheses
-        for condition in _evaluate(hypothesis, e, f, de, df)
-    ))
+    conditions, failure = [], None
+    for hypothesis in rule_for(theorem).hypotheses:
+        found = _evaluate(hypothesis, e, f, de, df)
+        conditions += found
+        if failure is None and not any(c.holds for c in found):
+            failure = Condition(" or ".join(c.name for c in found), False,
+                                found[-1].residual)
+    return ConditionReport(theorem, tuple(conditions), failure)
 
 
 def _transposed(result: DrazinResult) -> DrazinResult:
@@ -354,16 +348,15 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
     """Group inverse of the named rule's block matrix, from its closed form.
 
     The full condition report is built first and equals ``check_conditions(e,
-    f, theorem)``. When its ``first_failure()`` is a standing hypothesis,
+    f, theorem)``. When its ``first_failure`` is a standing hypothesis,
     HypothesisViolated is raised; when it is a refusal condition,
     NotGroupInvertible. Either exception carries the report as ``report``.
-    ``intermediates`` holds E^D, F#, E^pi and F^pi, plus alpha for thm3.1.
     """
     rule = rule_for(theorem)
     _require_pair(e, f)
     de, df = drazin(e), drazin(f)
     report = _report(theorem, e, f, de, df)
-    failure = report.first_failure()
+    failure = report.first_failure
     if failure is not None:
         name = failure.name
         if name not in rule.refusing:
@@ -378,22 +371,11 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
         error.report = report
         raise error
     if rule.mirrored:
-        # Transposing swaps the off-diagonal blocks. The ingredients of the
-        # transposed problem are not kept.
-        (gamma, lambda_blk, delta, xi), _ = rule.kernel(
-            e.transpose(), f.transpose(), _transposed(de), _transposed(df)
-        )
-        gamma, delta, lambda_blk, xi = (
-            m.transpose() for m in (gamma, delta, lambda_blk, xi)
-        )
-        extras = {}
+        # Transposing swaps the off-diagonal blocks.
+        gamma, lambda_blk, delta, xi = (m.transpose() for m in rule.kernel(
+            e.transpose(), f.transpose(), _transposed(de), _transposed(df)))
     else:
-        (gamma, delta, lambda_blk, xi), extras = rule.kernel(e, f, de, df)
+        gamma, delta, lambda_blk, xi = rule.kernel(e, f, de, df)
     assembled = Matrix.from_blocks([[gamma, delta], [lambda_blk, xi]])
-    return BlockGroupInverse(
-        theorem, gamma, delta, lambda_blk, xi, assembled,
-        {"E_D": de.drazin, "F_sharp": df.drazin,
-         "E_pi": de.spectral_idempotent, "F_pi": df.spectral_idempotent,
-         **extras},
-        report,
-    )
+    return BlockGroupInverse(theorem, gamma, delta, lambda_blk, xi, assembled,
+                             report)

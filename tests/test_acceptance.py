@@ -227,9 +227,9 @@ def test_criterion_7_proof_side_conditions(corpus):
     with _Criterion(7, "proof side conditions on positive thm3.1 instances"):
         for t in corpus["thm3.1"]:
             result = block_group_inverse("thm3.1", t.e, t.f)
-            alpha = result.intermediates["alpha"]
-            e_pi = result.intermediates["E_pi"]
-            f_pi = result.intermediates["F_pi"]
+            alpha = result.gamma
+            e_pi = drazin(t.e).spectral_idempotent
+            f_pi = drazin(t.f).spectral_idempotent
             assert (t.f * t.f * alpha).is_zero()
             assert (t.e * alpha * t.f).is_zero()
             assert (t.f * e_pi * f_pi).is_zero()

@@ -294,6 +294,14 @@ class TestInputErrors:
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "InputError"
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        depth = 100000
+        path.write_text('{"rows": ' + "[" * depth + "]" * depth + "}")
+        code, out, err = run_cli(capsys, ["drazin", str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "InputError"
+
     def test_scalar_string_past_the_digit_limit(self, tmp_path, capsys):
         # matrix_from_rows reports a bad entry as an InputError that names
         # the entry and the parser's offset.

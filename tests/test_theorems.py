@@ -15,6 +15,7 @@ from blockginv.theorems import (
     SHAPE_FOR_THEOREM,
     THEOREM_IDS,
     BlockShape,
+    Condition,
     HypothesisViolated,
     assemble_M,
     block_group_inverse,
@@ -61,12 +62,11 @@ class TestWorkedExample:
         ])
 
     def test_ingredients(self):
-        e, f = mat(WORKED_E), mat(WORKED_F)
-        result = block_group_inverse("thm3.1", e, f)
-        assert result.intermediates["E_D"] == e
-        assert result.intermediates["E_pi"].is_zero()
-        assert result.intermediates["F_sharp"] == mat([["-i", "-i"], ["0", "0"]])
-        assert result.intermediates["F_pi"] == mat([["0", "-1"], ["0", "1"]])
+        de, df = drazin(mat(WORKED_E)), drazin(mat(WORKED_F))
+        assert de.drazin == mat(WORKED_E)
+        assert de.spectral_idempotent.is_zero()
+        assert df.drazin == mat([["-i", "-i"], ["0", "0"]])
+        assert df.spectral_idempotent == mat([["0", "-1"], ["0", "1"]])
 
     def test_statement_form_agrees(self):
         e, f = mat(WORKED_E), mat(WORKED_F)
@@ -306,7 +306,6 @@ class TestCor33:
         oracle = oracle_of(e, f, "cor3.3")
         assert oracle.index == 1
         assert result.assembled == oracle.drazin
-        assert result.intermediates["E_D"] == drazin(e).drazin
 
     def test_non_commuting_invertible_e(self):
         e = mat([["1", "1"], ["0", "1"]])
@@ -416,14 +415,32 @@ def _pairs_of_one_size():
     return st.integers(1, 3).flatmap(build)
 
 
+def walked_failure(rule, report):
+    """The first failing hypothesis, found by a second walk over the rule.
+
+    This is independent of the walk that built the report: each hypothesis
+    is looked up by name, and an either/or fails only when none of its
+    conditions holds, named "A or B" with B's residual.
+    """
+    by_name = {condition.name: condition for condition in report.conditions}
+    for hypothesis in rule.hypotheses:
+        names = (hypothesis,) if isinstance(hypothesis, str) else hypothesis
+        if not any(by_name[name].holds for name in names):
+            return Condition(" or ".join(names), False,
+                             by_name[names[-1]].residual)
+    return None
+
+
 class TestOneDecision:
-    """block_group_inverse, satisfied() and gen_pair decide alike."""
+    """block_group_inverse, satisfied() and gen_pair decide alike, and the
+    stored decision agrees with an independent walk of the hypotheses."""
 
     @staticmethod
     def assert_same_decision(theorem, e, f):
         rule = rule_for(theorem)
         report = check_conditions(e, f, theorem)
-        failure = report.first_failure()
+        failure = report.first_failure
+        assert failure == walked_failure(rule, report)
         try:
             block_group_inverse(theorem, e, f)
         except (HypothesisViolated, NotGroupInvertible) as exc:
@@ -450,7 +467,7 @@ class TestOneDecision:
         n = 4 if theorem in ("thm3.1", "cor3.2") else 3
         for seed in range(3):
             e, f = gen_pair(GenSpec(theorem, n, 1, satisfy=False, seed=seed))
-            failure = check_conditions(e, f, theorem).first_failure()
+            failure = check_conditions(e, f, theorem).first_failure
             assert failure.name == rule_for(theorem).blocker
             self.assert_same_decision(theorem, e, f)
 
