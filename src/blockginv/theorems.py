@@ -22,10 +22,19 @@ layout [[E, F], [I, 0]] under the same hypothesis, and Theorem 3.1 for
 the block matrix turns their layout and hypotheses into the kernel's, and
 swaps the two off-diagonal result blocks. The commutation rules cor2.5 and
 cor3.4 run on the transposes too, through thm2.3's and cor3.3's kernels:
-either law, with F group invertible, forces F^pi E F = 0. Each kernel
-forms E F# once, so they take five, six and seven n x n products; Theorem
-3.1's blocks follow from Meyer and Rose's block triangular formula in the
-basis that splits F (see _thm31).
+either law, with F group invertible, forces F^pi E F = 0.
+
+The right-sided constraint F E F^pi = 0 makes range(F^pi) E-invariant,
+and the left-sided one does the same for the transposes. So no rule needs
+drazin(E). The kernel inputs and residuals on E's Drazin data come from
+T = E F^pi (F^pi E when mirrored), formed once per report:
+E^D F^pi = T^D and E^pi F^pi = F^pi + T^pi - I. "E group-invertible" is
+decided by drazin_index(E). A report reads drazin(E) only for a residual
+after a failed hypothesis, because it lists every residual.
+
+Each kernel forms E F# once, so they take three, four and five n x n
+products. Theorem 3.1's blocks follow from Meyer and Rose's block
+triangular formula in the basis that splits F (see _thm31).
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable
 
-from .ginverse import DrazinResult, NotGroupInvertible, drazin
+from .ginverse import DrazinResult, NotGroupInvertible, drazin, drazin_index
 from .matrices import Matrix, ShapeMismatch
 from .scalars import ZERO, GaussianRational
 
@@ -161,70 +170,93 @@ def _commutation(e: Matrix, f: Matrix) -> tuple[Condition, Condition]:
             Condition(_COMMUTATION_PAIR[1], aligned.is_zero(), aligned))
 
 
-# The matrix that vanishes iff the named condition holds, from
-# (E, F, E^pi, F^pi). The commutation pair is decided by _commutation.
-_RESIDUALS: dict[str, Callable[..., Matrix]] = {
-    "FEF^pi=0": lambda e, f, e_pi, f_pi: f * e * f_pi,
-    "F^pi EF=0": lambda e, f, e_pi, f_pi: f_pi * e * f,
-    "E^pi F^pi=0": lambda e, f, e_pi, f_pi: e_pi * f_pi,
-    "F^pi E^pi=0": lambda e, f, e_pi, f_pi: f_pi * e_pi,
-    "EE^pi F^pi=0": lambda e, f, e_pi, f_pi: e * e_pi * f_pi,
-    "F^pi E^pi E=0": lambda e, f, e_pi, f_pi: f_pi * e_pi * e,
-    "F group-invertible": lambda e, f, e_pi, f_pi: f * f_pi,
-    "E group-invertible": lambda e, f, e_pi, f_pi: e * e_pi,
+# The residuals read from E's Drazin data, given E and
+# S = E^pi F^pi (F^pi E^pi under the left-sided constraint).
+_E_RESIDUALS: dict[str, Callable[[Matrix, Matrix], Matrix]] = {
+    "E^pi F^pi=0": lambda e, side: side,
+    "F^pi E^pi=0": lambda e, side: side,
+    "EE^pi F^pi=0": lambda e, side: e * side,
+    "F^pi E^pi E=0": lambda e, side: side * e,
 }
 
 
+def _side(dt: DrazinResult, f_pi: Matrix) -> Matrix:
+    """S = F^pi + T^pi - I, from the Drazin data of T = E F^pi (F^pi E)."""
+    return f_pi + dt.spectral_idempotent - Matrix.identity(f_pi.rows)
+
+
 def _evaluate(hypothesis: str | tuple[str, ...], e: Matrix, f: Matrix,
-              de: DrazinResult, df: DrazinResult) -> tuple[Condition, ...]:
-    """The conditions of one hypothesis, in report order."""
+              df: DrazinResult, t: Matrix, mirrored: bool,
+              short: bool) -> tuple[Condition, ...]:
+    """The conditions of one hypothesis, in report order.
+
+    T is E F^pi, or F^pi E when ``mirrored``; the one-sided constraint's
+    residual is F T (T F). ``short`` says that every earlier hypothesis
+    held, which in every rule implies that constraint. Then the residuals
+    on E's Drazin data are read off T's: S = E^pi F^pi = F^pi + T^pi - I,
+    and E S = T T^pi (S E = T^pi T), which vanishes exactly when T has
+    index <= 1. Otherwise S comes from drazin(E).
+    """
     if hypothesis == _COMMUTATION_PAIR:
         return _commutation(e, f)
-    # Index <= 1 is exactly when E E^pi (F F^pi) vanishes: skip the product.
-    if (hypothesis == "E group-invertible" and de.index <= 1
-            or hypothesis == _F_GROUP and df.index <= 1):
-        return (Condition(hypothesis, True, Matrix.zeros(e.rows, e.rows)),)
-    residual = _RESIDUALS[hypothesis](e, f, de.spectral_idempotent,
-                                      df.spectral_idempotent)
+    zero, f_pi = Matrix.zeros(e.rows, e.rows), df.spectral_idempotent
+    # Index <= 1 is exactly when F F^pi (E E^pi) vanishes: skip the product.
+    if hypothesis == _F_GROUP:
+        residual = zero if df.index <= 1 else f * f_pi
+    elif hypothesis == "E group-invertible":
+        residual = (zero if drazin_index(e) <= 1
+                    else e * drazin(e).spectral_idempotent)
+    elif hypothesis in ("FEF^pi=0", "F^pi EF=0"):
+        residual = t * f if mirrored else f * t
+    elif short:
+        dt = drazin(t)
+        residual = (zero if dt.index <= 1
+                    and hypothesis in ("EE^pi F^pi=0", "F^pi E^pi E=0")
+                    else _E_RESIDUALS[hypothesis](e, _side(dt, f_pi)))
+    else:
+        e_pi = drazin(e).spectral_idempotent
+        residual = _E_RESIDUALS[hypothesis](
+            e, f_pi * e_pi if mirrored else e_pi * f_pi)
     return (Condition(hypothesis, residual.is_zero(), residual),)
 
 
-def _thm21(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
+def _thm21(e: Matrix, f_sharp: Matrix, f_pi: Matrix, core: Matrix,
+           side: Matrix):
     """[[E, I], [F, 0]]^# under F E F^pi = 0 (Theorem 2.1).
 
         gamma  = E^D F^pi
         delta  = F# + E^D F^pi (E^D F^pi - E F#)
-        lambda = F F#
+        lambda = F F# = I - F^pi
         xi     = -F F# E F#
     """
-    f_sharp = df.drazin
     e_f_sharp = e * f_sharp
-    core = de.drazin * df.spectral_idempotent
     delta = f_sharp + core * (core - e_f_sharp)
-    projector = f * f_sharp
+    projector = Matrix.identity(e.rows) - f_pi
     return core, delta, projector, -(projector * e_f_sharp)
 
 
-def _cor22(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
+def _cor22(e: Matrix, f_sharp: Matrix, f_pi: Matrix, core: Matrix,
+           side: Matrix):
     """[[E, F], [I, 0]]^# under F E F^pi = 0 (Corollary 2.2).
 
     The layout is conjugate to Theorem 2.1's via P = [[0, I], [I, -E]]:
 
-        gamma  = F^pi E^D F^pi
+        gamma  = F^pi E^D F^pi = E^D F^pi
         delta  = I - F^pi E^D F^pi E
         lambda = F# + E^D F^pi (E^D F^pi - E F#)
         xi     = E^D F^pi - F# E - (E^D F^pi)^2 E + E^D F^pi E F# E
                = E^D F^pi - lambda E
+
+    F^pi drops from gamma because E^D F^pi = (E F^pi)^D has its range in
+    that of E F^pi, inside range(F^pi).
     """
-    f_sharp, f_pi = df.drazin, df.spectral_idempotent
-    core = de.drazin * f_pi
-    gamma = f_pi * core
     lambda_blk = f_sharp + core * (core - e * f_sharp)
-    delta = Matrix.identity(e.rows) - gamma * e
-    return gamma, delta, lambda_blk, core - lambda_blk * e
+    delta = Matrix.identity(e.rows) - core * e
+    return core, delta, lambda_blk, core - lambda_blk * e
 
 
-def _thm31(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
+def _thm31(e: Matrix, f_sharp: Matrix, f_pi: Matrix, core: Matrix,
+           side: Matrix):
     """[[E, F], [F, 0]]^# under F E F^pi = 0, F group invertible (Thm 3.1).
 
     In a basis where F = diag(C, 0) with C invertible, F E F^pi = 0 makes
@@ -239,12 +271,10 @@ def _thm31(e: Matrix, f: Matrix, de: DrazinResult, df: DrazinResult):
         lambda = F#
         xi     = -F# E F#
 
-    in seven products.
+    in five products.
     """
-    f_sharp, f_pi = df.drazin, df.spectral_idempotent
     e_f_sharp = e * f_sharp
-    alpha = (de.drazin * f_pi
-             + de.spectral_idempotent * f_pi * e_f_sharp * f_sharp)
+    alpha = core + side * e_f_sharp * f_sharp
     return alpha, f_sharp - alpha * e_f_sharp, f_sharp, -(f_sharp * e_f_sharp)
 
 
@@ -256,8 +286,8 @@ class Rule:
     reported and decided. A hypothesis is one condition name, or a tuple of
     names of which at least one must hold: the commutation pair of cor2.5
     and cor3.4. The route is ``kernel``, run on (E^T, F^T) when
-    ``mirrored``. A kernel maps (E, F, drazin(E), drazin(F)) to the four
-    blocks (gamma, delta, lambda, xi).
+    ``mirrored``. A kernel maps (E, F#, F^pi, E^D F^pi, E^pi F^pi) to the
+    four blocks (gamma, delta, lambda, xi).
     """
 
     shape: BlockShape
@@ -324,24 +354,24 @@ def check_conditions(e: Matrix, f: Matrix, theorem: str) -> ConditionReport:
     the EF=lambda FE entry also carries the scalar when one exists.
     """
     _require_pair(e, f)
-    return _report(theorem, e, f, drazin(e), drazin(f))
+    return _report(theorem, e, f, drazin(f))[0]
 
 
-def _report(theorem: str, e: Matrix, f: Matrix, de: DrazinResult,
-            df: DrazinResult) -> ConditionReport:
+def _report(theorem: str, e: Matrix, f: Matrix,
+            df: DrazinResult) -> tuple[ConditionReport, Matrix]:
+    """The report, and T = E F^pi (F^pi E for a mirrored rule)."""
+    rule = rule_for(theorem)
+    f_pi = df.spectral_idempotent
+    t = f_pi * e if rule.mirrored else e * f_pi
     conditions, failure = [], None
-    for hypothesis in rule_for(theorem).hypotheses:
-        found = _evaluate(hypothesis, e, f, de, df)
+    for hypothesis in rule.hypotheses:
+        found = _evaluate(hypothesis, e, f, df, t, rule.mirrored,
+                          failure is None)
         conditions += found
         if failure is None and not any(c.holds for c in found):
             failure = Condition(" or ".join(c.name for c in found), False,
                                 found[-1].residual)
-    return ConditionReport(theorem, tuple(conditions), failure)
-
-
-def _transposed(result: DrazinResult) -> DrazinResult:
-    return DrazinResult(result.drazin.transpose(), result.index,
-                        result.spectral_idempotent.transpose())
+    return ConditionReport(theorem, tuple(conditions), failure), t
 
 
 def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse:
@@ -351,11 +381,13 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
     f, theorem)``. When its ``first_failure`` is a standing hypothesis,
     HypothesisViolated is raised; when it is a refusal condition,
     NotGroupInvertible. Either exception carries the report as ``report``.
+    Otherwise every hypothesis held, so the kernel reads E only through the
+    Drazin data of T (see _evaluate): E^D F^pi = T^D and E^pi F^pi = S.
     """
     rule = rule_for(theorem)
     _require_pair(e, f)
-    de, df = drazin(e), drazin(f)
-    report = _report(theorem, e, f, de, df)
+    df = drazin(f)
+    report, t = _report(theorem, e, f, df)
     failure = report.first_failure
     if failure is not None:
         name = failure.name
@@ -370,12 +402,14 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
             )
         error.report = report
         raise error
+    dt, f_pi = drazin(t), df.spectral_idempotent
+    inputs = (e, df.drazin, f_pi, dt.drazin, _side(dt, f_pi))
     if rule.mirrored:
         # Transposing swaps the off-diagonal blocks.
         gamma, lambda_blk, delta, xi = (m.transpose() for m in rule.kernel(
-            e.transpose(), f.transpose(), _transposed(de), _transposed(df)))
+            *(m.transpose() for m in inputs)))
     else:
-        gamma, delta, lambda_blk, xi = rule.kernel(e, f, de, df)
+        gamma, delta, lambda_blk, xi = rule.kernel(*inputs)
     assembled = Matrix.from_blocks([[gamma, delta], [lambda_blk, xi]])
     return BlockGroupInverse(theorem, gamma, delta, lambda_blk, xi, assembled,
                              report)

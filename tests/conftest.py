@@ -66,13 +66,15 @@ def square_matrices(min_n=1, max_n=3):
     return st.integers(min_n, max_n).flatmap(build)
 
 
-def _sized(rows, cols):
+def matrices_of(rows, cols):
+    """rows x cols matrices; either size may be 0."""
     return st.lists(scalars(), min_size=rows * cols,
                     max_size=rows * cols).map(
         lambda entries: Matrix(rows, cols, entries))
 
 
-def _strictly_upper(n):
+def strictly_upper(n):
+    """Strictly upper triangular, hence nilpotent, n x n matrices."""
     def build(entries):
         it = iter(entries)
         return Matrix(n, n, [next(it) if j > i else GaussianRational(0)
@@ -91,7 +93,8 @@ def singular_square_matrices(min_n=0, max_n=6):
     def build(n):
         return st.integers(0, n // 2).flatmap(lambda r: st.builds(
             lambda x, y, u, v: x * y * u + v,
-            _sized(n, r), _sized(r, n), _strictly_upper(n), _strictly_upper(n),
+            matrices_of(n, r), matrices_of(r, n), strictly_upper(n),
+            strictly_upper(n),
         ))
     return st.integers(min_n, max_n).flatmap(build)
 

@@ -3,13 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockginv import matrices
+from blockginv import ginverse, matrices, theorems
 from blockginv.generators import GenSpec, gen_pair
 from blockginv.ginverse import NotGroupInvertible, drazin
-from blockginv.matrices import Matrix, ShapeMismatch
+from blockginv.matrices import Matrix, ShapeMismatch, inverse, rank
 from blockginv.scalars import GaussianRational
 from blockginv.theorems import (
     SHAPE_FOR_THEOREM,
@@ -25,8 +25,10 @@ from blockginv.theorems import (
 from conftest import (
     FIRST_STANDING_BREAKERS,
     mat,
+    matrices_of,
     singular_square_matrices,
     square_matrices,
+    strictly_upper,
 )
 from paper_forms import (
     blocks,
@@ -36,6 +38,7 @@ from paper_forms import (
     thm31_factored,
     thm31_statement,
 )
+from reference_drazin import reference_drazin
 
 
 def oracle_of(e, f, theorem):
@@ -240,15 +243,24 @@ class TestFactoredRoute:
                                                 [lambda_blk, xi]])
 
 
+def kernel_inputs(e, f):
+    """(E, F#, F^pi, E^D F^pi, E^pi F^pi), from the Drazin data of E F^pi."""
+    df = drazin(f)
+    f_pi = df.spectral_idempotent
+    dt = drazin(e * f_pi)
+    side = f_pi + dt.spectral_idempotent - Matrix.identity(e.rows)
+    return e, df.drazin, f_pi, dt.drazin, side
+
+
 class TestProductCounts:
     """Each kernel call evaluates a fixed number of n x n products."""
 
     @pytest.mark.parametrize("theorem, products", [
-        ("thm2.1", 5), ("cor2.2", 6), ("thm3.1", 7),
+        ("thm2.1", 3), ("cor2.2", 4), ("thm3.1", 5),
     ])
     def test_kernel_products(self, theorem, products, monkeypatch):
         e, f = gen_pair(GenSpec(theorem, 3, 1, True, seed=17))
-        de, df = drazin(e), drazin(f)
+        inputs = kernel_inputs(e, f)
         calls = []
         product = matrices._product
 
@@ -257,8 +269,96 @@ class TestProductCounts:
             return product(left, right)
 
         monkeypatch.setattr(matrices, "_product", counting_product)
-        rule_for(theorem).kernel(e, f, de, df)
+        rule_for(theorem).kernel(*inputs)
         assert len(calls) == products
+
+
+class TestDrazinDataOfT:
+    """Positive and refusal draws hand drazin only F and T, never E.
+
+    Every rule reads E through T = E F^pi (F^pi E when mirrored), which is
+    E itself only when E F = 0 (F E = 0). cor3.3 and cor3.4 decide
+    "E group-invertible" from E's index, which for an invertible E is a
+    certificate, not an inverse.
+    """
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_drazin_sees_only_f_and_t(self, theorem, monkeypatch):
+        given_drazin, inverted = [], []
+
+        def recording(seen, function):
+            return lambda matrix: seen.append(matrix) or function(matrix)
+
+        monkeypatch.setattr(theorems, "drazin", recording(given_drazin, drazin))
+        monkeypatch.setattr(ginverse, "inverse",
+                            recording(inverted, ginverse.inverse))
+        rule = rule_for(theorem)
+        for satisfy in (True, False) if rule.blocker else (True,):
+            for seed, rank_f in ((0, 1), (1, 2), (2, 1)):
+                e, f = gen_pair(GenSpec(theorem, 4, rank_f, satisfy, seed))
+                f_pi = drazin(f).spectral_idempotent
+                t = f_pi * e if rule.mirrored else e * f_pi
+                drazin.cache_clear()
+                given_drazin.clear()
+                inverted.clear()
+                try:
+                    block_group_inverse(theorem, e, f)
+                except NotGroupInvertible:
+                    assert not satisfy
+                else:
+                    assert satisfy
+                assert given_drazin
+                assert all(m == f or m == t for m in given_drazin)
+                assert all(m != e for m in inverted)
+
+
+def shift(q, a):
+    """J^a for the q x q upper shift J: ones at (i, i + a)."""
+    return Matrix(q, q, [GaussianRational(int(j == i + a))
+                         for i in range(q) for j in range(q)])
+
+
+@given(n=st.integers(1, 4), data=st.data())
+@settings(max_examples=60)
+def test_drazin_data_of_t_gives_e_data(n, data):
+    """Under F E F^pi = 0, for F of any index: (E F^pi)^D = E^D F^pi and
+    F^pi + (E F^pi)^pi - I = E^pi F^pi; mirrored under F^pi E F = 0.
+
+    In a basis F = diag(C, N) with C invertible and N nilpotent, and the
+    constraint makes E = [[A, 0], [X, D]] with N D = 0. Here
+    N = (I + U) J^a and D = J^(q-a) Z, so N D = 0; an upper unitriangular
+    Z makes D, and with it E F^pi, nilpotent. Every Drazin inverse comes
+    from the test-side core-nilpotent reference.
+    """
+    r = data.draw(st.integers(0, n), label="rank of F's core")
+    q = n - r
+    a = data.draw(st.integers(min(q, 1), q), label="N = (I + U) J^a")
+    c = data.draw(matrices_of(r, r).filter(lambda m: rank(m) == r))
+    p = data.draw(matrices_of(n, n).filter(lambda m: rank(m) == n))
+    unit = strictly_upper(q).map(lambda u: Matrix.identity(q) + u)
+    nil = data.draw(unit) * shift(q, a)
+    d = shift(q, q - a) * data.draw(st.one_of(unit, matrices_of(q, q)))
+    e = p * Matrix.from_blocks([
+        [data.draw(matrices_of(r, r)), Matrix.zeros(r, q)],
+        [data.draw(matrices_of(q, r)), d],
+    ]) * inverse(p)
+    f = p * Matrix.from_blocks([
+        [c, Matrix.zeros(r, q)], [Matrix.zeros(q, r), nil],
+    ]) * inverse(p)
+    eye = Matrix.identity(n)
+    for e, f, left in ((e, f, False), (e.transpose(), f.transpose(), True)):
+        de, f_pi = reference_drazin(e), reference_drazin(f).spectral_idempotent
+        t = f_pi * e if left else e * f_pi
+        assert (t * f if left else f * t).is_zero()
+        dt = reference_drazin(t)
+        if left:
+            assert dt.drazin == f_pi * de.drazin
+            assert f_pi + dt.spectral_idempotent - eye == \
+                f_pi * de.spectral_idempotent
+        else:
+            assert dt.drazin == de.drazin * f_pi
+            assert f_pi + dt.spectral_idempotent - eye == \
+                de.spectral_idempotent * f_pi
 
 
 class TestThm31Errors:
