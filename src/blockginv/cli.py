@@ -25,8 +25,7 @@ from pathlib import Path
 from .generators import GenerationExhausted, Verdict, run_campaign
 from .ginverse import NotGroupInvertible, drazin, group_inverse
 from .matrices import Matrix, ShapeMismatch
-from .scalars import (GaussianRational, ScalarParseError, parse_scalar,
-                      scalar_text)
+from .scalars import ScalarParseError, scalar_parts, scalar_text
 from .theorems import (
     SHAPE_FOR_THEOREM,
     THEOREM_IDS,
@@ -53,6 +52,8 @@ def _entry_text(re: int, im: int, den: int) -> str:
 def matrix_to_rows(matrix: Matrix) -> list[list[str]]:
     """The entries as scalar strings, formatted from the stored integers."""
     w = matrix.cols
+    if not any(matrix._re) and not any(matrix._im):
+        return [["0"] * w for _ in range(matrix.rows)]
     try:
         texts = list(map(_entry_text, matrix._re, matrix._im,
                          repeat(matrix._den)))
@@ -65,7 +66,7 @@ def matrix_to_rows(matrix: Matrix) -> list[list[str]]:
 def matrix_from_rows(rows: object, where: str = "matrix") -> Matrix:
     if not isinstance(rows, list) or not rows:
         raise InputError(f'{where}: "rows" must be a non-empty list')
-    parsed: list[list[GaussianRational]] = []
+    parts: list[tuple[int, int, int, int]] = []
     width = None
     for i, row in enumerate(rows):
         if not isinstance(row, list) or not row:
@@ -75,23 +76,21 @@ def matrix_from_rows(rows: object, where: str = "matrix") -> Matrix:
         elif len(row) != width:
             raise InputError(f"{where}: row {i} has {len(row)} entries, "
                              f"expected {width}")
-        out_row = []
         for j, entry in enumerate(row):
             if isinstance(entry, str):
                 try:
-                    out_row.append(parse_scalar(entry))
+                    parts.append(scalar_parts(entry))
                 except ScalarParseError as exc:
                     raise InputError(
                         f"{where}: entry ({i}, {j}): {exc}"
                     ) from exc
             elif isinstance(entry, int) and not isinstance(entry, bool):
-                out_row.append(GaussianRational(entry))
+                parts.append((entry, 1, 0, 1))
             else:
                 raise InputError(
                     f"{where}: entry ({i}, {j}) must be a string or integer"
                 )
-        parsed.append(out_row)
-    return Matrix.from_rows(parsed)
+    return Matrix.from_parts(len(rows), width, parts)
 
 
 def load_matrix(path: str) -> Matrix:
@@ -166,14 +165,18 @@ def _cmd_block(args) -> int:
     e = load_matrix(args.e_file)
     f = load_matrix(args.f_file)
     result = block_group_inverse(args.theorem, e, f)
+    gamma, delta, lam, xi = map(matrix_to_rows, (
+        result.gamma, result.delta, result.lambda_blk, result.xi))
     print(json.dumps({
         "theorem": args.theorem,
         "shape": expected_shape,
-        "gamma": matrix_to_rows(result.gamma),
-        "delta": matrix_to_rows(result.delta),
-        "lambda": matrix_to_rows(result.lambda_blk),
-        "xi": matrix_to_rows(result.xi),
-        "assembled": matrix_to_rows(result.assembled),
+        "gamma": gamma,
+        "delta": delta,
+        "lambda": lam,
+        "xi": xi,
+        # assembled is from_blocks of the four, and an entry's text depends
+        # only on its value, so its rows are theirs joined.
+        "assembled": [a + b for a, b in zip(gamma + lam, delta + xi)],
         "conditions": [_condition_json(c) for c in result.report.conditions],
     }))
     return 0

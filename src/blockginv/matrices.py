@@ -119,6 +119,22 @@ class Matrix:
         return cls(height, width, [x for row in grid for x in row])
 
     @classmethod
+    def from_parts(cls, rows: int, cols: int,
+                   parts: Sequence[tuple[int, int, int, int]]) -> Matrix:
+        """Row-major entries given as integer parts (re, re_den, im, im_den).
+
+        Each entry is re/re_den + (im/im_den)i with nonzero denominators, in
+        any terms (see ``scalars.scalar_parts``). The numerators go over the
+        LCM of the denominators, and ``_matrix``'s gcd step reduces them.
+        """
+        if rows < 0 or cols < 0 or len(parts) != rows * cols:
+            raise ValueError(f"need {rows * cols} entries, got {len(parts)}")
+        den = lcm(*(p[1] for p in parts), *(p[3] for p in parts))
+        return _matrix(rows, cols, den,
+                       [a * (den // b) for a, b, _, _ in parts],
+                       [c * (den // d) for _, _, c, d in parts])
+
+    @classmethod
     def identity(cls, n: int) -> Matrix:
         return _matrix(n, n, 1, [int(i == j) for i in range(n)
                                  for j in range(n)], [0] * (n * n))

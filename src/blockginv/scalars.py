@@ -5,17 +5,21 @@ values and combined only through Fraction's public arithmetic, so each
 part stays in lowest terms with a positive denominator and nothing ever
 rounds. Matrices keep their own integer storage (see ``matrices``) and
 build a GaussianRational only when an entry is read; the arithmetic here
-serves single values, such as parsed input and the scalar of the
-commutation law EF = lambda FE.
+serves single values, such as ``parse_scalar``'s result and the scalar of
+the commutation law EF = lambda FE. Parsed matrix input never becomes
+GaussianRationals: ``scalar_parts``, the one scanner of the scalar
+grammar, gives each entry's integer parts, and ``Matrix.from_parts``
+stores them directly.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_DIGITS = frozenset("0123456789")
+# ASCII only: \d would also match other scripts' digits, such as U+0663.
+_DIGIT_RUN = re.compile("[0-9]+")
 
 
 class ScalarParseError(ValueError):
@@ -156,30 +160,29 @@ I = GaussianRational(0, 1)
 
 def _digits(text: str, pos: int) -> tuple[int, int]:
     """Parse the ASCII digit run at pos; returns (value, next_pos)."""
-    start = pos
-    while pos < len(text) and text[pos] in _DIGITS:
-        pos += 1
-    if pos == start:
+    run = _DIGIT_RUN.match(text, pos)
+    if run is None:
         raise ScalarParseError("expected a digit", pos)
     try:
-        return int(text[start:pos]), pos
+        return int(run.group()), run.end()
     except ValueError:  # more digits than Python converts to an int
-        raise ScalarParseError("too many digits", start) from None
+        raise ScalarParseError("too many digits", pos) from None
 
 
-def _parse_term(text: str, pos: int) -> tuple[Fraction, bool, int]:
+def _parse_term(text: str, pos: int) -> tuple[int, int, bool, int]:
     """Parse ``["-"] (digits ["/" digits] ["i"] | "i")`` starting at pos.
 
-    Returns (value, is_imaginary, next_pos). The sign belongs to the term,
-    so "-i" and "-2/3i" both parse here.
+    Returns (numerator, denominator, is_imaginary, next_pos), the fraction
+    as written. The sign belongs to the term, so "-i" and "-2/3i" both
+    parse here.
     """
     n = len(text)
-    negative = False
+    sign = 1
     if pos < n and text[pos] == "-":
-        negative = True
+        sign = -1
         pos += 1
     if pos < n and text[pos] == "i":
-        return (-_ONE if negative else _ONE), True, pos + 1
+        return sign, 1, True, pos + 1
     numerator, pos = _digits(text, pos)
     denominator = 1
     if pos < n and text[pos] == "/":
@@ -187,34 +190,34 @@ def _parse_term(text: str, pos: int) -> tuple[Fraction, bool, int]:
         denominator, pos = _digits(text, den_start)
         if denominator == 0:
             raise ScalarParseError("denominator must be nonzero", den_start)
-    value = Fraction(-numerator if negative else numerator, denominator)
     if pos < n and text[pos] == "i":
-        return value, True, pos + 1
-    return value, False, pos
+        return sign * numerator, denominator, True, pos + 1
+    return sign * numerator, denominator, False, pos
 
 
-def parse_scalar(text: str) -> GaussianRational:
-    """Parse a scalar string into a GaussianRational.
+def scalar_parts(text: str) -> tuple[int, int, int, int]:
+    """Scan a scalar string into integer parts (re, re_den, im, im_den).
 
-    Grammar::
+    The scalar is re/re_den + (im/im_den)i, each fraction as written, so
+    "4/6" gives (4, 6, 0, 1); the denominators are positive. Grammar::
 
         scalar := real | imag | real sign imag
         real   := rat
         imag   := [rat] "i"        (a bare sign is allowed: "-i")
         rat    := ["-"] digits ["/" digits]   with a nonzero denominator
 
-    Examples: "0", "3/2", "-i", "2/3-5/7i". Whitespace may surround the
-    scalar and the connecting sign. Anything else raises ScalarParseError
-    with the byte offset of the problem.
+    Digits are ASCII only. Examples: "0", "3/2", "-i", "2/3-5/7i".
+    Whitespace may surround the scalar and the connecting sign. Anything
+    else raises ScalarParseError with the byte offset of the problem.
     """
     n = len(text)
     pos = 0
     while pos < n and text[pos] in " \t":
         pos += 1
-    first, first_imag, pos = _parse_term(text, pos)
+    num, den, first_imag, pos = _parse_term(text, pos)
     while pos < n and text[pos] in " \t":
         pos += 1
-    re_part, im_part = (_ZERO, first) if first_imag else (first, _ZERO)
+    parts = (0, 1, num, den) if first_imag else (num, den, 0, 1)
     if pos < n and text[pos] in "+-":
         if first_imag:
             raise ScalarParseError("imaginary term must come last", pos)
@@ -223,12 +226,18 @@ def parse_scalar(text: str) -> GaussianRational:
         while pos < n and text[pos] in " \t":
             pos += 1
         term_start = pos
-        second, second_imag, pos = _parse_term(text, pos)
+        im, im_den, second_imag, pos = _parse_term(text, pos)
         if not second_imag:
             raise ScalarParseError("expected an imaginary term", term_start)
-        im_part = sign * second
+        parts = (num, den, sign * im, im_den)
     while pos < n and text[pos] in " \t":
         pos += 1
     if pos != n:
         raise ScalarParseError("unexpected character", pos)
-    return GaussianRational._new(re_part, im_part)
+    return parts
+
+
+def parse_scalar(text: str) -> GaussianRational:
+    """Parse a scalar string (see ``scalar_parts``) into a GaussianRational."""
+    a, b, c, d = scalar_parts(text)
+    return GaussianRational._new(Fraction(a, b), Fraction(c, d))

@@ -1,5 +1,7 @@
-"""Shared helpers: literal matrix construction and hypothesis strategies."""
+"""Shared helpers: literal matrix construction, hypothesis strategies and
+tables of malformed scalar strings."""
 
+import sys
 from fractions import Fraction
 
 from hypothesis import HealthCheck, settings
@@ -44,6 +46,30 @@ FIRST_STANDING_BREAKERS = {
                "E group-invertible"),
     "cor3.4": NO_LAW,
 }
+
+
+# Malformed scalar strings and the offset each one's error names.
+REJECTED_SCALARS = [
+    ("1//2", 2),
+    ("2/0", 2),
+    ("abc", 0),
+    ("", 0),
+    ("1+2", 2),
+    ("i+1", 1),
+    ("1 2", 2),
+    ("1+2i3", 4),
+    ("1/", 2),
+    ("--1", 1),
+    ("+1", 0),
+    ("\u0663", 0),
+    ("\u00b2", 0),
+    ("1/\u0663", 2),
+    ("1+\u00b2i", 2),
+]
+# A digit run one past Python's int-conversion limit, and templates that
+# place it in a scalar, each with the offset of the run.
+TOO_MANY_DIGITS = "9" * (sys.get_int_max_str_digits() + 1)
+DIGIT_LIMIT_TEMPLATES = [("{}", 0), ("-{}i", 1), ("1/{}", 2), ("1+{}/2i", 2)]
 
 
 _fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)

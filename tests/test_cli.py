@@ -2,17 +2,49 @@
 
 import json
 import sys
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockginv.cli import main, matrix_to_rows
+from blockginv.cli import InputError, main, matrix_from_rows, matrix_to_rows
+from blockginv.generators import GenSpec, gen_pair
 from blockginv.matrices import Matrix
 from blockginv.scalars import parse_scalar
-from conftest import mat, rect_matrices, scalars
+from blockginv.theorems import THEOREM_IDS, block_group_inverse
+from conftest import (DIGIT_LIMIT_TEMPLATES, REJECTED_SCALARS,
+                      TOO_MANY_DIGITS, mat, rect_matrices, scalars)
 
-TOO_MANY_DIGITS = "9" * (sys.get_int_max_str_digits() + 1)
+_blanks = st.text(" \t", max_size=2)
+_signs = st.sampled_from(["", "-"])
+
+
+def _rational_texts():
+    """["-"] digits ["/" digits] as written: "4/6", "0/5", "-6/3"."""
+    return st.builds(
+        lambda sign, num, den: sign + str(num) + (f"/{den}" if den else ""),
+        _signs, st.integers(0, 12), st.none() | st.integers(1, 12))
+
+
+def _scalar_texts():
+    """Strings of the scalar grammar, blanks around terms and the sign."""
+    imaginary = _rational_texts().map(lambda r: r + "i") | _signs.map(
+        lambda sign: sign + "i")
+    joined = st.builds(
+        lambda re, b1, sign, b2, im: re + b1 + sign + b2 + im,
+        _rational_texts(), _blanks, st.sampled_from("+-"), _blanks, imaginary)
+    return st.builds(lambda b1, text, b2: b1 + text + b2, _blanks,
+                     _rational_texts() | imaginary | joined, _blanks)
+
+
+def _entry_grids():
+    """1..3 x 1..3 grids of scalar strings and JSON integers."""
+    entries = _scalar_texts() | st.integers(-50, 50)
+    return st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda dims: st.lists(
+            st.lists(entries, min_size=dims[1], max_size=dims[1]),
+            min_size=dims[0], max_size=dims[0]))
 
 
 def write_matrix(path, rows):
@@ -345,6 +377,56 @@ class TestInputErrors:
         assert json.loads(err)["error"] == "InputError"
 
 
+class TestMatrixFromRows:
+    @settings(max_examples=200)
+    @given(_entry_grids())
+    def test_matches_parse_scalar_and_is_canonical(self, rows):
+        m = matrix_from_rows(rows)
+        assert m == mat(rows)  # parse_scalar on strings, as written
+        assert m._den > 0
+        assert gcd(m._den, *m._re, *m._im) == 1
+
+    @pytest.mark.parametrize("text, offset", REJECTED_SCALARS)
+    def test_rejects_with_the_parser_offset(self, text, offset):
+        with pytest.raises(InputError) as info:
+            matrix_from_rows([["0", text]])
+        assert str(info.value).startswith("matrix: entry (0, 1): ")
+        assert str(info.value).endswith(f"(offset {offset})")
+
+    @pytest.mark.parametrize("template, offset", DIGIT_LIMIT_TEMPLATES)
+    def test_rejects_digit_runs_past_the_int_limit(self, template, offset):
+        with pytest.raises(InputError) as info:
+            matrix_from_rows([[template.format(TOO_MANY_DIGITS)]])
+        assert str(info.value).endswith(f"too many digits (offset {offset})")
+
+
+class TestBlockOutput:
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_assembled_and_held_residuals(self, theorem, tmp_path, capsys):
+        # block prints assembled from the four blocks' texts, and a zero
+        # residual without formatting its entries; both must print as the
+        # entry-by-entry formatting of the same matrices.
+        for n in (1, 2, 3):
+            for seed in (0, 1, 2):
+                e, f = gen_pair(GenSpec(theorem, n, seed % (n + 1), True,
+                                        seed))
+                e_path = write_matrix(tmp_path / "E.json", matrix_to_rows(e))
+                f_path = write_matrix(tmp_path / "F.json", matrix_to_rows(f))
+                code, out, _ = run_cli(capsys, [
+                    "block", "--theorem", theorem, "--E", e_path,
+                    "--F", f_path,
+                ])
+                assert code == 0
+                payload = json.loads(out)
+                result = block_group_inverse(theorem, e, f)
+                assert payload["assembled"] == matrix_to_rows(
+                    result.assembled)
+                for condition in payload["conditions"]:
+                    if condition["holds"]:
+                        assert {x for row in condition["residual"]
+                                for x in row} == {"0"}
+
+
 class TestMatrixToRows:
     @given(rect_matrices(), st.lists(scalars(), max_size=3))
     def test_matches_each_entry_str(self, m, factors):
@@ -352,6 +434,12 @@ class TestMatrixToRows:
             m = c * m + m
         assert matrix_to_rows(m) == [[str(x) for x in row]
                                      for row in m.to_lists()]
+
+    def test_zero_matrices(self):
+        for rows in (1, 2, 3):
+            for cols in (1, 2, 3):
+                assert matrix_to_rows(Matrix.zeros(rows, cols)) == [
+                    ["0"] * cols for _ in range(rows)]
 
     def test_fixed_entries(self):
         rows = [["0", "i", "-i", "1/2i"], ["-2/3+i", "3-i", "-1/6-5/4i", "7"]]

@@ -1,6 +1,5 @@
 """Scalar arithmetic, rendering, and the string parser."""
 
-import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,8 @@ from blockginv.scalars import (
     ScalarParseError,
     parse_scalar,
 )
-from conftest import nonzero_scalars, scalars
+from conftest import (DIGIT_LIMIT_TEMPLATES, REJECTED_SCALARS,
+                      TOO_MANY_DIGITS, nonzero_scalars, scalars)
 
 
 class TestArithmetic:
@@ -117,35 +117,16 @@ class TestParsing:
     def test_accepts(self, text, expected):
         assert parse_scalar(text) == expected
 
-    @pytest.mark.parametrize("text, offset", [
-        ("1//2", 2),
-        ("2/0", 2),
-        ("abc", 0),
-        ("", 0),
-        ("1+2", 2),
-        ("i+1", 1),
-        ("1 2", 2),
-        ("1+2i3", 4),
-        ("1/", 2),
-        ("--1", 1),
-        ("+1", 0),
-        ("\u0663", 0),
-        ("\u00b2", 0),
-        ("1/\u0663", 2),
-        ("1+\u00b2i", 2),
-    ])
+    @pytest.mark.parametrize("text, offset", REJECTED_SCALARS)
     def test_rejects_with_offset(self, text, offset):
         with pytest.raises(ScalarParseError) as info:
             parse_scalar(text)
         assert info.value.offset == offset
 
-    @pytest.mark.parametrize("template, offset", [
-        ("{}", 0), ("-{}i", 1), ("1/{}", 2), ("1+{}/2i", 2),
-    ])
+    @pytest.mark.parametrize("template, offset", DIGIT_LIMIT_TEMPLATES)
     def test_rejects_digit_runs_past_the_int_limit(self, template, offset):
-        digits = "9" * (sys.get_int_max_str_digits() + 1)
         with pytest.raises(ScalarParseError, match="too many digits") as info:
-            parse_scalar(template.format(digits))
+            parse_scalar(template.format(TOO_MANY_DIGITS))
         assert info.value.offset == offset
 
 
