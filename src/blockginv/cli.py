@@ -29,6 +29,8 @@ from .scalars import ScalarParseError, scalar_parts, scalar_text
 from .theorems import (
     SHAPE_FOR_THEOREM,
     THEOREM_IDS,
+    BlockGroupInverse,
+    BlockShape,
     Condition,
     HypothesisViolated,
     block_group_inverse,
@@ -139,6 +141,16 @@ def _condition_json(condition: Condition) -> dict:
     return out
 
 
+def _blocks_json(result: BlockGroupInverse) -> dict:
+    """The rows of gamma, delta, lambda, xi and the assembled matrix."""
+    gamma, delta, lam, xi = map(matrix_to_rows, (
+        result.gamma, result.delta, result.lambda_blk, result.xi))
+    # assembled is from_blocks of the four, and an entry's text depends only
+    # on its value, so its rows are theirs joined.
+    return {"gamma": gamma, "delta": delta, "lambda": lam, "xi": xi,
+            "assembled": [a + b for a, b in zip(gamma + lam, delta + xi)]}
+
+
 def _cmd_drazin(args) -> int:
     result = drazin(load_matrix(args.file))
     print(json.dumps({
@@ -165,18 +177,10 @@ def _cmd_block(args) -> int:
     e = load_matrix(args.e_file)
     f = load_matrix(args.f_file)
     result = block_group_inverse(args.theorem, e, f)
-    gamma, delta, lam, xi = map(matrix_to_rows, (
-        result.gamma, result.delta, result.lambda_blk, result.xi))
     print(json.dumps({
         "theorem": args.theorem,
         "shape": expected_shape,
-        "gamma": gamma,
-        "delta": delta,
-        "lambda": lam,
-        "xi": xi,
-        # assembled is from_blocks of the four, and an entry's text depends
-        # only on its value, so its rows are theirs joined.
-        "assembled": [a + b for a, b in zip(gamma + lam, delta + xi)],
+        **_blocks_json(result),
         "conditions": [_condition_json(c) for c in result.report.conditions],
     }))
     return 0
@@ -254,26 +258,16 @@ _EXAMPLE_ASSEMBLED = [
 def _cmd_example(args) -> int:
     e = matrix_from_rows(_EXAMPLE_E, "E")
     f = matrix_from_rows(_EXAMPLE_F, "F")
-    result = block_group_inverse("thm3.1", e, f)
-    computed = {
-        "gamma": result.gamma,
-        "delta": result.delta,
-        "lambda": result.lambda_blk,
-        "xi": result.xi,
-        "assembled": result.assembled,
-    }
-    expected = {
-        name: matrix_from_rows(rows, name)
-        for name, rows in _EXAMPLE_BLOCKS.items()
-    }
-    expected["assembled"] = matrix_from_rows(_EXAMPLE_ASSEMBLED, "assembled")
-    match = all(computed[name] == expected[name] for name in computed)
+    computed = _blocks_json(block_group_inverse("thm3.1", e, f))
+    # Printed entries are in lowest terms, so equal text is equal value.
+    expected = {**_EXAMPLE_BLOCKS, "assembled": _EXAMPLE_ASSEMBLED}
+    match = computed == expected
     print(json.dumps({
         "theorem": "thm3.1",
         "E": _EXAMPLE_E,
         "F": _EXAMPLE_F,
-        "computed": {k: matrix_to_rows(v) for k, v in computed.items()},
-        "expected": {k: matrix_to_rows(v) for k, v in expected.items()},
+        "computed": computed,
+        "expected": expected,
         "match": match,
     }))
     print("PASS" if match else "FAIL")
@@ -305,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--E", required=True, dest="e_file", metavar="FILE")
     p.add_argument("--F", required=True, dest="f_file", metavar="FILE")
     p.add_argument("--shape", default="auto",
-                   choices=["auto", "EI_F0", "EF_I0", "EF_F0"],
+                   choices=["auto", *(s.value for s in BlockShape)],
                    help="layout sanity check; must match the theorem's")
     p.set_defaults(func=_cmd_block)
 

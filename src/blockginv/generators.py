@@ -111,8 +111,6 @@ def _rand_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
 
 
 def _gen_invertible(rng: random.Random, n: int) -> Matrix:
-    if n == 0:
-        return Matrix.zeros(0, 0)
     for _ in range(1000):
         candidate = _rand_matrix(rng, n, n)
         if rank(candidate) == n:
@@ -147,8 +145,6 @@ def gen_group_invertible(n: int, rank_: int, seed: int = 0) -> Matrix:
 
 
 def _singular(rng: random.Random, q: int) -> Matrix:
-    if q == 1:
-        return Matrix.zeros(1, 1)
     return _rand_matrix(rng, q, q - 1) * _rand_matrix(rng, q - 1, q)
 
 

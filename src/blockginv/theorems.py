@@ -27,10 +27,13 @@ either law, with F group invertible, forces F^pi E F = 0.
 The right-sided constraint F E F^pi = 0 makes range(F^pi) E-invariant,
 and the left-sided one does the same for the transposes. So no rule needs
 drazin(E). The kernel inputs and residuals on E's Drazin data come from
-T = E F^pi (F^pi E when mirrored), formed once per report:
-E^D F^pi = T^D and E^pi F^pi = F^pi + T^pi - I. "E group-invertible" is
-decided by drazin_index(E). A report reads drazin(E) only for a residual
-after a failed hypothesis, because it lists every residual.
+T = E F^pi (F^pi E when mirrored): E^D F^pi = T^D and
+E^pi F^pi = S = F^pi + T^pi - I. ``_report`` is the one reader of Drazin
+data here: it calls drazin once on F and once on T, forms S once, and
+hands the kernel its inputs, so ``block_group_inverse`` only raises or
+runs the kernel. "E group-invertible" is decided by drazin_index(E). A
+report reads drazin(E) only for a residual after a failed hypothesis,
+because it lists every residual.
 
 Each kernel forms E F# once, so they take three, four and five n x n
 products. Theorem 3.1's blocks follow from Meyer and Rose's block
@@ -170,32 +173,17 @@ def _commutation(e: Matrix, f: Matrix) -> tuple[Condition, Condition]:
             Condition(_COMMUTATION_PAIR[1], aligned.is_zero(), aligned))
 
 
-# The residuals read from E's Drazin data, given E and
-# S = E^pi F^pi (F^pi E^pi under the left-sided constraint).
-_E_RESIDUALS: dict[str, Callable[[Matrix, Matrix], Matrix]] = {
-    "E^pi F^pi=0": lambda e, side: side,
-    "F^pi E^pi=0": lambda e, side: side,
-    "EE^pi F^pi=0": lambda e, side: e * side,
-    "F^pi E^pi E=0": lambda e, side: side * e,
-}
-
-
-def _side(dt: DrazinResult, f_pi: Matrix) -> Matrix:
-    """S = F^pi + T^pi - I, from the Drazin data of T = E F^pi (F^pi E)."""
-    return f_pi + dt.spectral_idempotent - Matrix.identity(f_pi.rows)
-
-
 def _evaluate(hypothesis: str | tuple[str, ...], e: Matrix, f: Matrix,
-              df: DrazinResult, t: Matrix, mirrored: bool,
-              short: bool) -> tuple[Condition, ...]:
+              df: DrazinResult, t: Matrix, dt: DrazinResult, s: Matrix,
+              mirrored: bool, short: bool) -> tuple[Condition, ...]:
     """The conditions of one hypothesis, in report order.
 
-    T is E F^pi, or F^pi E when ``mirrored``; the one-sided constraint's
-    residual is F T (T F). ``short`` says that every earlier hypothesis
-    held, which in every rule implies that constraint. Then the residuals
-    on E's Drazin data are read off T's: S = E^pi F^pi = F^pi + T^pi - I,
-    and E S = T T^pi (S E = T^pi T), which vanishes exactly when T has
-    index <= 1. Otherwise S comes from drazin(E).
+    T is E F^pi, or F^pi E when ``mirrored``, with Drazin data ``dt``; the
+    one-sided constraint's residual is F T (T F). ``short`` says that every
+    earlier hypothesis held, which in every rule implies that constraint.
+    Then S = F^pi + T^pi - I is E^pi F^pi (F^pi E^pi), and the residuals on
+    E's Drazin data are S, E S or S E; E S = T T^pi (S E = T^pi T) vanishes
+    exactly when T has index <= 1. Otherwise S comes from drazin(E).
     """
     if hypothesis == _COMMUTATION_PAIR:
         return _commutation(e, f)
@@ -208,15 +196,16 @@ def _evaluate(hypothesis: str | tuple[str, ...], e: Matrix, f: Matrix,
                     else e * drazin(e).spectral_idempotent)
     elif hypothesis in ("FEF^pi=0", "F^pi EF=0"):
         residual = t * f if mirrored else f * t
-    elif short:
-        dt = drazin(t)
-        residual = (zero if dt.index <= 1
-                    and hypothesis in ("EE^pi F^pi=0", "F^pi E^pi E=0")
-                    else _E_RESIDUALS[hypothesis](e, _side(dt, f_pi)))
     else:
-        e_pi = drazin(e).spectral_idempotent
-        residual = _E_RESIDUALS[hypothesis](
-            e, f_pi * e_pi if mirrored else e_pi * f_pi)
+        if not short:
+            e_pi = drazin(e).spectral_idempotent
+            s = f_pi * e_pi if mirrored else e_pi * f_pi
+        if hypothesis in ("E^pi F^pi=0", "F^pi E^pi=0"):
+            residual = s
+        elif short and dt.index <= 1:
+            residual = zero
+        else:
+            residual = s * e if mirrored else e * s
     return (Condition(hypothesis, residual.is_zero(), residual),)
 
 
@@ -353,25 +342,36 @@ def check_conditions(e: Matrix, f: Matrix, theorem: str) -> ConditionReport:
     Each entry carries the residual matrix that must vanish for it to hold;
     the EF=lambda FE entry also carries the scalar when one exists.
     """
-    _require_pair(e, f)
-    return _report(theorem, e, f, drazin(f))[0]
+    return _report(theorem, e, f)[0]
 
 
-def _report(theorem: str, e: Matrix, f: Matrix,
-            df: DrazinResult) -> tuple[ConditionReport, Matrix]:
-    """The report, and T = E F^pi (F^pi E for a mirrored rule)."""
+def _report(theorem: str, e: Matrix, f: Matrix
+            ) -> tuple[ConditionReport, DrazinResult, tuple[Matrix, ...]]:
+    """The report, F's Drazin data and the kernel inputs.
+
+    It calls drazin once on F, then once on T = E F^pi (F^pi E for a
+    mirrored rule), and forms S = F^pi + T^pi - I once; every residual is
+    read from them, and from drazin(E) only after a failed hypothesis. The
+    inputs (E, F#, F^pi, T^D, S) are the kernel's
+    (E, F#, F^pi, E^D F^pi, E^pi F^pi) when every hypothesis holds.
+    """
     rule = rule_for(theorem)
+    _require_pair(e, f)
+    df = drazin(f)
     f_pi = df.spectral_idempotent
     t = f_pi * e if rule.mirrored else e * f_pi
+    dt = drazin(t)
+    s = f_pi + dt.spectral_idempotent - Matrix.identity(e.rows)
     conditions, failure = [], None
     for hypothesis in rule.hypotheses:
-        found = _evaluate(hypothesis, e, f, df, t, rule.mirrored,
+        found = _evaluate(hypothesis, e, f, df, t, dt, s, rule.mirrored,
                           failure is None)
         conditions += found
         if failure is None and not any(c.holds for c in found):
             failure = Condition(" or ".join(c.name for c in found), False,
                                 found[-1].residual)
-    return ConditionReport(theorem, tuple(conditions), failure), t
+    report = ConditionReport(theorem, tuple(conditions), failure)
+    return report, df, (e, df.drazin, f_pi, dt.drazin, s)
 
 
 def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse:
@@ -381,13 +381,11 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
     f, theorem)``. When its ``first_failure`` is a standing hypothesis,
     HypothesisViolated is raised; when it is a refusal condition,
     NotGroupInvertible. Either exception carries the report as ``report``.
-    Otherwise every hypothesis held, so the kernel reads E only through the
-    Drazin data of T (see _evaluate): E^D F^pi = T^D and E^pi F^pi = S.
+    Otherwise every hypothesis held, and the kernel runs on the inputs that
+    ``_report`` formed from the Drazin data of F and T.
     """
-    rule = rule_for(theorem)
-    _require_pair(e, f)
-    df = drazin(f)
-    report, t = _report(theorem, e, f, df)
+    report, df, inputs = _report(theorem, e, f)
+    rule = RULES[theorem]
     failure = report.first_failure
     if failure is not None:
         name = failure.name
@@ -402,8 +400,6 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
             )
         error.report = report
         raise error
-    dt, f_pi = drazin(t), df.spectral_idempotent
-    inputs = (e, df.drazin, f_pi, dt.drazin, _side(dt, f_pi))
     if rule.mirrored:
         # Transposing swaps the off-diagonal blocks.
         gamma, lambda_blk, delta, xi = (m.transpose() for m in rule.kernel(

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import random
 
 import pytest
 
@@ -17,7 +18,7 @@ from blockginv.generators import (
 )
 from blockginv import generators, theorems
 from blockginv.ginverse import drazin
-from blockginv.matrices import rank
+from blockginv.matrices import Matrix, rank
 from blockginv.theorems import THEOREM_IDS, check_conditions, rule_for
 from conftest import FIRST_STANDING_BREAKERS, mat
 
@@ -41,6 +42,15 @@ class TestBuildingBlocks:
     def test_gen_group_invertible_validates_rank(self):
         with pytest.raises(ValueError):
             gen_group_invertible(2, 3, seed=0)
+
+    def test_zero_size_draws_are_zero_and_use_no_randomness(self):
+        # The general paths need no guard: a matrix with a zero dimension
+        # draws nothing, and a 1x0 times 0x1 product is the 1x1 zero.
+        rng = random.Random(7)
+        state = rng.getstate()
+        assert generators._gen_invertible(rng, 0) == Matrix.zeros(0, 0)
+        assert generators._singular(rng, 1) == Matrix.zeros(1, 1)
+        assert rng.getstate() == state
 
 
 class TestGenPair:
