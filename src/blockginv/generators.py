@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ginverse import NotGroupInvertible, drazin
-from .matrices import Matrix, inverse, rank
+from .matrices import Matrix, _certainly_invertible, inverse, rank
 from .scalars import ZERO, GaussianRational
 from .theorems import (
     SHAPE_FOR_THEOREM,
@@ -113,7 +113,9 @@ def _rand_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
 def _gen_invertible(rng: random.Random, n: int) -> Matrix:
     for _ in range(1000):
         candidate = _rand_matrix(rng, n, n)
-        if rank(candidate) == n:
+        # The mod-P certificate is cheap and only ever says True of an
+        # invertible matrix; the exact rank decides the rest.
+        if _certainly_invertible(candidate) or rank(candidate) == n:
             return candidate
     raise GenerationExhausted(f"no invertible {n}x{n} draw found")
 

@@ -12,19 +12,21 @@ values only when read.
 
 Sums and scalar multiples combine the numerator lists over one LCM
 denominator, and products take integer dot products of the stored rows
-and columns; each result is reduced by one gcd. ``rank`` (Bareiss forward
-elimination), ``rref`` and ``inverse`` (one fraction-free Gauss-Jordan
-kernel, FFGJ) start from the numerator rows, each divided by its content.
-Every step divides exactly by the previous pivot d in Z[i], with conj(d)
-folded into the step for a non-real d; a remainder raises ArithmeticError.
-Rows are compact: a pivoted column is d in its own row, so no row keeps
-it, and ``inverse`` runs in place, its identity columns taking the freed
-slots. Both divide by the last pivot once, at the end. FFGJ pivots each
-column on its smallest candidate row by total bit length, the first on a
-tie, which keeps the minors small (identity rows go first); ``rank`` takes
-the first. No output depends on the order: the rref, its pivot columns
-and the inverse are unique, storage is canonical, and the Bareiss
-divisions are exact in any row order.
+and columns; each result is reduced by one gcd. ``rank``, ``rref`` and
+``inverse`` share one fraction-free Gauss-Jordan kernel (FFGJ), which
+starts from the numerator rows, each divided by its content. Every step
+divides exactly by the previous pivot d in Z[i], with conj(d) folded into
+the step for a non-real d; a remainder raises ArithmeticError. Rows are
+compact: a pivoted column is d in its own row, so no row keeps it, and
+``inverse`` runs in place, its identity columns taking the freed slots.
+``rank`` counts the pivots; ``rref`` and ``inverse`` divide by the last
+pivot once, at the end. FFGJ pivots each column on its smallest candidate
+row by total bit length, the first on a tie, which keeps the minors small
+(identity rows go first). No output depends on the order: the rank, the
+rref, its pivot columns and the inverse are unique, storage is canonical,
+and the fraction-free divisions are exact in any row order. The only
+other elimination is ``_certainly_invertible``, a one-sided certificate
+mod a prime P.
 
 References: FLINT's fmpq_mat (https://flintlib.org/doc/fmpq_mat.html);
 E. H. Bareiss, Math. Comp. 22 (1968); G. C. Nakos, P. R. Turner and
@@ -488,20 +490,8 @@ def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 
 
 def rank(matrix: Matrix) -> int:
-    """Rank by Bareiss forward elimination (cheaper than full rref)."""
-    rows = _integer_rows(matrix)[0]
-    found = 0
-    d = (1, 0)
-    for _ in range(matrix.cols):
-        leads = [_pop(row, 0, None) for row in rows]
-        selected = next((r for r, c in enumerate(leads) if any(c)), None)
-        if selected is not None:
-            p, pivot = leads.pop(selected), rows.pop(selected)
-            rows = [_combine(p, row, c, pivot, d)
-                    for row, c in zip(rows, leads)]
-            d = p
-            found += 1
-    return found
+    """Rank: the number of pivots the shared Gauss-Jordan kernel finds."""
+    return len(_gauss_jordan(_integer_rows(matrix)[0], matrix.cols, False)[0])
 
 
 def inverse(matrix: Matrix) -> Matrix:

@@ -52,6 +52,30 @@ class TestBuildingBlocks:
         assert generators._singular(rng, 1) == Matrix.zeros(1, 1)
         assert rng.getstate() == state
 
+    def test_exact_rank_decides_when_the_certificate_abstains(
+            self, monkeypatch):
+        # The mod-P certificate only ever proves invertibility; with it
+        # silenced, the exact rank alone must make every decision, so the
+        # same draws are accepted and rejected.
+        specs = [GenSpec(theorem, 4, 2, True, seed=1)
+                 for theorem in THEOREM_IDS]
+        draws = [gen_invertible(n, seed) for n in range(7) for seed in (0, 1)]
+        pairs = [gen_pair(spec) for spec in specs]
+        ranks = []
+
+        def counting(matrix):
+            ranks.append((rank(matrix), matrix.rows))
+            return ranks[-1][0]
+
+        monkeypatch.setattr(generators, "_certainly_invertible",
+                            lambda matrix: False)
+        monkeypatch.setattr(generators, "rank", counting)
+        assert [gen_invertible(n, seed) for n in range(7)
+                for seed in (0, 1)] == draws
+        assert [gen_pair(spec) for spec in specs] == pairs
+        assert any(found < n for found, n in ranks)  # a rejected draw
+        assert any(found == n for found, n in ranks)
+
 
 class TestGenPair:
     @pytest.mark.parametrize("theorem", THEOREM_IDS)
