@@ -141,14 +141,21 @@ def _condition_json(condition: Condition) -> dict:
     return out
 
 
+def _joined(gamma: list, delta: list, lam: list, xi: list) -> list:
+    """The rows of [[gamma, delta], [lambda, xi]] from its blocks' rows.
+
+    An entry's text depends only on its value, so the assembled matrix's
+    rows are the blocks' rows joined.
+    """
+    return [a + b for a, b in zip(gamma + lam, delta + xi)]
+
+
 def _blocks_json(result: BlockGroupInverse) -> dict:
     """The rows of gamma, delta, lambda, xi and the assembled matrix."""
     gamma, delta, lam, xi = map(matrix_to_rows, (
         result.gamma, result.delta, result.lambda_blk, result.xi))
-    # assembled is from_blocks of the four, and an entry's text depends only
-    # on its value, so its rows are theirs joined.
     return {"gamma": gamma, "delta": delta, "lambda": lam, "xi": xi,
-            "assembled": [a + b for a, b in zip(gamma + lam, delta + xi)]}
+            "assembled": _joined(gamma, delta, lam, xi)}
 
 
 def _cmd_drazin(args) -> int:
@@ -247,12 +254,7 @@ _EXAMPLE_BLOCKS = {
     "lambda": [["-i", "-i"], ["0", "0"]],
     "xi": [["1", "1"], ["0", "0"]],
 }
-_EXAMPLE_ASSEMBLED = [
-    ["0", "1", "-i", "-i"],
-    ["0", "-1", "0", "0"],
-    ["-i", "-i", "1", "1"],
-    ["0", "0", "0", "0"],
-]
+_EXAMPLE_ASSEMBLED = _joined(*_EXAMPLE_BLOCKS.values())
 
 
 def _cmd_example(args) -> int:

@@ -18,16 +18,20 @@ Three formula kernels do all the block algebra: Theorem 2.1 for
 [[E, I], [F, 0]] under F E F^pi = 0, Corollary 2.2 for the conjugate
 layout [[E, F], [I, 0]] under the same hypothesis, and Theorem 3.1 for
 [[E, F], [F, 0]]. The rules under the left-sided constraint F^pi E F = 0
-(thm2.3, cor2.4, cor3.2, cor3.3) run a kernel on (E^T, F^T): transposing
-the block matrix turns their layout and hypotheses into the kernel's, and
-swaps the two off-diagonal result blocks. The commutation rules cor2.5 and
-cor3.4 run on the transposes too, through thm2.3's and cor3.3's kernels:
-either law, with F group invertible, forces F^pi E F = 0.
+(thm2.3, cor2.4, cor3.2, cor3.3) are their kernel's rule on (E^T, F^T):
+transposing the block matrix turns their layout and hypotheses into the
+kernel's, and swaps the two off-diagonal result blocks. The commutation
+rules cor2.5 and cor3.4 are mirrored too, through thm2.3's and cor3.3's
+kernels: either law, with F group invertible, forces F^pi E F = 0. So a
+mirrored rule transposes (E, F) once, and transposes its residuals and
+blocks back; only the commutation law is read on (E, F) as given.
 
-The right-sided constraint F E F^pi = 0 makes range(F^pi) E-invariant,
-and the left-sided one does the same for the transposes. So no rule needs
-drazin(E). The kernel inputs and residuals on E's Drazin data come from
-T = E F^pi (F^pi E when mirrored): E^D F^pi = T^D and
+Every hypothesis is one name; the commutation either/or is the one
+hypothesis "EF=lambda FE or EF^2=FEF", reported as its two laws.
+
+In the kernel's orientation the constraint F E F^pi = 0 makes range(F^pi)
+E-invariant, so no rule needs drazin(E). The kernel inputs and residuals
+on E's Drazin data come from T = E F^pi: E^D F^pi = T^D and
 E^pi F^pi = S = F^pi + T^pi - I. ``_report`` is the one reader of Drazin
 data here: it calls drazin once on F and once on T, forms S once, and
 hands the kernel its inputs, so ``block_group_inverse`` only raises or
@@ -59,13 +63,9 @@ class BlockShape(enum.Enum):
     EF_F0 = "EF_F0"
 
 
-# The either/or hypothesis of cor2.5 and cor3.4: one of the two laws holds.
-_COMMUTATION_PAIR = ("EF=lambda FE", "EF^2=FEF")
+# The either/or hypothesis of cor2.5 and cor3.4: one of its two laws holds.
+_COMMUTATION = "EF=lambda FE or EF^2=FEF"
 _F_GROUP = "F group-invertible"
-
-
-def _names(hypothesis: str | tuple[str, ...]) -> tuple[str, ...]:
-    return (hypothesis,) if isinstance(hypothesis, str) else hypothesis
 
 
 class HypothesisViolated(ArithmeticError):
@@ -95,19 +95,13 @@ class Condition:
 class ConditionReport:
     """A rule's conditions and its first failing hypothesis (None if none).
 
-    An either/or fails when none of its conditions holds; it is then named
-    "A or B" and carries B's residual.
+    The either/or reports its two laws as two conditions; it fails when
+    neither holds, under its own name and with the second law's residual.
     """
 
     theorem: str
     conditions: tuple[Condition, ...]
     first_failure: Condition | None
-
-    def holds(self, name: str) -> bool:
-        for condition in self.conditions:
-            if condition.name == name:
-                return condition.holds
-        raise KeyError(name)
 
     def satisfied(self) -> bool:
         """True iff ``block_group_inverse`` would accept this pair."""
@@ -168,45 +162,35 @@ def _commutation(e: Matrix, f: Matrix) -> tuple[Condition, Condition]:
     holds = residual.is_zero()
     diff = ef - fe
     aligned = diff if diff.is_zero() else diff * f
-    return (Condition(_COMMUTATION_PAIR[0], holds, residual,
-                      lam if holds else None),
-            Condition(_COMMUTATION_PAIR[1], aligned.is_zero(), aligned))
+    return (Condition("EF=lambda FE", holds, residual, lam if holds else None),
+            Condition("EF^2=FEF", aligned.is_zero(), aligned))
 
 
-def _evaluate(hypothesis: str | tuple[str, ...], e: Matrix, f: Matrix,
-              df: DrazinResult, t: Matrix, dt: DrazinResult, s: Matrix,
-              mirrored: bool, short: bool) -> tuple[Condition, ...]:
-    """The conditions of one hypothesis, in report order.
+def _evaluate(hypothesis: str, e: Matrix, f: Matrix, df: DrazinResult,
+              t: Matrix, dt: DrazinResult, s: Matrix, short: bool) -> Matrix:
+    """The residual of one hypothesis on a kernel-oriented pair.
 
-    T is E F^pi, or F^pi E when ``mirrored``, with Drazin data ``dt``; the
-    one-sided constraint's residual is F T (T F). ``short`` says that every
-    earlier hypothesis held, which in every rule implies that constraint.
-    Then S = F^pi + T^pi - I is E^pi F^pi (F^pi E^pi), and the residuals on
-    E's Drazin data are S, E S or S E; E S = T T^pi (S E = T^pi T) vanishes
-    exactly when T has index <= 1. Otherwise S comes from drazin(E).
+    T = E F^pi has Drazin data ``dt``; the one-sided constraint's residual
+    is F T. ``short`` says that every earlier hypothesis held, which in
+    every rule implies that constraint. Then S = F^pi + T^pi - I is
+    E^pi F^pi, and the residuals on E's Drazin data are S and E S;
+    E S = T T^pi vanishes exactly when T has index <= 1. Otherwise S comes
+    from drazin(E).
     """
-    if hypothesis == _COMMUTATION_PAIR:
-        return _commutation(e, f)
     zero, f_pi = Matrix.zeros(e.rows, e.rows), df.spectral_idempotent
     # Index <= 1 is exactly when F F^pi (E E^pi) vanishes: skip the product.
     if hypothesis == _F_GROUP:
-        residual = zero if df.index <= 1 else f * f_pi
-    elif hypothesis == "E group-invertible":
-        residual = (zero if drazin_index(e) <= 1
-                    else e * drazin(e).spectral_idempotent)
-    elif hypothesis in ("FEF^pi=0", "F^pi EF=0"):
-        residual = t * f if mirrored else f * t
-    else:
-        if not short:
-            e_pi = drazin(e).spectral_idempotent
-            s = f_pi * e_pi if mirrored else e_pi * f_pi
-        if hypothesis in ("E^pi F^pi=0", "F^pi E^pi=0"):
-            residual = s
-        elif short and dt.index <= 1:
-            residual = zero
-        else:
-            residual = s * e if mirrored else e * s
-    return (Condition(hypothesis, residual.is_zero(), residual),)
+        return zero if df.index <= 1 else f * f_pi
+    if hypothesis == "E group-invertible":
+        return (zero if drazin_index(e) <= 1
+                else e * drazin(e).spectral_idempotent)
+    if hypothesis in ("FEF^pi=0", "F^pi EF=0"):
+        return f * t
+    if not short:
+        s = drazin(e).spectral_idempotent * f_pi
+    if hypothesis in ("E^pi F^pi=0", "F^pi E^pi=0"):
+        return s
+    return zero if short and dt.index <= 1 else e * s
 
 
 def _thm21(e: Matrix, f_sharp: Matrix, f_pi: Matrix, core: Matrix,
@@ -272,27 +256,22 @@ class Rule:
     """One closed-form rule: its layout, hypotheses and route.
 
     ``standing`` then ``refusing`` is the order in which the hypotheses are
-    reported and decided. A hypothesis is one condition name, or a tuple of
-    names of which at least one must hold: the commutation pair of cor2.5
-    and cor3.4. The route is ``kernel``, run on (E^T, F^T) when
-    ``mirrored``. A kernel maps (E, F#, F^pi, E^D F^pi, E^pi F^pi) to the
-    four blocks (gamma, delta, lambda, xi).
+    reported and decided; each is one name. A kernel maps
+    (E, F#, F^pi, E^D F^pi, E^pi F^pi) to the four blocks
+    (gamma, delta, lambda, xi). A ``mirrored`` rule is its kernel's rule on
+    (E^T, F^T): its hypotheses are evaluated there, and its residuals and
+    blocks are transposed back.
     """
 
     shape: BlockShape
-    standing: tuple[str | tuple[str, ...], ...]
+    standing: tuple[str, ...]
     refusing: tuple[str, ...]
     kernel: Callable
     mirrored: bool = False
 
     @property
-    def hypotheses(self) -> tuple[str | tuple[str, ...], ...]:
+    def hypotheses(self) -> tuple[str, ...]:
         return self.standing + self.refusing
-
-    @property
-    def conditions(self) -> tuple[str, ...]:
-        """Every condition name, either/or pairs flattened, in report order."""
-        return tuple(name for h in self.hypotheses for name in _names(h))
 
     @property
     def blocker(self) -> str | None:
@@ -309,7 +288,7 @@ RULES: dict[str, Rule] = {
                    (_F_GROUP, "F^pi E^pi=0"), _thm21, mirrored=True),
     "cor2.4": Rule(BlockShape.EI_F0, ("F^pi EF=0",),
                    (_F_GROUP, "F^pi E^pi=0"), _cor22, mirrored=True),
-    "cor2.5": Rule(BlockShape.EF_I0, (_COMMUTATION_PAIR,),
+    "cor2.5": Rule(BlockShape.EF_I0, (_COMMUTATION,),
                    (_F_GROUP, "F^pi E^pi=0"), _thm21, mirrored=True),
     "thm3.1": Rule(BlockShape.EF_F0, ("FEF^pi=0", _F_GROUP),
                    ("EE^pi F^pi=0",), _thm31),
@@ -319,7 +298,7 @@ RULES: dict[str, Rule] = {
                    ("E group-invertible", _F_GROUP, "F^pi EF=0"), (),
                    _thm31, mirrored=True),
     "cor3.4": Rule(BlockShape.EF_F0,
-                   (_COMMUTATION_PAIR, "E group-invertible", _F_GROUP), (),
+                   (_COMMUTATION, "E group-invertible", _F_GROUP), (),
                    _thm31, mirrored=True),
 }
 
@@ -349,29 +328,37 @@ def _report(theorem: str, e: Matrix, f: Matrix
             ) -> tuple[ConditionReport, DrazinResult, tuple[Matrix, ...]]:
     """The report, F's Drazin data and the kernel inputs.
 
-    It calls drazin once on F, then once on T = E F^pi (F^pi E for a
-    mirrored rule), and forms S = F^pi + T^pi - I once; every residual is
+    A mirrored rule transposes (E, F) once, here; every hypothesis but the
+    commutation law is evaluated on that kernel-oriented pair and its
+    residual transposed back. The law's lambda is read in row-major order,
+    so it stays on (E, F) as given. drazin runs once on F, then once on
+    T = E F^pi, and S = F^pi + T^pi - I is formed once; every residual is
     read from them, and from drazin(E) only after a failed hypothesis. The
     inputs (E, F#, F^pi, T^D, S) are the kernel's
     (E, F#, F^pi, E^D F^pi, E^pi F^pi) when every hypothesis holds.
     """
     rule = rule_for(theorem)
     _require_pair(e, f)
-    df = drazin(f)
+    back = Matrix.transpose if rule.mirrored else (lambda m: m)
+    ke, kf = back(e), back(f)
+    df = drazin(kf)
     f_pi = df.spectral_idempotent
-    t = f_pi * e if rule.mirrored else e * f_pi
+    t = ke * f_pi
     dt = drazin(t)
     s = f_pi + dt.spectral_idempotent - Matrix.identity(e.rows)
     conditions, failure = [], None
     for hypothesis in rule.hypotheses:
-        found = _evaluate(hypothesis, e, f, df, t, dt, s, rule.mirrored,
-                          failure is None)
+        if hypothesis == _COMMUTATION:
+            found = _commutation(e, f)
+        else:
+            residual = back(_evaluate(hypothesis, ke, kf, df, t, dt, s,
+                                      failure is None))
+            found = (Condition(hypothesis, residual.is_zero(), residual),)
         conditions += found
         if failure is None and not any(c.holds for c in found):
-            failure = Condition(" or ".join(c.name for c in found), False,
-                                found[-1].residual)
+            failure = Condition(hypothesis, False, found[-1].residual)
     report = ConditionReport(theorem, tuple(conditions), failure)
-    return report, df, (e, df.drazin, f_pi, dt.drazin, s)
+    return report, df, (ke, df.drazin, f_pi, dt.drazin, s)
 
 
 def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse:
@@ -400,12 +387,11 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
             )
         error.report = report
         raise error
+    gamma, delta, lambda_blk, xi = rule.kernel(*inputs)
     if rule.mirrored:
         # Transposing swaps the off-diagonal blocks.
-        gamma, lambda_blk, delta, xi = (m.transpose() for m in rule.kernel(
-            *(m.transpose() for m in inputs)))
-    else:
-        gamma, delta, lambda_blk, xi = rule.kernel(*inputs)
+        gamma, delta, lambda_blk, xi = (
+            m.transpose() for m in (gamma, lambda_blk, delta, xi))
     assembled = Matrix.from_blocks([[gamma, delta], [lambda_blk, xi]])
     return BlockGroupInverse(theorem, gamma, delta, lambda_blk, xi, assembled,
                              report)

@@ -47,6 +47,29 @@ FIRST_STANDING_BREAKERS = {
     "cor3.4": NO_LAW,
 }
 
+# The either/or hypothesis of cor2.5 and cor3.4, and the two laws it reports.
+COMMUTATION_LAWS = {"EF=lambda FE or EF^2=FEF": ("EF=lambda FE", "EF^2=FEF")}
+
+# Every condition a rule reports, in report order.
+CONDITION_NAMES = {
+    "thm2.1": ["FEF^pi=0", "F group-invertible", "E^pi F^pi=0"],
+    "cor2.2": ["FEF^pi=0", "F group-invertible", "E^pi F^pi=0"],
+    "thm2.3": ["F^pi EF=0", "F group-invertible", "F^pi E^pi=0"],
+    "cor2.4": ["F^pi EF=0", "F group-invertible", "F^pi E^pi=0"],
+    "cor2.5": ["EF=lambda FE", "EF^2=FEF", "F group-invertible",
+               "F^pi E^pi=0"],
+    "thm3.1": ["FEF^pi=0", "F group-invertible", "EE^pi F^pi=0"],
+    "cor3.2": ["F^pi EF=0", "F group-invertible", "F^pi E^pi E=0"],
+    "cor3.3": ["E group-invertible", "F group-invertible", "F^pi EF=0"],
+    "cor3.4": ["EF=lambda FE", "EF^2=FEF", "E group-invertible",
+               "F group-invertible"],
+}
+
+
+def holds(report, name):
+    """Whether the report's condition of that name holds."""
+    return next(c.holds for c in report.conditions if c.name == name)
+
 
 # Malformed scalar strings and the offset each one's error names.
 REJECTED_SCALARS = [

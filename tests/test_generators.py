@@ -20,7 +20,7 @@ from blockginv import generators, theorems
 from blockginv.ginverse import drazin
 from blockginv.matrices import Matrix, rank
 from blockginv.theorems import THEOREM_IDS, check_conditions, rule_for
-from conftest import FIRST_STANDING_BREAKERS, mat
+from conftest import CONDITION_NAMES, FIRST_STANDING_BREAKERS, holds, mat
 
 
 class TestBuildingBlocks:
@@ -95,16 +95,16 @@ class TestGenPair:
         e, f = gen_pair(spec)
         report = check_conditions(e, f, theorem)
         assert not report.satisfied()
-        assert report.holds("F group-invertible")
+        assert holds(report, "F group-invertible")
 
     @pytest.mark.parametrize("theorem", ["thm3.1", "cor3.2"])
     def test_negative_draws_keep_standing_hypotheses(self, theorem):
         spec = GenSpec(theorem, 4, 1, satisfy=False, seed=17)
         e, f = gen_pair(spec)
         report = check_conditions(e, f, theorem)
-        assert report.holds("F group-invertible")
+        assert holds(report, "F group-invertible")
         standing = ("FEF^pi=0" if theorem == "thm3.1" else "F^pi EF=0")
-        assert report.holds(standing)
+        assert holds(report, standing)
         assert not report.satisfied()
 
     def test_determinism(self):
@@ -179,21 +179,29 @@ class TestVerifyInstance:
                   mat([["1", "0"], ["0", "0"]]))]
         if rule_for(theorem).blocker is not None:
             pairs.append(gen_pair(GenSpec(theorem, 3, 0, False, seed=23)))
-        evaluate = theorems._evaluate
+        # _evaluate returns one hypothesis's residual, and _commutation the
+        # two laws of the either/or.
+        evaluate, commutation = theorems._evaluate, theorems._commutation
         verdicts = []
         for e, f in pairs:
             names = []
 
-            def counting(hypothesis, *args):
-                conditions = evaluate(hypothesis, *args)
-                names.extend(condition.name for condition in conditions)
-                return conditions
+            def counting_one(hypothesis, *args):
+                names.append(hypothesis)
+                return evaluate(hypothesis, *args)
 
-            monkeypatch.setattr(theorems, "_evaluate", counting)
+            def counting_laws(*args):
+                laws = commutation(*args)
+                names.extend(law.name for law in laws)
+                return laws
+
+            monkeypatch.setattr(theorems, "_evaluate", counting_one)
+            monkeypatch.setattr(theorems, "_commutation", counting_laws)
             report = verify_instance(e, f, theorem)
             monkeypatch.setattr(theorems, "_evaluate", evaluate)
+            monkeypatch.setattr(theorems, "_commutation", commutation)
             verdicts.append(report.verdict)
-            assert sorted(names) == sorted(rule_for(theorem).conditions)
+            assert sorted(names) == sorted(CONDITION_NAMES[theorem])
         assert set(verdicts) - {Verdict.AGREE_EXISTS}
 
     @pytest.mark.parametrize("theorem", THEOREM_IDS)

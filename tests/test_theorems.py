@@ -23,7 +23,10 @@ from blockginv.theorems import (
     rule_for,
 )
 from conftest import (
+    COMMUTATION_LAWS,
+    CONDITION_NAMES,
     FIRST_STANDING_BREAKERS,
+    holds,
     mat,
     matrices_of,
     singular_square_matrices,
@@ -205,8 +208,8 @@ class TestCor25:
         e = mat([["1", "1"], ["0", "1"]])
         f = mat([["1", "0"], ["0", "0"]])
         report = check_conditions(e, f, "cor2.5")
-        assert not report.holds("EF=lambda FE")
-        assert report.holds("EF^2=FEF")
+        assert not holds(report, "EF=lambda FE")
+        assert holds(report, "EF^2=FEF")
         assert report.satisfied()
         result = block_group_inverse("cor2.5", e, f)
         assert result.assembled == oracle_of(e, f, "cor2.5").drazin
@@ -276,16 +279,18 @@ class TestProductCounts:
 class TestDrazinDataOfT:
     """Positive and refusal draws hand drazin only F and T, never E.
 
-    Every rule reads E through T = E F^pi (F^pi E when mirrored), which is
-    E itself only when E F = 0 (F E = 0). cor3.3 and cor3.4 decide
+    Every rule reads E through T = E F^pi in its kernel's orientation, on
+    (E^T, F^T) for a mirrored rule, and T is E itself only when E F = 0
+    (F E = 0 when mirrored). cor3.3 and cor3.4 decide
     "E group-invertible" from E's index, which for an invertible E is a
     certificate, not an inverse.
     """
 
     @pytest.mark.parametrize("theorem", THEOREM_IDS)
     def test_drazin_sees_only_f_and_t(self, theorem, monkeypatch):
-        # One report reads F's and T's Drazin data once each, in that order,
-        # and block_group_inverse reads none beyond its report's.
+        # One report reads F's and T's Drazin data once each, in that order
+        # and in the kernel's orientation, and block_group_inverse reads none
+        # beyond its report's.
         given_drazin, inverted = [], []
 
         def recording(seen, function):
@@ -297,16 +302,18 @@ class TestDrazinDataOfT:
         rule = rule_for(theorem)
         for satisfy in (True, False) if rule.blocker else (True,):
             for seed, rank_f in ((0, 1), (1, 2), (2, 1)):
-                e, f = gen_pair(GenSpec(theorem, 4, rank_f, satisfy, seed))
-                f_pi = drazin(f).spectral_idempotent
-                t = f_pi * e if rule.mirrored else e * f_pi
+                given = e, f = gen_pair(
+                    GenSpec(theorem, 4, rank_f, satisfy, seed))
+                if rule.mirrored:
+                    e, f = e.transpose(), f.transpose()
+                t = e * drazin(f).spectral_idempotent
                 for accepts in (_checks, _inverts):
                     drazin.cache_clear()
                     given_drazin.clear()
                     inverted.clear()
-                    assert accepts(theorem, e, f) == satisfy
+                    assert accepts(theorem, *given) == satisfy
                     assert given_drazin == [f, t]
-                    assert all(m != e for m in inverted)
+                    assert all(m not in (e, e.transpose()) for m in inverted)
 
 
 def _checks(theorem, e, f):
@@ -528,15 +535,14 @@ def walked_failure(rule, report):
     """The first failing hypothesis, found by a second walk over the rule.
 
     This is independent of the walk that built the report: each hypothesis
-    is looked up by name, and an either/or fails only when none of its
-    conditions holds, named "A or B" with B's residual.
+    is looked up by name, and the either/or fails only when neither of its
+    laws holds, under its own name with the second law's residual.
     """
     by_name = {condition.name: condition for condition in report.conditions}
     for hypothesis in rule.hypotheses:
-        names = (hypothesis,) if isinstance(hypothesis, str) else hypothesis
+        names = COMMUTATION_LAWS.get(hypothesis, (hypothesis,))
         if not any(by_name[name].holds for name in names):
-            return Condition(" or ".join(names), False,
-                             by_name[names[-1]].residual)
+            return Condition(hypothesis, False, by_name[names[-1]].residual)
     return None
 
 
@@ -581,12 +587,52 @@ class TestOneDecision:
             self.assert_same_decision(theorem, e, f)
 
 
+# Each mirrored rule states its twin's theorem for the transposes.
+MIRROR_TWINS = {"thm2.3": "thm2.1", "cor2.4": "cor2.2", "cor3.2": "thm3.1"}
+
+
+class TestMirrorInvariant:
+    """check_conditions(E, F, mirrored) is check_conditions(E^T, F^T, twin)
+    condition by condition: the same verdicts, residuals transposed, and the
+    first failure at the same place in the two hypothesis lists."""
+
+    @staticmethod
+    def assert_mirrors(mirrored, e, f):
+        ours = check_conditions(e, f, mirrored)
+        twin = MIRROR_TWINS[mirrored]
+        theirs = check_conditions(e.transpose(), f.transpose(), twin)
+        assert len(ours.conditions) == len(theirs.conditions)
+        for mine, other in zip(ours.conditions, theirs.conditions):
+            assert mine.holds == other.holds
+            assert mine.residual == other.residual.transpose()
+        failures = []
+        for theorem, report in ((mirrored, ours), (twin, theirs)):
+            failure = report.first_failure
+            failures.append(None if failure is None else (
+                rule_for(theorem).hypotheses.index(failure.name),
+                failure.name in rule_for(theorem).refusing))
+        assert failures[0] == failures[1]
+
+    @given(pair=_pairs_of_one_size())
+    def test_drawn_pairs(self, pair):
+        for mirrored in MIRROR_TWINS:
+            self.assert_mirrors(mirrored, *pair)
+
+    @pytest.mark.parametrize("mirrored", sorted(MIRROR_TWINS))
+    def test_seeded_pairs(self, mirrored):
+        for satisfy in (True, False):
+            for n, rank_f in ((3, 1), (4, 1), (4, 2)):
+                for seed in range(3):
+                    e, f = gen_pair(GenSpec(mirrored, n, rank_f, satisfy, seed))
+                    self.assert_mirrors(mirrored, e, f)
+
+
 class TestCheckConditions:
     def test_zero_pair_under_thm21(self):
         report = check_conditions(mat([["0"]]), mat([["0"]]), "thm2.1")
         assert [c.name for c in report.conditions] == \
             ["FEF^pi=0", "F group-invertible", "E^pi F^pi=0"]
-        assert report.holds("F group-invertible")
+        assert holds(report, "F group-invertible")
         failing = next(c for c in report.conditions if c.name == "E^pi F^pi=0")
         assert not failing.holds
         assert failing.residual == mat([["1"]])
@@ -609,30 +655,12 @@ class TestCheckConditions:
         assert law.lam is None
         assert law.residual == f * e
 
-    def test_unknown_condition_name(self):
-        report = check_conditions(mat([["1"]]), mat([["1"]]), "thm2.1")
-        with pytest.raises(KeyError):
-            report.holds("nope")
-
     def test_condition_names_per_theorem(self):
         e, f = Matrix.identity(2), Matrix.identity(2)
-        expected = {
-            "thm2.1": ["FEF^pi=0", "F group-invertible", "E^pi F^pi=0"],
-            "cor2.2": ["FEF^pi=0", "F group-invertible", "E^pi F^pi=0"],
-            "thm2.3": ["F^pi EF=0", "F group-invertible", "F^pi E^pi=0"],
-            "cor2.4": ["F^pi EF=0", "F group-invertible", "F^pi E^pi=0"],
-            "cor2.5": ["EF=lambda FE", "EF^2=FEF", "F group-invertible",
-                       "F^pi E^pi=0"],
-            "thm3.1": ["FEF^pi=0", "F group-invertible", "EE^pi F^pi=0"],
-            "cor3.2": ["F^pi EF=0", "F group-invertible", "F^pi E^pi E=0"],
-            "cor3.3": ["E group-invertible", "F group-invertible",
-                       "F^pi EF=0"],
-            "cor3.4": ["EF=lambda FE", "EF^2=FEF", "E group-invertible",
-                       "F group-invertible"],
-        }
         for theorem in THEOREM_IDS:
             report = check_conditions(e, f, theorem)
-            assert [c.name for c in report.conditions] == expected[theorem]
+            assert [c.name for c in report.conditions] == \
+                CONDITION_NAMES[theorem]
             assert report.satisfied()
 
 
