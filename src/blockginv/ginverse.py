@@ -14,6 +14,11 @@ nonzero determinant mod a prime proves M_j invertible; failing that, its
 exact rref decides, so no limits and no numerics enter. The group inverse
 is the k <= 1 case.
 
+Each C_j is the identity on its pivot columns, and so is C = Ck ... C1 on
+the composed pivot list q, so no product of the chain or of
+T^D = (B1 ... Bk M^-(k+1)) C multiplies by those columns. T^pi = I - T T^D
+is formed only when read.
+
 References: R. E. Cline, "Inverses of rank invariant powers of a matrix",
 SIAM J. Numer. Anal. 5 (1968); S. L. Campbell and C. D. Meyer,
 Generalized Inverses of Linear Transformations, ch. 7.
@@ -21,8 +26,8 @@ Generalized Inverses of Linear Transformations, ch. 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .matrices import (Matrix, ShapeMismatch, _certainly_invertible,
                        inverse, rref)
@@ -43,13 +48,40 @@ class NotGroupInvertible(ArithmeticError):
         self.condition = condition
 
 
-@dataclass(frozen=True)
 class DrazinResult:
-    """The Drazin inverse T^D, its index, and T^pi = I - T*T^D."""
+    """The Drazin inverse T^D of T, its index, and T^pi = I - T T^D.
 
-    drazin: Matrix
-    index: int
-    spectral_idempotent: Matrix
+    ``DrazinResult(d, k, pi)`` holds all three. Given T as ``matrix`` in
+    place of pi, it forms T^pi on first read, so a caller that reads only
+    T^D and the index never pays for it. Equality compares all three.
+    """
+
+    __slots__ = ("drazin", "index", "_pi", "_matrix")
+
+    def __init__(self, drazin: Matrix, index: int,
+                 spectral_idempotent: Matrix | None = None,
+                 matrix: Matrix | None = None):
+        self.drazin, self.index = drazin, index
+        self._pi, self._matrix = spectral_idempotent, matrix
+
+    @property
+    def spectral_idempotent(self) -> Matrix:
+        if self._pi is None:
+            t = self._matrix
+            self._pi = Matrix.identity(t.rows) - t * self.drazin
+        return self._pi
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DrazinResult):
+            return NotImplemented
+        return (self.drazin == other.drazin and self.index == other.index
+                and self.spectral_idempotent == other.spectral_idempotent)
+
+    def __hash__(self):
+        return hash((self.drazin, self.index))
+
+    def __repr__(self) -> str:
+        return f"DrazinResult({self.drazin!r}, {self.index})"
 
 
 def _require_square(matrix: Matrix, op: str) -> None:
@@ -57,30 +89,50 @@ def _require_square(matrix: Matrix, op: str) -> None:
         raise ShapeMismatch(op, matrix.shape, matrix.shape)
 
 
+def _times_rref(free_part: Matrix, pivots: Sequence[int],
+                free: Sequence[int], x: Matrix) -> Matrix:
+    """C x for C the nonzero rows of an rref, with C[:, free] given.
+
+    C is the identity on its pivot columns, so
+    C x = x[pivots, :] + C[:, free] x[free, :].
+    """
+    every = range(x.cols)
+    return x.pick(pivots, every) + free_part * x.pick(free, every)
+
+
 def _walk(matrix: Matrix) -> tuple[int, Matrix | None, Matrix | None,
-                                   Matrix | None]:
-    """Cline's chain for a square T: (index, B, C, M).
+                                   tuple[int, ...], Matrix | None]:
+    """Cline's chain for a square T: (index, B, C, q, M).
 
     M is the first invertible M_j of the chain, starting from M_0 = T, and
     B = B1 ... Bj, C = Cj ... C1 (None for j = 0), so T^(j+1) = B M C. When
     the chain ends on a zero M_j instead, M is None and the index is j + 1.
+    Each C_j is the identity on its pivot columns, and so is C on the
+    composed pivot list q; no product multiplies by those columns.
     """
     left = right = None
+    q: tuple[int, ...] = ()
     core = matrix
     steps = 0
     while True:
         if _certainly_invertible(core):
-            return steps, left, right, core
+            return steps, left, right, q, core
         reduced, r, pivots = rref(core)
         if r == core.rows:  # invertible after all: an unlucky prime
-            return steps, left, right, core
+            return steps, left, right, q, core
         if r == 0:
-            return steps + 1, left, right, None
+            return steps + 1, left, right, q, None
+        free = [c for c in range(core.cols) if c not in pivots]
+        free_part = reduced.pick(range(r), free)
         columns = core.columns(pivots)
-        rows = reduced.submatrix(0, r, 0, core.cols)
-        left = columns if left is None else left * columns
-        right = rows if right is None else rows * right
-        core = rows * columns
+        if left is None:
+            left, q = columns, pivots
+            right = reduced.submatrix(0, r, 0, core.cols)
+        else:
+            left = left * columns
+            right = _times_rref(free_part, pivots, free, right)
+            q = tuple(q[p] for p in pivots)
+        core = _times_rref(free_part, pivots, free, columns)
         steps += 1
 
 
@@ -95,23 +147,32 @@ def drazin(matrix: Matrix) -> DrazinResult:
     """Drazin inverse by Cline's chain of full-rank factorizations.
 
     With index k >= 1, the chain's B, C and invertible M give
-    T T^D = B M^-k C and T^D = B M^-(k+1) C. An invertible T has index 0
-    and T^D = T^-1. The chain runs one rref per step, one inverse at the
-    end and no rank pass. Results are cached; matrices are immutable.
+    T^D = (B P) C with P = M^-(k+1), the k-th power of M's one inverse
+    times that inverse. C is the identity on its pivot columns q, so B P
+    fills columns q of T^D, and only the other columns take a product with
+    C. T^pi = I - T T^D is then formed on its first read, from T, which
+    the cache holds anyway as its key. An invertible T has index 0,
+    T^D = T^-1 and T^pi = 0; a nilpotent T has T^D = 0 and T^pi = I. The
+    chain runs one rref per step, one inverse and no rank pass. Results
+    are cached; matrices are immutable.
     """
     _require_square(matrix, "drazin")
     n = matrix.rows
-    k, left, right, core = _walk(matrix)
+    k, left, right, q, core = _walk(matrix)
     if core is None:
         return DrazinResult(Matrix.zeros(n, n), k, Matrix.identity(n))
     core_inv = inverse(core)
     if k == 0:
         return DrazinResult(core_inv, 0, Matrix.zeros(n, n))
-    tail = right
+    power = core_inv
     for _ in range(k):
-        tail = core_inv * tail
-    pi = Matrix.identity(n) - left * tail
-    return DrazinResult(left * (core_inv * tail), k, pi)
+        power = power * core_inv
+    bp = left * power
+    free = [c for c in range(n) if c not in q]
+    stacked = Matrix.from_blocks([[bp, bp * right.columns(free)]])
+    # Column t of the stack is column [*q, *free][t] of T^D.
+    order = sorted(range(n), key=[*q, *free].__getitem__)
+    return DrazinResult(stacked.columns(order), k, matrix=matrix)
 
 
 def group_inverse(matrix: Matrix) -> Matrix:

@@ -214,11 +214,14 @@ class Matrix:
             [i * self.cols + j for i in range(row_start, row_stop)
              for j in range(col_start, col_stop)])
 
+    def pick(self, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
+        """The entries at the listed rows and columns, in the order given."""
+        return self._take(len(rows), len(cols),
+                          [i * self.cols + j for i in rows for j in cols])
+
     def columns(self, picks: Sequence[int]) -> Matrix:
         """The listed columns, in the order given."""
-        return self._take(self.rows, len(picks),
-                          [i * self.cols + c for i in range(self.rows)
-                           for c in picks])
+        return self.pick(range(self.rows), picks)
 
     def transpose(self) -> Matrix:
         rows, cols = self.rows, self.cols
@@ -357,10 +360,15 @@ def _times_conj(vector: _ZiVector, d: _Zi) -> tuple[list[int], list[int]]:
 
 
 def _exact_quotients(values: list[int], d: int) -> list[int]:
-    pairs = list(map(divmod, values, repeat(d)))
-    if any(r for _, r in pairs):
+    """The values over d, or ArithmeticError if any leaves a remainder.
+
+    Floor remainders all share d's sign, so they sum to zero, that is
+    sum(values) == d * sum(quotients), only when every one is zero.
+    """
+    quotients = [v // d for v in values]
+    if sum(values) != d * sum(quotients):
         raise ArithmeticError(f"elimination step not divisible by {d}")
-    return [q for q, _ in pairs]
+    return quotients
 
 
 def _combine(p: _Zi, x: _ZiVector, c: _Zi, y: _ZiVector,

@@ -204,6 +204,30 @@ class TestVerifyInstance:
             assert sorted(names) == sorted(CONDITION_NAMES[theorem])
         assert set(verdicts) - {Verdict.AGREE_EXISTS}
 
+    @pytest.mark.parametrize("spec", [GenSpec("cor2.4", 5, 2, True, 11),
+                                      GenSpec("thm2.1", 5, 2, False, 11)])
+    def test_oracle_spectral_idempotent_is_left_unformed(self, spec,
+                                                         monkeypatch):
+        # verify_instance reads only T^D and the index of the 2n oracle, so
+        # its T^pi is formed only when something reads it afterwards.
+        oracles = []
+
+        def recording(matrix):
+            oracles.append((matrix, drazin(matrix)))
+            return oracles[-1][1]
+
+        drazin.cache_clear()
+        monkeypatch.setattr(generators, "drazin", recording)
+        e, f = gen_pair(spec)
+        report = verify_instance(e, f, spec.theorem)
+        assert report.verdict is (Verdict.AGREE_EXISTS if spec.satisfy
+                                  else Verdict.AGREE_NOT_EXISTS)
+        (big, oracle), = oracles
+        assert oracle.index >= 1
+        assert oracle._pi is None
+        assert oracle.spectral_idempotent == \
+            Matrix.identity(big.rows) - big * oracle.drazin
+
     @pytest.mark.parametrize("theorem", THEOREM_IDS)
     def test_drazin_is_called_only_for_the_oracle(self, theorem, monkeypatch):
         # The benchmark times generators.drazin as the oracle, so nothing

@@ -16,6 +16,7 @@ from blockginv.ginverse import (
     group_inverse,
 )
 from blockginv.matrices import Matrix, ShapeMismatch, rank
+from blockginv.scalars import GaussianRational
 from blockginv.theorems import SHAPE_FOR_THEOREM, assemble_M
 from conftest import mat, singular_square_matrices, square_matrices
 from reference_drazin import reference_drazin
@@ -190,8 +191,51 @@ class TestDefiningIdentities:
         assert rank(m + pi) == m.rows
 
 
+def _core_nilpotent(rng: random.Random, core_n: int, index: int) -> Matrix:
+    """U S diag(C, N) S^T U^-1 with C invertible, N nilpotent of the index.
+
+    S is a permutation and U is unit upper triangular: S scatters the zero
+    columns of N, and U keeps every column's dependence on the ones before
+    it, so the chain's pivot lists are not the leading columns.
+    """
+    def draw():
+        return GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1))
+
+    while True:
+        core = Matrix.from_rows([[draw() for _ in range(core_n)]
+                                 for _ in range(core_n)])
+        if rank(core) == core_n:
+            break
+    # N is one Jordan block of each size; a block starts at 0 or sizes[0].
+    sizes = [index] + [rng.randint(1, index)] * rng.randint(0, 1)
+    m = sum(sizes)
+    n = core_n + m
+    nilpotent = Matrix.from_rows([[int(j == i + 1 and j != sizes[0])
+                                   for j in range(m)] for i in range(m)])
+    block = Matrix.from_blocks([[core, Matrix.zeros(core_n, m)],
+                                [Matrix.zeros(m, core_n), nilpotent]])
+    order = list(range(n))
+    rng.shuffle(order)
+    u = Matrix.from_rows([[draw() if j > i else int(i == j)
+                           for j in range(n)] for i in range(n)])
+    return u * block.pick(order, order) * matrices.inverse(u)
+
+
 class TestAgainstReference:
     """The chain against the core-nilpotent construction, exactly."""
+
+    @pytest.mark.parametrize("index", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_high_index_with_an_invertible_part(self, index, seed):
+        # The chain runs index steps, so q is composed over at least three.
+        m = _core_nilpotent(random.Random(seed * 10 + index), 2, index)
+        k, left, right, q, core = ginverse._walk(m)
+        assert k == index and core is not None
+        assert q != tuple(range(len(q)))
+        # C = Ck ... C1 is the identity on q, and T^(k+1) = B M C.
+        assert right.columns(q) == Matrix.identity(core.rows)
+        assert left * core * right == m ** (k + 1)
+        assert drazin.__wrapped__(m) == reference_drazin(m)
 
     @given(singular_square_matrices())
     def test_singular_matrices(self, m):
@@ -271,3 +315,21 @@ class TestInvertibilityCertificate:
         calls.update(rank=0, rref=0, inverse=0)
         assert drazin.__wrapped__(jordan).index == 5
         assert calls == {"rank": 0, "rref": 5, "inverse": 0}
+
+    def test_index_one_takes_four_products_none_over_2n(self, monkeypatch):
+        # C1 B1 from C1's free columns, P = M^-2, B1 P, and (B1 P) times C1's
+        # free columns: no product runs over all 2n columns of T.
+        inner = []
+        product = matrices._product
+
+        def recording(left, right):
+            inner.append(left.cols)
+            return product(left, right)
+
+        e, f = gen_pair(GenSpec("thm3.1", 4, 2, True, 5))
+        big = assemble_M(e, f, SHAPE_FOR_THEOREM["thm3.1"])
+        monkeypatch.setattr(matrices, "_product", recording)
+        result = drazin.__wrapped__(big)
+        monkeypatch.setattr(matrices, "_product", product)
+        assert result.index == 1 and 0 < rank(big) < big.rows
+        assert len(inner) == 4 and big.rows not in inner

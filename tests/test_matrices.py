@@ -188,10 +188,14 @@ class TestExactDivision:
         assert m_inv * m == Matrix.identity(3)
 
     # The step (1*x - 0*x) / d is x / d, divided after the conj(d) fold.
+    # A negative pivot, and remainders that cancel under truncation or in
+    # the sum of the row, must still raise.
     @pytest.mark.parametrize("re, im, d", [
         ([4, 3], [0, 0], (2, 0)),
         ([2, 1], [0, 0], (1, 1)),
         ([1], [1], (0, 2)),
+        ([3, 1], [0, 0], (-2, 0)),
+        ([3, -3], [0, 0], (2, 0)),
     ])
     def test_inexact_division_raises(self, re, im, d):
         with pytest.raises(ArithmeticError):
