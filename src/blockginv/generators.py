@@ -197,7 +197,7 @@ def _draw_flavored(rng: random.Random, spec: GenSpec) -> tuple[Matrix, Matrix]:
                  if spec.satisfy else _nilpotent_nonzero(rng, q))
         else:
             d = _gen_invertible(rng, q) if spec.satisfy else _singular(rng, q)
-    if "FEF^pi=0" in rule_for(theorem).standing:
+    if not rule_for(theorem).mirrored:
         e_tilde = Matrix.from_blocks([
             [a, Matrix.zeros(r, q)],
             [_rand_matrix(rng, q, r), d],

@@ -14,10 +14,11 @@ nonzero determinant mod a prime proves M_j invertible; failing that, its
 exact rref decides, so no limits and no numerics enter. The group inverse
 is the k <= 1 case.
 
-Each C_j is the identity on its pivot columns, and so is C = Ck ... C1 on
-the composed pivot list q, so no product of the chain or of
-T^D = (B1 ... Bk M^-(k+1)) C multiplies by those columns. T^pi = I - T T^D
-is formed only when read.
+The factors are never composed. Cline's identity for T = B C,
+(T^D)^p = B ((C B)^D)^(p+1) C, peels one step at a time: starting from
+X = M^-(k+1), each step, last first, sets X = B_j X C_j. Each C_j is the
+identity on its pivot columns, so no product of the chain or of T^D
+multiplies by those columns. T^pi = I - T T^D is formed only when read.
 
 References: R. E. Cline, "Inverses of rank invariant powers of a matrix",
 SIAM J. Numer. Anal. 5 (1968); S. L. Campbell and C. D. Meyer,
@@ -100,79 +101,70 @@ def _times_rref(free_part: Matrix, pivots: Sequence[int],
     return x.pick(pivots, every) + free_part * x.pick(free, every)
 
 
-def _walk(matrix: Matrix) -> tuple[int, Matrix | None, Matrix | None,
-                                   tuple[int, ...], Matrix | None]:
-    """Cline's chain for a square T: (index, B, C, q, M).
+def _chain(matrix: Matrix) -> tuple[list[tuple], Matrix | None]:
+    """Cline's chain for a square T: (steps, core).
 
-    M is the first invertible M_j of the chain, starting from M_0 = T, and
-    B = B1 ... Bj, C = Cj ... C1 (None for j = 0), so T^(j+1) = B M C. When
-    the chain ends on a zero M_j instead, M is None and the index is j + 1.
-    Each C_j is the identity on its pivot columns, and so is C on the
-    composed pivot list q; no product multiplies by those columns.
+    Each step factors the current matrix, T first, as B C and records
+    (B, pivots, free, C[:, free]), with B the pivot columns and C the
+    nonzero rref rows; C B is the next matrix. The chain ends on an
+    invertible matrix, the core, or on a zero one, recorded as a rank-0
+    step with core None. Either way T has index len(steps).
     """
-    left = right = None
-    q: tuple[int, ...] = ()
+    steps = []
     core = matrix
-    steps = 0
-    while True:
-        if _certainly_invertible(core):
-            return steps, left, right, q, core
+    while not _certainly_invertible(core):
         reduced, r, pivots = rref(core)
         if r == core.rows:  # invertible after all: an unlucky prime
-            return steps, left, right, q, core
-        if r == 0:
-            return steps + 1, left, right, q, None
+            break
         free = [c for c in range(core.cols) if c not in pivots]
         free_part = reduced.pick(range(r), free)
         columns = core.columns(pivots)
-        if left is None:
-            left, q = columns, pivots
-            right = reduced.submatrix(0, r, 0, core.cols)
-        else:
-            left = left * columns
-            right = _times_rref(free_part, pivots, free, right)
-            q = tuple(q[p] for p in pivots)
+        steps.append((columns, pivots, free, free_part))
+        if r == 0:
+            return steps, None
         core = _times_rref(free_part, pivots, free, columns)
-        steps += 1
+    return steps, core
 
 
 def drazin_index(matrix: Matrix) -> int:
     """Smallest k >= 0 with rank(T^k) = rank(T^(k+1)); 0 for invertible T."""
     _require_square(matrix, "drazin_index")
-    return _walk(matrix)[0]
+    return len(_chain(matrix)[0])
 
 
 @lru_cache(maxsize=4096)
 def drazin(matrix: Matrix) -> DrazinResult:
     """Drazin inverse by Cline's chain of full-rank factorizations.
 
-    With index k >= 1, the chain's B, C and invertible M give
-    T^D = (B P) C with P = M^-(k+1), the k-th power of M's one inverse
-    times that inverse. C is the identity on its pivot columns q, so B P
-    fills columns q of T^D, and only the other columns take a product with
-    C. T^pi = I - T T^D is then formed on its first read, from T, which
-    the cache holds anyway as its key. An invertible T has index 0,
-    T^D = T^-1 and T^pi = 0; a nilpotent T has T^D = 0 and T^pi = I. The
-    chain runs one rref per step, one inverse and no rank pass. Results
-    are cached; matrices are immutable.
+    With index k >= 1 and an invertible core M, X = M^-(k+1), the k-th
+    power of M's one inverse times that inverse. The steps, last first,
+    then set X = B X C, which is Cline's identity for that step. C is the
+    identity on its pivot columns, so B X fills those columns of B X C and
+    only the free columns take a product with C. T^pi = I - T T^D is
+    formed on its first read, from T, which the cache holds anyway as its
+    key. An invertible T has index 0, T^D = T^-1 and T^pi = 0; a nilpotent
+    T has T^D = 0 and T^pi = I. The chain runs one rref per step, one
+    inverse and no rank pass. Results are cached; matrices are immutable.
     """
     _require_square(matrix, "drazin")
     n = matrix.rows
-    k, left, right, q, core = _walk(matrix)
+    steps, core = _chain(matrix)
+    k = len(steps)
     if core is None:
         return DrazinResult(Matrix.zeros(n, n), k, Matrix.identity(n))
     core_inv = inverse(core)
     if k == 0:
         return DrazinResult(core_inv, 0, Matrix.zeros(n, n))
-    power = core_inv
+    x = core_inv
     for _ in range(k):
-        power = power * core_inv
-    bp = left * power
-    free = [c for c in range(n) if c not in q]
-    stacked = Matrix.from_blocks([[bp, bp * right.columns(free)]])
-    # Column t of the stack is column [*q, *free][t] of T^D.
-    order = sorted(range(n), key=[*q, *free].__getitem__)
-    return DrazinResult(stacked.columns(order), k, matrix=matrix)
+        x = x * core_inv
+    for left, pivots, free, free_part in reversed(steps):
+        bx = left * x
+        stacked = Matrix.from_blocks([[bx, bx * free_part]])
+        # Column t of the stack is column [*pivots, *free][t] of B X C.
+        where = [*pivots, *free]
+        x = stacked.columns(sorted(range(len(where)), key=where.__getitem__))
+    return DrazinResult(x, k, matrix=matrix)
 
 
 def group_inverse(matrix: Matrix) -> Matrix:
@@ -189,17 +181,17 @@ def cline(a: Matrix, b: Matrix) -> DrazinResult:
     """Drazin inverse of a*b from the one of b*a: (ab)^D = a ((ba)^D)^2 b.
 
     Works for rectangular a (m x n) and b (n x m); the index and spectral
-    idempotent are derived for the product a*b. No kernel calls it; it is
-    public, and acceptance criterion 6 checks it against ``drazin(a * b)``.
+    idempotent are derived for the product a*b, and T^pi is formed on its
+    first read, as ``drazin`` does. ``drazin`` applies this identity one
+    step of its chain at a time. No kernel calls it; it is public, and
+    acceptance criterion 6 checks it against ``drazin(a * b)``.
     """
     if a.cols != b.rows or a.rows != b.cols:
         raise ShapeMismatch("cline", a.shape, b.shape)
     ba_drazin = drazin(b * a).drazin
     product = a * b
     d = a * (ba_drazin * ba_drazin) * b
-    k = drazin_index(product)
-    pi = Matrix.identity(a.rows) - product * d
-    return DrazinResult(d, k, pi)
+    return DrazinResult(d, drazin_index(product), matrix=product)
 
 
 def block_triangular_drazin(a: Matrix, c: Matrix, d: Matrix) -> Matrix:

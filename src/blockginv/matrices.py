@@ -277,11 +277,13 @@ class Matrix:
             raise ShapeMismatch("pow", self.shape, self.shape)
         if exponent < 0:
             raise ValueError("negative powers are not defined here")
-        result = Matrix.identity(self.rows)
+        if exponent == 0:
+            return Matrix.identity(self.rows)
+        result = None
         base = self
         while exponent:
             if exponent & 1:
-                result = result * base
+                result = base if result is None else result * base
             if exponent > 1:
                 base = base * base
             exponent >>= 1

@@ -221,20 +221,33 @@ def _core_nilpotent(rng: random.Random, core_n: int, index: int) -> Matrix:
     return u * block.pick(order, order) * matrices.inverse(u)
 
 
+def _rref_rows(pivots, free, free_part):
+    """C rebuilt from its pivot list and C[:, free]: the identity on pivots."""
+    n = len(pivots) + len(free)
+    rows = [[int(j == p) for j in range(n)] for p in pivots]
+    for i, row in enumerate(rows):
+        for t, j in enumerate(free):
+            row[j] = free_part[i, t]
+    return Matrix.from_rows(rows)
+
+
 class TestAgainstReference:
     """The chain against the core-nilpotent construction, exactly."""
 
     @pytest.mark.parametrize("index", [3, 4, 5, 6])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_high_index_with_an_invertible_part(self, index, seed):
-        # The chain runs index steps, so q is composed over at least three.
         m = _core_nilpotent(random.Random(seed * 10 + index), 2, index)
-        k, left, right, q, core = ginverse._walk(m)
-        assert k == index and core is not None
-        assert q != tuple(range(len(q)))
-        # C = Ck ... C1 is the identity on q, and T^(k+1) = B M C.
-        assert right.columns(q) == Matrix.identity(core.rows)
-        assert left * core * right == m ** (k + 1)
+        steps, core = ginverse._chain(m)
+        assert len(steps) == index and core is not None
+        assert drazin_index(m) == index
+        # Each step's matrix is B C, and the next step's matrix is C B.
+        current = m
+        for left, pivots, free, free_part in steps:
+            right = _rref_rows(pivots, free, free_part)
+            assert left * right == current
+            current = right * left
+        assert current == core
         assert drazin.__wrapped__(m) == reference_drazin(m)
 
     @given(singular_square_matrices())
@@ -333,3 +346,25 @@ class TestInvertibilityCertificate:
         monkeypatch.setattr(matrices, "_product", product)
         assert result.index == 1 and 0 < rank(big) < big.rows
         assert len(inner) == 4 and big.rows not in inner
+
+    def test_index_and_nilpotent_take_one_product_per_step(self, monkeypatch):
+        # Only C B of each step: no composed factors to multiply and discard.
+        calls = []
+        product = matrices._product
+
+        def counted(left, right):
+            calls.append(1)
+            return product(left, right)
+
+        index_three = mat([["i", "1", "0", "0"], ["0", "0", "1", "0"],
+                           ["0", "0", "0", "1"], ["0", "0", "0", "0"]])
+        jordan = Matrix.from_rows([[1 if j == i + 1 else 0 for j in range(5)]
+                                   for i in range(5)])
+        monkeypatch.setattr(matrices, "_product", counted)
+        assert drazin_index(index_three) == 3
+        assert len(calls) == 3
+        calls.clear()
+        result = drazin.__wrapped__(jordan)
+        assert len(calls) == 4
+        monkeypatch.setattr(matrices, "_product", product)
+        assert result.index == 5 and result.drazin.is_zero()

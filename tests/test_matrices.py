@@ -99,6 +99,26 @@ class TestAlgebra:
         with pytest.raises(ShapeMismatch):
             mat([["1", "2"]]) ** 2
 
+    @pytest.mark.parametrize("exponent,products", [
+        (0, 0), (1, 0), (2, 1), (4, 2), (5, 3),
+    ])
+    def test_power_starts_from_its_first_factor(self, monkeypatch, exponent,
+                                                products):
+        m = mat([["1", "i", "0"], ["2", "0", "1/3"], ["0", "-1", "1"]])
+        repeated = Matrix.identity(3)
+        for _ in range(exponent):
+            repeated = repeated * m
+        calls = []
+        product = matrices._product
+
+        def counted(left, right):
+            calls.append(1)
+            return product(left, right)
+
+        monkeypatch.setattr(matrices, "_product", counted)
+        assert m ** exponent == repeated
+        assert len(calls) == products
+
     def test_transpose_and_submatrix(self):
         m = mat([["1", "2", "3"], ["4", "5", "6"]])
         assert m.transpose() == mat([["1", "4"], ["2", "5"], ["3", "6"]])
