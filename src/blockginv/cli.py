@@ -336,18 +336,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        return _fail(1, "InputError", str(exc))
-    except ShapeMismatch as exc:
-        return _fail(1, "ShapeMismatch", str(exc))
-    except OutputError as exc:
-        return _fail(1, "OutputError", str(exc))
-    except GenerationExhausted as exc:
-        return _fail(1, "GenerationExhausted", str(exc))
-    except NotGroupInvertible as exc:
-        return _fail(2, "NotGroupInvertible", str(exc))
-    except HypothesisViolated as exc:
-        return _fail(2, "HypothesisViolated", str(exc))
+    except (InputError, ShapeMismatch, OutputError,
+            GenerationExhausted) as exc:
+        return _fail(1, type(exc).__name__, str(exc))
+    except (NotGroupInvertible, HypothesisViolated) as exc:
+        return _fail(2, type(exc).__name__, str(exc))
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ Pairs (E, F) are built in an adapted basis: F is conjugated from
 diag(C, 0) with C invertible, so its rank and spectral idempotent are known
 by construction, and E is conjugated from a block matrix whose zero corner
 enforces the wanted one-sided constraint. The bottom-right corner of that
-block matrix steers the existence condition, which makes it cheap to draw
-instances where the closed form must succeed and instances where it must
-refuse.
+block matrix steers the existence condition, so one draw gives an instance
+where the closed form must succeed, or one where it must refuse. No draw
+is repeated: ``gen_pair`` checks its one draw and raises if it missed.
 
 All randomness flows through ``random.Random`` (the stdlib Mersenne
 Twister), seeded explicitly; equal seeds give equal instances on every run
@@ -33,8 +33,6 @@ from .theorems import (
     check_conditions,
     rule_for,
 )
-
-_ATTEMPTS = 64
 
 # Rules whose refusal instances put a nonzero nilpotent in the corner that
 # steers existence, which needs two spare dimensions.
@@ -303,30 +301,27 @@ def _check_feasible(spec: GenSpec) -> None:
 
 
 def gen_pair(spec: GenSpec) -> tuple[Matrix, Matrix]:
-    """Draw a pair (E, F) matching a GenSpec, rechecking every candidate.
+    """Draw one pair (E, F) matching a GenSpec, and check it.
 
     Raises GenerationExhausted when the request is structurally impossible
-    (see ``_check_feasible``) or when no draw hits the target within the
-    attempt budget.
+    (see ``_check_feasible``) or when the draw misses its target, which
+    only a wrong construction can do: each draw imposes the hypotheses.
     """
     _check_feasible(spec)
     target = None if spec.satisfy else rule_for(spec.theorem).blocker
     rng = random.Random(spec.seed)
-    for _ in range(_ATTEMPTS):
-        if spec.theorem == "cor2.5":
-            e, f = _draw_cor25(rng, spec)
-        elif spec.theorem == "cor3.4":
-            e, f = _draw_cor34(rng, spec)
-        else:
-            e, f = _draw_flavored(rng, spec)
-        failure = check_conditions(e, f, spec.theorem).first_failure
-        if (failure.name if failure else None) == target:
-            return e, f
-    raise GenerationExhausted(
-        f"{spec.theorem}: no draw hit the target in {_ATTEMPTS} attempts "
-        f"(n={spec.n}, rank_f={spec.rank_f}, satisfy={spec.satisfy}, "
-        f"seed={spec.seed})"
-    )
+    if spec.theorem == "cor2.5":
+        e, f = _draw_cor25(rng, spec)
+    elif spec.theorem == "cor3.4":
+        e, f = _draw_cor34(rng, spec)
+    else:
+        e, f = _draw_flavored(rng, spec)
+    failure = check_conditions(e, f, spec.theorem).first_failure
+    found = failure.name if failure else None
+    if found != target:
+        raise GenerationExhausted(f"{spec}: the draw's first failure is "
+                                  f"{found!r}, not the target {target!r}")
+    return e, f
 
 
 def verify_instance(e: Matrix, f: Matrix, theorem: str) -> VerificationReport:

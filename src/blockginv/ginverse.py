@@ -78,9 +78,6 @@ class DrazinResult:
         return (self.drazin == other.drazin and self.index == other.index
                 and self.spectral_idempotent == other.spectral_idempotent)
 
-    def __hash__(self):
-        return hash((self.drazin, self.index))
-
     def __repr__(self) -> str:
         return f"DrazinResult({self.drazin!r}, {self.index})"
 
@@ -136,15 +133,15 @@ def drazin_index(matrix: Matrix) -> int:
 def drazin(matrix: Matrix) -> DrazinResult:
     """Drazin inverse by Cline's chain of full-rank factorizations.
 
-    With index k >= 1 and an invertible core M, X = M^-(k+1), the k-th
-    power of M's one inverse times that inverse. The steps, last first,
-    then set X = B X C, which is Cline's identity for that step. C is the
-    identity on its pivot columns, so B X fills those columns of B X C and
-    only the free columns take a product with C. T^pi = I - T T^D is
-    formed on its first read, from T, which the cache holds anyway as its
-    key. An invertible T has index 0, T^D = T^-1 and T^pi = 0; a nilpotent
-    T has T^D = 0 and T^pi = I. The chain runs one rref per step, one
-    inverse and no rank pass. Results are cached; matrices are immutable.
+    With index k >= 1 and an invertible core M, X = M^-(k+1), a power of
+    M's one inverse. The steps, last first, then set X = B X C, which is
+    Cline's identity for that step. C is the identity on its pivot
+    columns, so B X fills those columns of B X C and only the free columns
+    take a product with C. T^pi = I - T T^D is formed on its first read,
+    from T, which the cache holds anyway as its key. An invertible T has
+    index 0, T^D = T^-1 and T^pi = 0; a nilpotent T has T^D = 0 and
+    T^pi = I. The chain runs one rref per step, one inverse and no rank
+    pass. Results are cached; matrices are immutable.
     """
     _require_square(matrix, "drazin")
     n = matrix.rows
@@ -155,9 +152,7 @@ def drazin(matrix: Matrix) -> DrazinResult:
     core_inv = inverse(core)
     if k == 0:
         return DrazinResult(core_inv, 0, Matrix.zeros(n, n))
-    x = core_inv
-    for _ in range(k):
-        x = x * core_inv
+    x = core_inv ** (k + 1)
     for left, pivots, free, free_part in reversed(steps):
         bx = left * x
         stacked = Matrix.from_blocks([[bx, bx * free_part]])

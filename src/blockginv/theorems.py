@@ -110,15 +110,19 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class BlockGroupInverse:
-    """The four result blocks, their assembly and the condition report."""
+    """The four result blocks, the report, and their assembly on read."""
 
     theorem: str
     gamma: Matrix
     delta: Matrix
     lambda_blk: Matrix
     xi: Matrix
-    assembled: Matrix
     report: ConditionReport
+
+    @property
+    def assembled(self) -> Matrix:
+        return Matrix.from_blocks([[self.gamma, self.delta],
+                                   [self.lambda_blk, self.xi]])
 
 
 def _require_pair(e: Matrix, f: Matrix) -> int:
@@ -392,6 +396,4 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
         # Transposing swaps the off-diagonal blocks.
         gamma, delta, lambda_blk, xi = (
             m.transpose() for m in (gamma, lambda_blk, delta, xi))
-    assembled = Matrix.from_blocks([[gamma, delta], [lambda_blk, xi]])
-    return BlockGroupInverse(theorem, gamma, delta, lambda_blk, xi, assembled,
-                             report)
+    return BlockGroupInverse(theorem, gamma, delta, lambda_blk, xi, report)

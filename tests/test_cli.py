@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, and error JSON."""
 
+import dataclasses
 import json
 import sys
 from math import gcd
@@ -8,11 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockginv.cli import InputError, main, matrix_from_rows, matrix_to_rows
-from blockginv.generators import GenSpec, gen_pair
-from blockginv.matrices import Matrix
+from blockginv import cli, generators, theorems
+from blockginv.cli import (InputError, OutputError, main, matrix_from_rows,
+                           matrix_to_rows)
+from blockginv.generators import GenerationExhausted, GenSpec, gen_pair
+from blockginv.ginverse import NotGroupInvertible
+from blockginv.matrices import Matrix, ShapeMismatch
 from blockginv.scalars import parse_scalar
-from blockginv.theorems import THEOREM_IDS, block_group_inverse
+from blockginv.theorems import (THEOREM_IDS, HypothesisViolated,
+                                block_group_inverse)
 from conftest import (DIGIT_LIMIT_TEMPLATES, REJECTED_SCALARS,
                       TOO_MANY_DIGITS, mat, rect_matrices, scalars)
 
@@ -253,6 +258,89 @@ class TestVerifyCommand:
         assert code == 1
         assert json.loads(err)["error"] == "Usage"
 
+    @pytest.mark.parametrize("flag", ["--max-n", "--jobs"])
+    def test_zero_max_n_or_jobs_is_usage_error(self, flag, capsys):
+        code, out, err = run_cli(capsys, [
+            "verify", "--theorem", "thm2.1", flag, "0",
+        ])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "Usage",
+                                   "message": f"{flag} must be at least 1"}
+
+    def test_mismatch_lines(self, monkeypatch, capsys):
+        # thm2.1's kernel off by one in gamma's first entry: every trial
+        # differs from the oracle there and only there, and its line
+        # carries the pair that was drawn.
+        rule = theorems.RULES["thm2.1"]
+
+        def off_by_one(*inputs):
+            gamma, delta, lam, xi = rule.kernel(*inputs)
+            n = gamma.rows
+            bump = Matrix(n, n, [1] + [0] * (n * n - 1))
+            return gamma + bump, delta, lam, xi
+
+        monkeypatch.setitem(theorems.RULES, "thm2.1",
+                            dataclasses.replace(rule, kernel=off_by_one))
+        code, out, _ = run_cli(capsys, [
+            "verify", "--theorem", "thm2.1", "--trials", "3",
+            "--max-n", "3", "--seed", "4",
+        ])
+        assert code == 3
+        *lines, summary = map(json.loads, out.strip().splitlines())
+        assert (summary["mismatch"], summary["agree_exists"]) == (3, 0)
+        for line in lines:
+            assert line["verdict"] == "MISMATCH"
+            assert line["mismatch_positions"] == [[0, 0]]
+            assert "error" not in line
+            e, f = gen_pair(GenSpec("thm2.1", line["n"], line["rank_f"],
+                                    True, line["seed"]))
+            assert (line["E"], line["F"]) == (matrix_to_rows(e),
+                                              matrix_to_rows(f))
+
+    def test_refusal_mismatch_lines_carry_the_error(self, monkeypatch,
+                                                    capsys):
+        # A closed form that refuses where the oracle finds an index <= 1.
+        def refusing(theorem, e, f):
+            error = NotGroupInvertible("no group inverse: stub")
+            error.report = theorems.check_conditions(e, f, theorem)
+            raise error
+
+        monkeypatch.setattr(generators, "block_group_inverse", refusing)
+        code, out, _ = run_cli(capsys, [
+            "verify", "--theorem", "cor2.2", "--trials", "2",
+            "--max-n", "3", "--seed", "1",
+        ])
+        assert code == 3
+        *lines, summary = map(json.loads, out.strip().splitlines())
+        assert summary["mismatch"] == 2
+        for line in lines:
+            assert line["verdict"] == "MISMATCH"
+            assert line["mismatch_positions"] == []
+            assert line["error"] == "no group inverse: stub"
+            assert {"E", "F"} <= line.keys()
+
+
+class TestExitTable:
+    # README's exit codes: 1 for bad input or an impossible generation
+    # request, 2 for a refusal; the JSON kind is the exception's class.
+    @pytest.mark.parametrize("error, kind, code", [
+        (InputError("bad file"), "InputError", 1),
+        (ShapeMismatch("mul", (1, 2), (3, 4)), "ShapeMismatch", 1),
+        (OutputError("too many digits"), "OutputError", 1),
+        (GenerationExhausted("no draw"), "GenerationExhausted", 1),
+        (NotGroupInvertible("index 2", index=2), "NotGroupInvertible", 2),
+        (HypothesisViolated("FEF^pi=0"), "HypothesisViolated", 2),
+    ])
+    def test_exception_exit_codes(self, error, kind, code, monkeypatch,
+                                  capsys):
+        def stub(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_example", stub)
+        got, out, err = run_cli(capsys, ["example-3.5"])
+        assert (got, out) == (code, "")
+        assert json.loads(err) == {"error": kind, "message": str(error)}
+
 
 class TestExampleCommand:
     def test_passes(self, capsys):
@@ -368,6 +456,18 @@ class TestInputErrors:
         payload = json.loads(err)
         assert payload["error"] == "OutputError"
         assert f"{sys.get_int_max_str_digits()} digits" in payload["message"]
+
+    @pytest.mark.parametrize("rows, message", [
+        ([], '"rows" must be a non-empty list'),
+        ([[]], "row 0 must be a non-empty list"),
+        ([1], "row 0 must be a non-empty list"),
+    ])
+    def test_empty_or_non_list_rows(self, rows, message, tmp_path, capsys):
+        path = write_matrix(tmp_path / "m.json", rows)
+        code, out, err = run_cli(capsys, ["drazin", path])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "InputError",
+                                   "message": f"{path}: {message}"}
 
     @pytest.mark.parametrize("entry", [1.5, True, None, ["1"]])
     def test_non_scalar_entries_rejected(self, entry, tmp_path, capsys):

@@ -4,9 +4,9 @@
 ``gen_pair`` output for that rule over n 1..6, every rank_f 0..n, both
 targets and seeds 0-1, in that order. A pair is hashed as the rows
 ``cli.matrix_to_rows`` prints, not as ``Matrix`` storage, and a spec that
-raises ``GenerationExhausted`` (structurally impossible, or out of
-attempts) is hashed as a fixed marker. Any change to what a seed draws,
-or to which draws are accepted, changes a digest.
+raises ``GenerationExhausted`` (structurally impossible, or a draw that
+missed its target) is hashed as a fixed marker. Any change to what a seed
+draws, or to which draws are accepted, changes a digest.
 
 To re-record, which is only right when a change is meant to alter the
 draws (a new distribution, a new acceptance rule), never to make a

@@ -1,6 +1,7 @@
 """Instance generation: determinism, postconditions, verdicts, exhaustion."""
 
 import concurrent.futures
+import dataclasses
 import os
 import random
 
@@ -107,6 +108,34 @@ class TestGenPair:
         assert holds(report, standing)
         assert not report.satisfied()
 
+    @pytest.mark.parametrize("satisfy", [True, False])
+    def test_one_draw_one_check(self, satisfy, monkeypatch):
+        # Each draw hits its target by construction. gen_pair checks its
+        # one draw, and a miss is raised at once, naming what failed.
+        checks = []
+
+        def counting(*args):
+            checks.append(args)
+            return check_conditions(*args)
+
+        monkeypatch.setattr(generators, "check_conditions", counting)
+        spec = GenSpec("thm2.1", 3, 1, satisfy, seed=0)
+        e, f = gen_pair(spec)
+        assert checks == [(e, f, "thm2.1")]
+        # A draw aimed at the other target must miss this one.
+        draw = generators._draw_flavored
+        flipped = dataclasses.replace(spec, satisfy=not satisfy)
+        monkeypatch.setattr(generators, "_draw_flavored",
+                            lambda rng, _: draw(rng, flipped))
+        checks.clear()
+        with pytest.raises(GenerationExhausted) as info:
+            gen_pair(spec)
+        assert len(checks) == 1
+        blocker = "E^pi F^pi=0"
+        found, target = (blocker, None) if satisfy else (None, blocker)
+        assert str(info.value) == (f"{spec}: the draw's first failure is "
+                                   f"{found!r}, not the target {target!r}")
+
     def test_determinism(self):
         spec = GenSpec("thm3.1", 4, 2, satisfy=True, seed=77)
         assert gen_pair(spec) == gen_pair(spec)
@@ -150,6 +179,25 @@ class TestVerifyInstance:
         assert report.formula is None
         assert report.oracle_index == 2
         assert "E^pi F^pi=0" in (report.error or "")
+
+    def test_mismatch_positions(self, monkeypatch):
+        # thm3.1's kernel off by one in the first entry of gamma and the
+        # last of xi: the assembled 2n matrix differs there and only there.
+        rule = theorems.RULES["thm3.1"]
+
+        def off_by_one(*inputs):
+            gamma, delta, lam, xi = rule.kernel(*inputs)
+            n = gamma.rows
+            return (gamma + Matrix(n, n, [1] + [0] * (n * n - 1)), delta,
+                    lam, xi + Matrix(n, n, [0] * (n * n - 1) + [1]))
+
+        monkeypatch.setitem(theorems.RULES, "thm3.1",
+                            dataclasses.replace(rule, kernel=off_by_one))
+        e, f = gen_pair(GenSpec("thm3.1", 3, 1, satisfy=True, seed=5))
+        report = verify_instance(e, f, "thm3.1")
+        assert report.verdict is Verdict.MISMATCH
+        assert report.mismatch_positions == ((0, 0), (5, 5))
+        assert report.error is None
 
     def test_hypothesis_violation_counts_as_mismatch(self):
         e = mat([["0", "1"], ["0", "0"]])

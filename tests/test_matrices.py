@@ -64,6 +64,25 @@ class TestConstruction:
         with pytest.raises(ShapeMismatch):
             Matrix.from_blocks([[mat([["1"]]), mat([["1"], ["2"]])]])
 
+    def test_rejects_entries_that_are_not_scalars(self):
+        with pytest.raises(TypeError, match="cannot use float"):
+            Matrix(1, 1, [1.5])
+
+    def test_rejects_wrong_entry_counts(self):
+        with pytest.raises(ValueError, match="need 4 entries, got 3"):
+            Matrix(2, 2, [1, 2, 3])
+        with pytest.raises(ValueError, match="need 2 entries, got 1"):
+            Matrix.from_parts(1, 2, [(1, 1, 0, 1)])
+
+    @pytest.mark.parametrize("grid", [[], [[]]])
+    def test_from_blocks_rejects_empty_grids(self, grid):
+        with pytest.raises(ValueError, match="empty block grid"):
+            Matrix.from_blocks(grid)
+
+    def test_from_blocks_rejects_mismatched_widths(self):
+        with pytest.raises(ShapeMismatch):
+            Matrix.from_blocks([[mat([["1"]])], [mat([["1", "2"]])]])
+
     def test_getitem_bounds(self):
         m = mat([["1", "2"]])
         assert m[0, 1] == GaussianRational(2)
