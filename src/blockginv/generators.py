@@ -8,6 +8,10 @@ block matrix steers the existence condition, so one draw gives an instance
 where the closed form must succeed, or one where it must refuse. No draw
 is repeated: ``gen_pair`` checks its one draw and raises if it missed.
 
+Every drawn entry is a tuple of integer parts (re, re_den, im, im_den)
+that ``Matrix.from_parts`` stores directly, and the rank-r F is formed as
+P[:, :r] C P^-1[:r, :], never as a product with diag(C, 0).
+
 All randomness flows through ``random.Random`` (the stdlib Mersenne
 Twister), seeded explicitly; equal seeds give equal instances on every run
 and with any worker count.
@@ -19,11 +23,9 @@ import enum
 import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ginverse import NotGroupInvertible, drazin
 from .matrices import Matrix, _certainly_invertible, inverse, rank
-from .scalars import ZERO, GaussianRational
 from .theorems import (
     SHAPE_FOR_THEOREM,
     ConditionReport,
@@ -33,6 +35,10 @@ from .theorems import (
     check_conditions,
     rule_for,
 )
+
+# Integer parts (re, re_den, im, im_den) of the entries 0 and 1.
+_ZERO = (0, 1, 0, 1)
+_ONE = (1, 1, 0, 1)
 
 # Rules whose refusal instances put a nonzero nilpotent in the corner that
 # steers existence, which needs two spare dimensions.
@@ -85,27 +91,29 @@ class Trial:
     report: VerificationReport
 
 
-def _rand_scalar(rng: random.Random) -> GaussianRational:
-    real = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    imag = Fraction(0)
+def _rand_parts(rng: random.Random) -> tuple[int, int, int, int]:
+    """A random entry as integer parts (re, re_den, im, im_den)."""
+    randrange = rng.randrange
+    a, b = randrange(-3, 4), randrange(1, 4)
     if rng.random() < 0.25:
-        imag = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    return GaussianRational(real, imag)
+        return a, b, randrange(-3, 4), randrange(1, 4)
+    return a, b, 0, 1
 
 
-def _rand_nonzero_scalar(rng: random.Random) -> GaussianRational:
+def _rand_nonzero_parts(rng: random.Random) -> tuple[int, int, int, int]:
     while True:
-        value = _rand_scalar(rng)
-        if value:
-            return value
+        parts = _rand_parts(rng)
+        if parts[0] or parts[2]:
+            return parts
+
+
+def _all_zero(parts: list[tuple[int, int, int, int]]) -> bool:
+    return not any(a or c for a, _, c, _ in parts)
 
 
 def _rand_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
-    if rows == 0 or cols == 0:
-        return Matrix.zeros(rows, cols)
-    return Matrix.from_rows(
-        [[_rand_scalar(rng) for _ in range(cols)] for _ in range(rows)]
-    )
+    return Matrix.from_parts(rows, cols,
+                             [_rand_parts(rng) for _ in range(rows * cols)])
 
 
 def _gen_invertible(rng: random.Random, n: int) -> Matrix:
@@ -122,16 +130,13 @@ def _gen_group_invertible(rng: random.Random, n: int, rank_: int) -> Matrix:
     if not 0 <= rank_ <= n:
         raise ValueError(f"rank {rank_} out of range for size {n}")
     p = _gen_invertible(rng, n)
-    core = _embed_core(_gen_invertible(rng, rank_), n)
-    return p * core * inverse(p)
+    return _conjugate_core(p, _gen_invertible(rng, rank_), inverse(p))
 
 
-def _embed_core(core: Matrix, n: int) -> Matrix:
+def _conjugate_core(p: Matrix, core: Matrix, p_inv: Matrix) -> Matrix:
+    """P diag(core, 0) P^-1 from P's first r columns and P^-1's first r rows."""
     r = core.rows
-    return Matrix.from_blocks([
-        [core, Matrix.zeros(r, n - r)],
-        [Matrix.zeros(n - r, r), Matrix.zeros(n - r, n - r)],
-    ])
+    return p.columns(range(r)) * core * p_inv.submatrix(0, r, 0, p.rows)
 
 
 def gen_invertible(n: int, seed: int = 0) -> Matrix:
@@ -149,23 +154,20 @@ def _singular(rng: random.Random, q: int) -> Matrix:
 
 
 def _nilpotent_nonzero(rng: random.Random, q: int) -> Matrix:
-    rows = [[ZERO] * q for _ in range(q)]
+    parts = [_ZERO] * (q * q)
     for i in range(q):
         for j in range(i + 1, q):
             if rng.random() < 0.5:
-                rows[i][j] = _rand_scalar(rng)
-    candidate = Matrix.from_rows(rows)
-    if candidate.is_zero():
-        rows[0][1] = _rand_nonzero_scalar(rng)
-        candidate = Matrix.from_rows(rows)
-    return candidate
+                parts[i * q + j] = _rand_parts(rng)
+    if _all_zero(parts):
+        parts[1] = _rand_nonzero_parts(rng)
+    return Matrix.from_parts(q, q, parts)
 
 
-def _diagonal(entries: list[GaussianRational]) -> Matrix:
+def _diagonal(entries: list[tuple[int, int, int, int]]) -> Matrix:
     n = len(entries)
-    return Matrix.from_rows(
-        [[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)]
-    )
+    return Matrix.from_parts(n, n, [entries[i] if i == j else _ZERO
+                                    for i in range(n) for j in range(n)])
 
 
 def _conjugate(rng: random.Random, *tilde: Matrix) -> tuple[Matrix, ...]:
@@ -203,17 +205,19 @@ def _draw_flavored(rng: random.Random, spec: GenSpec) -> tuple[Matrix, Matrix]:
     else:
         b = coupling if coupling is not None else _rand_matrix(rng, r, q)
         e_tilde = Matrix.from_blocks([[a, b], [Matrix.zeros(q, r), d]])
-    f_tilde = _embed_core(_gen_invertible(rng, r), n)
-    return _conjugate(rng, e_tilde, f_tilde)
+    core = _gen_invertible(rng, r)
+    p = _gen_invertible(rng, n)
+    p_inv = inverse(p)
+    return p * e_tilde * p_inv, _conjugate_core(p, core, p_inv)
 
 
 def _draw_cor25(rng: random.Random, spec: GenSpec) -> tuple[Matrix, Matrix]:
     n, r = spec.n, spec.rank_f
     q = n - r
     if not spec.satisfy:
-        f_diag = [_rand_nonzero_scalar(rng) for _ in range(r)] + [ZERO] * q
-        e_diag = [_rand_scalar(rng) for _ in range(n)]
-        e_diag[rng.randrange(r, n)] = ZERO
+        f_diag = [_rand_nonzero_parts(rng) for _ in range(r)] + [_ZERO] * q
+        e_diag = [_rand_parts(rng) for _ in range(n)]
+        e_diag[rng.randrange(r, n)] = _ZERO
         return _conjugate(rng, _diagonal(e_diag), _diagonal(f_diag))
     modes = ["diag"]
     if r == n and n >= 2:
@@ -222,31 +226,31 @@ def _draw_cor25(rng: random.Random, spec: GenSpec) -> tuple[Matrix, Matrix]:
         modes.append("align")
     mode = rng.choice(modes)
     if mode == "diag":
-        f_diag = [_rand_nonzero_scalar(rng) for _ in range(r)] + [ZERO] * q
-        e_diag = ([_rand_scalar(rng) for _ in range(r)]
-                  + [_rand_nonzero_scalar(rng) for _ in range(q)])
+        f_diag = [_rand_nonzero_parts(rng) for _ in range(r)] + [_ZERO] * q
+        e_diag = ([_rand_parts(rng) for _ in range(r)]
+                  + [_rand_nonzero_parts(rng) for _ in range(q)])
         return _conjugate(rng, _diagonal(e_diag), _diagonal(f_diag))
     if mode == "entry":
         magnitudes = list(range(1, n + 1))
         rng.shuffle(magnitudes)
-        scale = _rand_nonzero_scalar(rng)
-        f_diag = [scale * GaussianRational(m * rng.choice((1, -1)))
-                  for m in magnitudes]
+        a, b, c, d = _rand_nonzero_parts(rng)
+        signed = [m * rng.choice((1, -1)) for m in magnitudes]
+        f_diag = [(a * s, b, c * s, d) for s in signed]
         i, j = rng.sample(range(n), 2)
-        rows = [[ZERO] * n for _ in range(n)]
-        rows[i][j] = _rand_nonzero_scalar(rng)
-        return _conjugate(rng, Matrix.from_rows(rows), _diagonal(f_diag))
+        parts = [_ZERO] * (n * n)
+        parts[i * n + j] = _rand_nonzero_parts(rng)
+        return _conjugate(rng, Matrix.from_parts(n, n, parts),
+                          _diagonal(f_diag))
     # EF^2 = FEF without a scalar law: F is a nonzero multiple of a rank-r
     # coordinate projection and E couples the two coordinate blocks.
-    scale = _rand_nonzero_scalar(rng)
-    f_tilde = scale * _embed_core(Matrix.identity(r), n)
-    b = _rand_matrix(rng, r, q)
-    if b.is_zero():
-        rows = b.to_lists()
-        rows[rng.randrange(r)][rng.randrange(q)] = _rand_nonzero_scalar(rng)
-        b = Matrix.from_rows(rows)
+    f_tilde = _diagonal([_rand_nonzero_parts(rng)] * r + [_ZERO] * q)
+    b = [_rand_parts(rng) for _ in range(r * q)]
+    if _all_zero(b):
+        # The value is drawn before the position.
+        value = _rand_nonzero_parts(rng)
+        b[rng.randrange(r) * q + rng.randrange(q)] = value
     e_tilde = Matrix.from_blocks([
-        [_rand_matrix(rng, r, r), b],
+        [_rand_matrix(rng, r, r), Matrix.from_parts(r, q, b)],
         [Matrix.zeros(q, r), _gen_invertible(rng, q)],
     ])
     return _conjugate(rng, e_tilde, f_tilde)
@@ -260,18 +264,17 @@ def _draw_cor34(rng: random.Random, spec: GenSpec) -> tuple[Matrix, Matrix]:
         modes.append("swap")
     mode = rng.choice(modes)
     if mode == "diag":
-        f_diag = [_rand_nonzero_scalar(rng) for _ in range(r)] + [ZERO] * q
-        e_diag = [_rand_scalar(rng) for _ in range(n)]
+        f_diag = [_rand_nonzero_parts(rng) for _ in range(r)] + [_ZERO] * q
+        e_diag = [_rand_parts(rng) for _ in range(n)]
         return _conjugate(rng, _diagonal(e_diag), _diagonal(f_diag))
     # A pair with EF = -FE: E swaps the first two coordinates, F negates
     # one of them; both stay group invertible.
-    c = _rand_nonzero_scalar(rng)
-    f_diag = [c, -c] + [_rand_nonzero_scalar(rng) for _ in range(n - 2)]
-    rows = [[ZERO] * n for _ in range(n)]
-    one = GaussianRational(1)
-    rows[0][1] = one
-    rows[1][0] = one
-    return _conjugate(rng, Matrix.from_rows(rows), _diagonal(f_diag))
+    a, b, c, d = _rand_nonzero_parts(rng)
+    f_diag = ([(a, b, c, d), (-a, b, -c, d)]
+              + [_rand_nonzero_parts(rng) for _ in range(n - 2)])
+    parts = [_ZERO] * (n * n)
+    parts[1] = parts[n] = _ONE
+    return _conjugate(rng, Matrix.from_parts(n, n, parts), _diagonal(f_diag))
 
 
 def _spare_dims(theorem: str, negative: bool) -> int:

@@ -19,6 +19,8 @@ The factors are never composed. Cline's identity for T = B C,
 X = M^-(k+1), each step, last first, sets X = B_j X C_j. Each C_j is the
 identity on its pivot columns, so no product of the chain or of T^D
 multiplies by those columns. T^pi = I - T T^D is formed only when read.
+The chain runs on T^T when that has more single-entry rows than T, since
+such a row is an exact unit row to fraction-free elimination.
 
 References: R. E. Cline, "Inverses of rank invariant powers of a matrix",
 SIAM J. Numer. Anal. 5 (1968); S. L. Campbell and C. D. Meyer,
@@ -31,6 +33,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .matrices import (Matrix, ShapeMismatch, _certainly_invertible,
+                       _placed_columns, _rows_plus, _single_entry_lines,
                        inverse, rref)
 
 
@@ -94,8 +97,7 @@ def _times_rref(free_part: Matrix, pivots: Sequence[int],
     C is the identity on its pivot columns, so
     C x = x[pivots, :] + C[:, free] x[free, :].
     """
-    every = range(x.cols)
-    return x.pick(pivots, every) + free_part * x.pick(free, every)
+    return _rows_plus(x, pivots, free_part * x.pick(free, range(x.cols)))
 
 
 def _chain(matrix: Matrix) -> tuple[list[tuple], Matrix | None]:
@@ -142,24 +144,29 @@ def drazin(matrix: Matrix) -> DrazinResult:
     index 0, T^D = T^-1 and T^pi = 0; a nilpotent T has T^D = 0 and
     T^pi = I. The chain runs one rref per step, one inverse and no rank
     pass. Results are cached; matrices are immutable.
+
+    When T has more single-entry columns than single-entry rows, the chain
+    runs on T^T and its T^D is transposed back; the index is the same. A
+    single-entry row divides by its content to a unit row, whose pivot is
+    1, so fraction-free elimination grows nothing on it.
     """
     _require_square(matrix, "drazin")
     n = matrix.rows
-    steps, core = _chain(matrix)
+    single_rows, single_cols = _single_entry_lines(matrix)
+    flip = single_cols > single_rows
+    steps, core = _chain(matrix.transpose() if flip else matrix)
     k = len(steps)
     if core is None:
         return DrazinResult(Matrix.zeros(n, n), k, Matrix.identity(n))
-    core_inv = inverse(core)
-    if k == 0:
-        return DrazinResult(core_inv, 0, Matrix.zeros(n, n))
-    x = core_inv ** (k + 1)
-    for left, pivots, free, free_part in reversed(steps):
-        bx = left * x
-        stacked = Matrix.from_blocks([[bx, bx * free_part]])
-        # Column t of the stack is column [*pivots, *free][t] of B X C.
-        where = [*pivots, *free]
-        x = stacked.columns(sorted(range(len(where)), key=where.__getitem__))
-    return DrazinResult(x, k, matrix=matrix)
+    x = inverse(core)
+    if k:
+        x = x ** (k + 1)
+        for left, pivots, free, free_part in reversed(steps):
+            bx = left * x
+            x = _placed_columns(bx, pivots, bx * free_part, free)
+    if flip:
+        x = x.transpose()
+    return DrazinResult(x, k, None if k else Matrix.zeros(n, n), matrix)
 
 
 def group_inverse(matrix: Matrix) -> Matrix:

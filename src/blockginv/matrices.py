@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, mul, or_, sub
 from typing import Callable, Iterable, Sequence
 
 from .scalars import GaussianRational
@@ -340,6 +340,45 @@ def _product(left: Matrix, right: Matrix) -> Matrix:
             re.append(k - sum(map(mul, b, c_plus_d)))
             im.append(k + sum(map(mul, a, d_minus_c)))
     return _matrix(left.rows, width, left._den * right._den, re, im)
+
+
+def _placed_columns(left: Matrix, left_cols: Sequence[int], right: Matrix,
+                    right_cols: Sequence[int]) -> Matrix:
+    """The matrix with column t of left at left_cols[t], and so for right.
+
+    The two column lists partition the result's columns. Both blocks are
+    written over their LCM denominator into one numerator list.
+    """
+    height, width = left.rows, left.cols + right.cols
+    den = lcm(left._den, right._den)
+    re, im = [0] * (height * width), [0] * (height * width)
+    for block, where in ((left, left_cols), (right, right_cols)):
+        b_re, b_im = _lifted(block, den)
+        w = block.cols
+        for t, col in enumerate(where):
+            re[col::width] = b_re[t::w]
+            im[col::width] = b_im[t::w]
+    return _matrix(height, width, den, re, im)
+
+
+def _rows_plus(matrix: Matrix, picks: Sequence[int], other: Matrix) -> Matrix:
+    """matrix[picks, :] + other, read straight from the stored rows."""
+    w = matrix.cols
+    den = lcm(matrix._den, other._den)
+    m_re, m_im = _lifted(matrix, den)
+    o_re, o_im = _lifted(other, den)
+    ks = [p * w + j for p in picks for j in range(w)]
+    return _matrix(len(picks), w, den, [m_re[k] + c for k, c in zip(ks, o_re)],
+                   [m_im[k] + d for k, d in zip(ks, o_im)])
+
+
+def _single_entry_lines(matrix: Matrix) -> tuple[int, int]:
+    """How many rows, and how many columns, hold exactly one nonzero."""
+    h, w = matrix.rows, matrix.cols
+    nonzero = list(map(bool, map(or_, matrix._re, matrix._im)))
+    in_rows = [sum(nonzero[i * w:(i + 1) * w]) for i in range(h)]
+    in_cols = [sum(nonzero[j::w]) for j in range(w)]
+    return in_rows.count(1), in_cols.count(1)
 
 
 def _integer_rows(matrix: Matrix) -> tuple[list[_ZiVector], list[int]]:

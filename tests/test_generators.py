@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from blockginv.generators import (
 from blockginv import generators, theorems
 from blockginv.ginverse import drazin
 from blockginv.matrices import Matrix, rank
+from blockginv.scalars import GaussianRational
 from blockginv.theorems import THEOREM_IDS, check_conditions, rule_for
 from conftest import CONDITION_NAMES, FIRST_STANDING_BREAKERS, holds, mat
 
@@ -160,6 +162,45 @@ class TestGenPair:
             gen_pair(GenSpec("thm2.1", 0, 0))
         with pytest.raises(ValueError):
             gen_pair(GenSpec("thm2.1", 2, 3))
+
+
+_DRAWS = {"cor2.5": generators._draw_cor25, "cor3.4": generators._draw_cor34}
+
+
+def _no_scalar_objects(*_args, **_kwargs):
+    raise AssertionError("a draw built a GaussianRational or a Fraction")
+
+
+class TestDrawsFromIntegerParts:
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_draws_build_no_scalar_objects(self, theorem, monkeypatch):
+        # Draws go from integer parts straight into Matrix storage.
+        draw = _DRAWS.get(theorem, generators._draw_flavored)
+        specs = []
+        for n in range(1, 7):
+            for rank_f in range(n + 1):
+                for satisfy in (True, False):
+                    spec = GenSpec(theorem, n, rank_f, satisfy)
+                    try:
+                        generators._check_feasible(spec)
+                    except GenerationExhausted:
+                        continue
+                    specs.extend(dataclasses.replace(spec, seed=seed)
+                                 for seed in (0, 1))
+        with monkeypatch.context() as patch:
+            for cls, name in ((GaussianRational, "__init__"),
+                              (GaussianRational, "_new"),
+                              (Fraction, "__new__")):
+                patch.setattr(cls, name, _no_scalar_objects)
+            for build in (lambda: GaussianRational(1), lambda: Fraction(1),
+                          lambda: Matrix.identity(1)[0, 0]):
+                with pytest.raises(AssertionError):
+                    build()
+            pairs = [draw(random.Random(spec.seed), spec) for spec in specs]
+        assert len(pairs) == len(specs) > 0
+        for spec, (e, f) in zip(specs, pairs):
+            assert e.shape == f.shape == (spec.n, spec.n)
+            assert rank(f) == spec.rank_f
 
 
 class TestVerifyInstance:

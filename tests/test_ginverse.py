@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from blockginv import ginverse, matrices
 from blockginv.generators import GenSpec, gen_group_invertible, gen_pair
@@ -17,8 +18,9 @@ from blockginv.ginverse import (
 )
 from blockginv.matrices import Matrix, ShapeMismatch, rank
 from blockginv.scalars import GaussianRational
-from blockginv.theorems import SHAPE_FOR_THEOREM, assemble_M
-from conftest import mat, singular_square_matrices, square_matrices
+from blockginv.theorems import SHAPE_FOR_THEOREM, BlockShape, assemble_M
+from conftest import (mat, nonzero_scalars, singular_square_matrices,
+                      square_matrices)
 from reference_drazin import reference_drazin
 
 
@@ -261,6 +263,61 @@ class TestAgainstReference:
         e, f = gen_pair(GenSpec(theorem, 8, rank_f, True, seed))
         big = assemble_M(e, f, SHAPE_FOR_THEOREM[theorem])
         assert drazin(big) == reference_drazin(big)
+
+
+@st.composite
+def unit_line_matrices(draw):
+    """Singular matrices with some rows or columns cut to one entry."""
+    m = draw(singular_square_matrices(min_n=1, max_n=5))
+    n = m.rows
+    rows = m.to_lists()
+    for _ in range(draw(st.integers(1, n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            rows[i] = [0] * n
+        else:
+            for row in rows:
+                row[j] = 0
+        rows[i][j] = draw(nonzero_scalars())
+    return Matrix.from_rows(rows)
+
+
+def _same_up_to_transpose(m: Matrix) -> None:
+    result, flipped = drazin.__wrapped__(m), drazin.__wrapped__(m.transpose())
+    assert flipped.index == result.index
+    assert flipped.drazin.transpose() == result.drazin
+    assert (flipped.spectral_idempotent.transpose()
+            == result.spectral_idempotent)
+
+
+class TestOrientation:
+    """The chain runs on whichever of T, T^T has more single-entry rows."""
+
+    @given(unit_line_matrices())
+    def test_transposing_commutes_with_drazin(self, m):
+        _same_up_to_transpose(m)
+
+    @pytest.mark.parametrize("theorem,satisfy", [
+        ("thm2.1", True), ("thm2.1", False), ("cor2.2", True),
+        ("cor2.2", False), ("thm3.1", True), ("thm3.1", False),
+    ])
+    def test_assembled_layouts(self, theorem, satisfy, monkeypatch):
+        # EI_F0 = [[E, I], [F, 0]] has n single-entry columns and EF_I0 has
+        # n single-entry rows; EF_F0 has neither.
+        e, f = gen_pair(GenSpec(theorem, 4, 2, satisfy, 3))
+        big = assemble_M(e, f, SHAPE_FOR_THEOREM[theorem])
+        _same_up_to_transpose(big)
+        factored = []
+        chain = ginverse._chain
+
+        def spy(matrix):
+            factored.append(matrix)
+            return chain(matrix)
+
+        monkeypatch.setattr(ginverse, "_chain", spy)
+        drazin.__wrapped__(big)
+        flipped = SHAPE_FOR_THEOREM[theorem] is BlockShape.EI_F0
+        assert factored == [big.transpose() if flipped else big]
 
 
 def _is_prime(n: int) -> bool:

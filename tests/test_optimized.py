@@ -41,15 +41,16 @@ def test_library_touches_no_private_fraction_fields():
 def test_theorem_and_generator_tests_pass_optimized():
     # test_cli.py is here because matrix input goes from the scanner's
     # integer parts straight into Matrix storage, past GaussianRational's
-    # constructor checks; test_cli_golden.py replays the byte-for-byte CLI
-    # corpus with the asserts stripped.
+    # constructor checks, and test_gen_golden.py because seeded draws do
+    # the same; test_cli_golden.py replays the byte-for-byte CLI corpus
+    # with the asserts stripped.
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_theorems.py", "tests/test_generators.py",
          "tests/test_ginverse.py", "tests/test_matrices.py",
          "tests/test_scalars.py", "tests/test_cli.py",
-         "tests/test_cli_golden.py"],
+         "tests/test_cli_golden.py", "tests/test_gen_golden.py"],
         cwd=TESTS.parent, env=env, capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stdout[-3000:] + out.stderr[-3000:]
