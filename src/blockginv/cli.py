@@ -56,13 +56,18 @@ def matrix_to_rows(matrix: Matrix) -> list[list[str]]:
     w = matrix.cols
     if not any(matrix._re) and not any(matrix._im):
         return [["0"] * w for _ in range(matrix.rows)]
+    texts = _printed(list, map(_entry_text, matrix._re, matrix._im,
+                               repeat(matrix._den)))
+    return [texts[i * w:(i + 1) * w] for i in range(matrix.rows)]
+
+
+def _printed(text, *args):
+    """text(*args), with Python's int-to-str digit limit as OutputError."""
     try:
-        texts = list(map(_entry_text, matrix._re, matrix._im,
-                         repeat(matrix._den)))
-    except ValueError as exc:  # Python's limit on int-to-str digits
+        return text(*args)
+    except ValueError as exc:
         raise OutputError(f"a result entry exceeds Python's limit of "
                           f"{sys.get_int_max_str_digits()} digits") from exc
-    return [texts[i * w:(i + 1) * w] for i in range(matrix.rows)]
 
 
 def matrix_from_rows(rows: object, where: str = "matrix") -> Matrix:
@@ -137,7 +142,7 @@ def _condition_json(condition: Condition) -> dict:
         "residual": matrix_to_rows(condition.residual),
     }
     if condition.lam is not None:
-        out["lambda"] = matrix_to_rows(Matrix(1, 1, [condition.lam]))[0][0]
+        out["lambda"] = _printed(str, condition.lam)
     return out
 
 

@@ -1,16 +1,18 @@
 """Seeded random instance generation and formula-versus-oracle checking.
 
-Pairs (E, F) are built in an adapted basis: F is conjugated from
-diag(C, 0) with C invertible, so its rank and spectral idempotent are known
-by construction, and E is conjugated from a block matrix whose zero corner
-enforces the wanted one-sided constraint. The bottom-right corner of that
-block matrix steers the existence condition, so one draw gives an instance
-where the closed form must succeed, or one where it must refuse. No draw
-is repeated: ``gen_pair`` checks its one draw and raises if it missed.
+Pairs (E, F) are built in the basis that splits F, where F = diag(C, 0)
+with C invertible, so its rank and spectral idempotent are known by
+construction, and E~ is a block matrix whose zero corner enforces the
+wanted one-sided constraint. The bottom-right corner of E~ steers the
+existence condition, so one draw gives an instance where the closed form
+must succeed, or one where it must refuse. Every rule's draw returns its
+split-basis pair (E~, C), and ``_draw`` conjugates both by one random P,
+drawn last: E = P E~ P^-1 and F = P[:, :r] C P^-1[:r, :], never a
+product with diag(C, 0). No draw is repeated: ``gen_pair`` checks its one
+draw and raises if it missed.
 
 Every drawn entry is a tuple of integer parts (re, re_den, im, im_den)
-that ``Matrix.from_parts`` stores directly, and the rank-r F is formed as
-P[:, :r] C P^-1[:r, :], never as a product with diag(C, 0).
+that ``Matrix.from_parts`` stores directly.
 
 All randomness flows through ``random.Random`` (the stdlib Mersenne
 Twister), seeded explicitly; equal seeds give equal instances on every run
@@ -28,6 +30,7 @@ from .ginverse import NotGroupInvertible, drazin
 from .matrices import Matrix, _certainly_invertible, inverse, rank
 from .theorems import (
     SHAPE_FOR_THEOREM,
+    BlockShape,
     ConditionReport,
     HypothesisViolated,
     assemble_M,
@@ -39,10 +42,6 @@ from .theorems import (
 # Integer parts (re, re_den, im, im_den) of the entries 0 and 1.
 _ZERO = (0, 1, 0, 1)
 _ONE = (1, 1, 0, 1)
-
-# Rules whose refusal instances put a nonzero nilpotent in the corner that
-# steers existence, which needs two spare dimensions.
-_NILPOTENT_NEGATIVES = frozenset({"thm3.1", "cor3.2"})
 
 
 class GenerationExhausted(RuntimeError):
@@ -170,55 +169,39 @@ def _diagonal(entries: list[tuple[int, int, int, int]]) -> Matrix:
                                     for i in range(n) for j in range(n)])
 
 
-def _conjugate(rng: random.Random, *tilde: Matrix) -> tuple[Matrix, ...]:
-    n = tilde[0].rows
-    p = _gen_invertible(rng, n)
-    p_inv = inverse(p)
-    return tuple(p * m * p_inv for m in tilde)
-
-
 def _draw_flavored(rng: random.Random, spec: GenSpec) -> tuple[Matrix, Matrix]:
     n, r = spec.n, spec.rank_f
     q = n - r
-    theorem = spec.theorem
-    if theorem == "cor3.3":
+    rule = rule_for(spec.theorem)
+    if spec.theorem == "cor3.3":
         d = _gen_invertible(rng, q)
         if rng.random() < 0.5:
-            a = _gen_invertible(rng, r)
-            coupling = _rand_matrix(rng, r, q)
+            a, b = _gen_invertible(rng, r), _rand_matrix(rng, r, q)
         else:
             a = _gen_group_invertible(rng, r, rng.randint(0, r))
-            coupling = Matrix.zeros(r, q)
+            b = Matrix.zeros(r, q)
     else:
         a = _rand_matrix(rng, r, r)
-        coupling = None
-        if theorem in _NILPOTENT_NEGATIVES:
+        # On [[E, F], [F, 0]] existence needs D group invertible, not
+        # invertible, so a refusal puts a nonzero nilpotent in D.
+        if rule.shape is BlockShape.EF_F0:
             d = (_gen_group_invertible(rng, q, rng.randint(0, q))
                  if spec.satisfy else _nilpotent_nonzero(rng, q))
         else:
             d = _gen_invertible(rng, q) if spec.satisfy else _singular(rng, q)
-    if not rule_for(theorem).mirrored:
-        e_tilde = Matrix.from_blocks([
-            [a, Matrix.zeros(r, q)],
-            [_rand_matrix(rng, q, r), d],
-        ])
-    else:
-        b = coupling if coupling is not None else _rand_matrix(rng, r, q)
-        e_tilde = Matrix.from_blocks([[a, b], [Matrix.zeros(q, r), d]])
-    core = _gen_invertible(rng, r)
-    p = _gen_invertible(rng, n)
-    p_inv = inverse(p)
-    return p * e_tilde * p_inv, _conjugate_core(p, core, p_inv)
+        b = _rand_matrix(rng, r, q) if rule.mirrored else Matrix.zeros(r, q)
+    x = Matrix.zeros(q, r) if rule.mirrored else _rand_matrix(rng, q, r)
+    return Matrix.from_blocks([[a, b], [x, d]]), _gen_invertible(rng, r)
 
 
 def _draw_cor25(rng: random.Random, spec: GenSpec) -> tuple[Matrix, Matrix]:
     n, r = spec.n, spec.rank_f
     q = n - r
     if not spec.satisfy:
-        f_diag = [_rand_nonzero_parts(rng) for _ in range(r)] + [_ZERO] * q
+        core = _diagonal([_rand_nonzero_parts(rng) for _ in range(r)])
         e_diag = [_rand_parts(rng) for _ in range(n)]
         e_diag[rng.randrange(r, n)] = _ZERO
-        return _conjugate(rng, _diagonal(e_diag), _diagonal(f_diag))
+        return _diagonal(e_diag), core
     modes = ["diag"]
     if r == n and n >= 2:
         modes.append("entry")
@@ -226,24 +209,23 @@ def _draw_cor25(rng: random.Random, spec: GenSpec) -> tuple[Matrix, Matrix]:
         modes.append("align")
     mode = rng.choice(modes)
     if mode == "diag":
-        f_diag = [_rand_nonzero_parts(rng) for _ in range(r)] + [_ZERO] * q
+        core = _diagonal([_rand_nonzero_parts(rng) for _ in range(r)])
         e_diag = ([_rand_parts(rng) for _ in range(r)]
                   + [_rand_nonzero_parts(rng) for _ in range(q)])
-        return _conjugate(rng, _diagonal(e_diag), _diagonal(f_diag))
+        return _diagonal(e_diag), core
     if mode == "entry":
         magnitudes = list(range(1, n + 1))
         rng.shuffle(magnitudes)
         a, b, c, d = _rand_nonzero_parts(rng)
         signed = [m * rng.choice((1, -1)) for m in magnitudes]
-        f_diag = [(a * s, b, c * s, d) for s in signed]
+        core = _diagonal([(a * s, b, c * s, d) for s in signed])
         i, j = rng.sample(range(n), 2)
         parts = [_ZERO] * (n * n)
         parts[i * n + j] = _rand_nonzero_parts(rng)
-        return _conjugate(rng, Matrix.from_parts(n, n, parts),
-                          _diagonal(f_diag))
+        return Matrix.from_parts(n, n, parts), core
     # EF^2 = FEF without a scalar law: F is a nonzero multiple of a rank-r
     # coordinate projection and E couples the two coordinate blocks.
-    f_tilde = _diagonal([_rand_nonzero_parts(rng)] * r + [_ZERO] * q)
+    core = _diagonal([_rand_nonzero_parts(rng)] * r)
     b = [_rand_parts(rng) for _ in range(r * q)]
     if _all_zero(b):
         # The value is drawn before the position.
@@ -253,40 +235,51 @@ def _draw_cor25(rng: random.Random, spec: GenSpec) -> tuple[Matrix, Matrix]:
         [_rand_matrix(rng, r, r), Matrix.from_parts(r, q, b)],
         [Matrix.zeros(q, r), _gen_invertible(rng, q)],
     ])
-    return _conjugate(rng, e_tilde, f_tilde)
+    return e_tilde, core
 
 
 def _draw_cor34(rng: random.Random, spec: GenSpec) -> tuple[Matrix, Matrix]:
     n, r = spec.n, spec.rank_f
-    q = n - r
     modes = ["diag"]
     if r == n and n >= 2:
         modes.append("swap")
     mode = rng.choice(modes)
     if mode == "diag":
-        f_diag = [_rand_nonzero_parts(rng) for _ in range(r)] + [_ZERO] * q
-        e_diag = [_rand_parts(rng) for _ in range(n)]
-        return _conjugate(rng, _diagonal(e_diag), _diagonal(f_diag))
+        core = _diagonal([_rand_nonzero_parts(rng) for _ in range(r)])
+        return _diagonal([_rand_parts(rng) for _ in range(n)]), core
     # A pair with EF = -FE: E swaps the first two coordinates, F negates
     # one of them; both stay group invertible.
     a, b, c, d = _rand_nonzero_parts(rng)
-    f_diag = ([(a, b, c, d), (-a, b, -c, d)]
-              + [_rand_nonzero_parts(rng) for _ in range(n - 2)])
+    core = _diagonal([(a, b, c, d), (-a, b, -c, d)]
+                     + [_rand_nonzero_parts(rng) for _ in range(n - 2)])
     parts = [_ZERO] * (n * n)
     parts[1] = parts[n] = _ONE
-    return _conjugate(rng, Matrix.from_parts(n, n, parts), _diagonal(f_diag))
+    return Matrix.from_parts(n, n, parts), core
+
+
+_DRAWS = {"cor2.5": _draw_cor25, "cor3.4": _draw_cor34}
+
+
+def _draw(rng: random.Random, spec: GenSpec) -> tuple[Matrix, Matrix]:
+    """The rule's split-basis draw (E~, C), conjugated by one P drawn last."""
+    e_tilde, core = _DRAWS.get(spec.theorem, _draw_flavored)(rng, spec)
+    p = _gen_invertible(rng, spec.n)
+    p_inv = inverse(p)
+    return p * e_tilde * p_inv, _conjugate_core(p, core, p_inv)
 
 
 def _spare_dims(theorem: str, negative: bool) -> int:
     """How far rank_f must stay below n: 0 for positive draws, else 1 or 2."""
     if not negative:
         return 0
-    if rule_for(theorem).blocker is None:
+    rule = rule_for(theorem)
+    if rule.blocker is None:
         raise GenerationExhausted(
             f"{theorem}: the inverse exists whenever the hypotheses hold, "
             "so there are no refusal instances"
         )
-    return 2 if theorem in _NILPOTENT_NEGATIVES else 1
+    # A refusal's nilpotent D on [[E, F], [F, 0]] needs two dimensions.
+    return 2 if rule.shape is BlockShape.EF_F0 else 1
 
 
 def _check_feasible(spec: GenSpec) -> None:
@@ -313,12 +306,7 @@ def gen_pair(spec: GenSpec) -> tuple[Matrix, Matrix]:
     _check_feasible(spec)
     target = None if spec.satisfy else rule_for(spec.theorem).blocker
     rng = random.Random(spec.seed)
-    if spec.theorem == "cor2.5":
-        e, f = _draw_cor25(rng, spec)
-    elif spec.theorem == "cor3.4":
-        e, f = _draw_cor34(rng, spec)
-    else:
-        e, f = _draw_flavored(rng, spec)
+    e, f = _draw(rng, spec)
     failure = check_conditions(e, f, spec.theorem).first_failure
     found = failure.name if failure else None
     if found != target:

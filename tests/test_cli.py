@@ -199,9 +199,10 @@ class TestCheckCommand:
         failing = [c for c in payload["conditions"] if not c["holds"]]
         assert failing
 
-    def test_reports_lambda(self, tmp_path, capsys):
+    @staticmethod
+    def _law(tmp_path, capsys, f_rows):
         e = write_matrix(tmp_path / "e.json", [["0", "1"], ["0", "0"]])
-        f = write_matrix(tmp_path / "f.json", [["2", "0"], ["0", "3"]])
+        f = write_matrix(tmp_path / "f.json", f_rows)
         code, out, _ = run_cli(capsys, [
             "check", "--theorem", "cor2.5", "--E", e, "--F", f,
         ])
@@ -209,7 +210,15 @@ class TestCheckCommand:
         law = next(c for c in json.loads(out)["conditions"]
                    if c["name"] == "EF=lambda FE")
         assert law["holds"] is True
-        assert law["lambda"] == "3/2"
+        return law["lambda"]
+
+    def test_reports_lambda(self, tmp_path, capsys):
+        assert self._law(tmp_path, capsys,
+                         [["2", "0"], ["0", "3"]]) == "3/2"
+
+    def test_reports_a_complex_fractional_lambda(self, tmp_path, capsys):
+        assert self._law(tmp_path, capsys,
+                         [["2", "0"], ["0", "-1+3i"]]) == "-1/2+3/2i"
 
 
 class TestVerifyCommand:

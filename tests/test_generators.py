@@ -18,7 +18,7 @@ from blockginv.generators import (
     run_campaign,
     verify_instance,
 )
-from blockginv import generators, theorems
+from blockginv import generators, matrices, theorems
 from blockginv.ginverse import drazin
 from blockginv.matrices import Matrix, rank
 from blockginv.scalars import GaussianRational
@@ -164,9 +164,6 @@ class TestGenPair:
             gen_pair(GenSpec("thm2.1", 2, 3))
 
 
-_DRAWS = {"cor2.5": generators._draw_cor25, "cor3.4": generators._draw_cor34}
-
-
 def _no_scalar_objects(*_args, **_kwargs):
     raise AssertionError("a draw built a GaussianRational or a Fraction")
 
@@ -174,8 +171,8 @@ def _no_scalar_objects(*_args, **_kwargs):
 class TestDrawsFromIntegerParts:
     @pytest.mark.parametrize("theorem", THEOREM_IDS)
     def test_draws_build_no_scalar_objects(self, theorem, monkeypatch):
-        # Draws go from integer parts straight into Matrix storage.
-        draw = _DRAWS.get(theorem, generators._draw_flavored)
+        # Draws go from integer parts straight into Matrix storage, and
+        # so does their conjugation.
         specs = []
         for n in range(1, 7):
             for rank_f in range(n + 1):
@@ -196,11 +193,32 @@ class TestDrawsFromIntegerParts:
                           lambda: Matrix.identity(1)[0, 0]):
                 with pytest.raises(AssertionError):
                     build()
-            pairs = [draw(random.Random(spec.seed), spec) for spec in specs]
+            pairs = [generators._draw(random.Random(spec.seed), spec)
+                     for spec in specs]
         assert len(pairs) == len(specs) > 0
         for spec, (e, f) in zip(specs, pairs):
             assert e.shape == f.shape == (spec.n, spec.n)
             assert rank(f) == spec.rank_f
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_one_conjugation_takes_two_full_products(self, theorem,
+                                                      monkeypatch):
+        # Every rule's draw is conjugated once: P E~ P^-1 is the only
+        # product of two n x n factors, F goes through P's first r columns.
+        n = 6
+        shapes = []
+        product = matrices._product
+
+        def recording(left, right):
+            shapes.append((left.shape, right.shape))
+            return product(left, right)
+
+        monkeypatch.setattr(matrices, "_product", recording)
+        for rank_f in range(1, n):
+            shapes.clear()
+            generators._draw(random.Random(0), GenSpec(theorem, n, rank_f))
+            full = [s for s in shapes if s == ((n, n), (n, n))]
+            assert len(full) == 2, rank_f
 
 
 class TestVerifyInstance:
