@@ -30,10 +30,9 @@ Generalized Inverses of Linear Transformations, ch. 7.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 from .matrices import (Matrix, ShapeMismatch, _certainly_invertible,
-                       _placed_columns, _rows_plus, _single_entry_lines,
+                       _placed_columns, _single_entry_lines,
                        inverse, rref)
 
 
@@ -90,24 +89,16 @@ def _require_square(matrix: Matrix, op: str) -> None:
         raise ShapeMismatch(op, matrix.shape, matrix.shape)
 
 
-def _times_rref(free_part: Matrix, pivots: Sequence[int],
-                free: Sequence[int], x: Matrix) -> Matrix:
-    """C x for C the nonzero rows of an rref, with C[:, free] given.
-
-    C is the identity on its pivot columns, so
-    C x = x[pivots, :] + C[:, free] x[free, :].
-    """
-    return _rows_plus(x, pivots, free_part * x.pick(free, range(x.cols)))
-
-
 def _chain(matrix: Matrix) -> tuple[list[tuple], Matrix | None]:
     """Cline's chain for a square T: (steps, core).
 
     Each step factors the current matrix, T first, as B C and records
     (B, pivots, free, C[:, free]), with B the pivot columns and C the
-    nonzero rref rows; C B is the next matrix. The chain ends on an
-    invertible matrix, the core, or on a zero one, recorded as a rank-0
-    step with core None. Either way T has index len(steps).
+    nonzero rref rows. C is the identity on its pivot columns, so the next
+    matrix, C B = B[pivots, :] + C[:, free] B[free, :], is B's pivot rows
+    plus one product with its free rows. The chain ends on an invertible
+    matrix, the core, or on a zero one, recorded as a rank-0 step with core
+    None. Either way T has index len(steps).
     """
     steps = []
     core = matrix
@@ -121,7 +112,8 @@ def _chain(matrix: Matrix) -> tuple[list[tuple], Matrix | None]:
         steps.append((columns, pivots, free, free_part))
         if r == 0:
             return steps, None
-        core = _times_rref(free_part, pivots, free, columns)
+        core = (columns.pick(pivots, range(r))
+                + free_part * columns.pick(free, range(r)))
     return steps, core
 
 

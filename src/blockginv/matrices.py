@@ -153,7 +153,7 @@ class Matrix:
         Block heights must agree along each grid row and widths along each
         grid column; zero-width and zero-height blocks are allowed.
         """
-        if not grid or not grid[0]:
+        if not grid or not all(grid):
             raise ValueError("empty block grid")
         widths = [b.cols for b in grid[0]]
         for block_row in grid:
@@ -209,13 +209,14 @@ class Matrix:
 
     def submatrix(self, row_start: int, row_stop: int,
                   col_start: int, col_stop: int) -> Matrix:
-        return self._take(
-            row_stop - row_start, col_stop - col_start,
-            [i * self.cols + j for i in range(row_start, row_stop)
-             for j in range(col_start, col_stop)])
+        return self.pick(range(row_start, row_stop),
+                         range(col_start, col_stop))
 
     def pick(self, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
         """The entries at the listed rows and columns, in the order given."""
+        if (any(not 0 <= i < self.rows for i in rows)
+                or any(not 0 <= j < self.cols for j in cols)):
+            raise IndexError(f"pick outside {self.rows}x{self.cols}")
         return self._take(len(rows), len(cols),
                           [i * self.cols + j for i in rows for j in cols])
 
@@ -359,17 +360,6 @@ def _placed_columns(left: Matrix, left_cols: Sequence[int], right: Matrix,
             re[col::width] = b_re[t::w]
             im[col::width] = b_im[t::w]
     return _matrix(height, width, den, re, im)
-
-
-def _rows_plus(matrix: Matrix, picks: Sequence[int], other: Matrix) -> Matrix:
-    """matrix[picks, :] + other, read straight from the stored rows."""
-    w = matrix.cols
-    den = lcm(matrix._den, other._den)
-    m_re, m_im = _lifted(matrix, den)
-    o_re, o_im = _lifted(other, den)
-    ks = [p * w + j for p in picks for j in range(w)]
-    return _matrix(len(picks), w, den, [m_re[k] + c for k, c in zip(ks, o_re)],
-                   [m_im[k] + d for k, d in zip(ks, o_im)])
 
 
 def _single_entry_lines(matrix: Matrix) -> tuple[int, int]:
@@ -571,17 +561,10 @@ def kernel_basis(matrix: Matrix) -> Matrix:
     free columns, and its rows at the free columns are the identity.
     """
     reduced, found, pivot_cols = rref(matrix)
-    width = matrix.cols
-    free_cols = [c for c in range(width) if c not in pivot_cols]
-    k = len(free_cols)
-    stacked = Matrix.from_blocks([
-        [-reduced.submatrix(0, found, 0, width).columns(free_cols)],
-        [Matrix.identity(k)],
-    ])
-    # Row r of the stack is row (pivot_cols + free_cols)[r] of the result.
-    order = sorted(range(width), key=[*pivot_cols, *free_cols].__getitem__)
-    return stacked._take(width, k, [r * k + j for r in order
-                                    for j in range(k)])
+    free_cols = [c for c in range(matrix.cols) if c not in pivot_cols]
+    return _placed_columns(
+        -reduced.pick(range(found), free_cols).transpose(), pivot_cols,
+        Matrix.identity(len(free_cols)), free_cols).transpose()
 
 
 def column_space_basis(matrix: Matrix) -> Matrix:

@@ -74,7 +74,7 @@ class TestConstruction:
         with pytest.raises(ValueError, match="need 2 entries, got 1"):
             Matrix.from_parts(1, 2, [(1, 1, 0, 1)])
 
-    @pytest.mark.parametrize("grid", [[], [[]]])
+    @pytest.mark.parametrize("grid", [[], [[]], [[Matrix.identity(1)], []]])
     def test_from_blocks_rejects_empty_grids(self, grid):
         with pytest.raises(ValueError, match="empty block grid"):
             Matrix.from_blocks(grid)
@@ -88,6 +88,18 @@ class TestConstruction:
         assert m[0, 1] == GaussianRational(2)
         with pytest.raises(IndexError):
             m[1, 0]
+
+    @pytest.mark.parametrize("take", [
+        lambda m: m.pick([0], [3]),
+        lambda m: m.pick([-1], [0]),
+        lambda m: m.pick([2], []),
+        lambda m: m.columns([3]),
+        lambda m: m.submatrix(0, 1, 2, 4),
+    ], ids=["column 3", "row -1", "row 2 of none", "columns", "submatrix"])
+    def test_pick_bounds(self, take):
+        # An index past the end must not wrap into the next row.
+        with pytest.raises(IndexError):
+            take(mat([["1", "2", "3"], ["4", "5", "6"]]))
 
 
 class TestAlgebra:

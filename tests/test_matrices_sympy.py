@@ -2,9 +2,9 @@
 
 The closed forms and the Drazin oracle both run on ``Matrix``, so a bug
 there could make them agree on a wrong answer. These tests check sums,
-differences, negation, scalar multiples, the product, rank, rref and
-inverse, and the scalar operations + - * /, against an implementation that
-shares no code with blockginv.
+differences, negation, scalar multiples, the product, rank, rref,
+inverse, the kernel and column-space bases, and the scalar operations
++ - * /, against an implementation that shares no code with blockginv.
 """
 
 from fractions import Fraction
@@ -19,7 +19,8 @@ from sympy.polys.matrices import DomainMatrix
 from blockginv.generators import GenSpec, gen_pair
 from blockginv.ginverse import drazin
 from blockginv import matrices as blockginv_matrices
-from blockginv.matrices import Matrix, SingularMatrix, inverse, rank, rref
+from blockginv.matrices import (Matrix, SingularMatrix, column_space_basis,
+                                inverse, kernel_basis, rank, rref)
 from blockginv.scalars import GaussianRational
 from blockginv.theorems import SHAPE_FOR_THEOREM, assemble_M
 from conftest import mat, nonzero_scalars, scalars
@@ -141,6 +142,30 @@ def test_rank_and_rref(m):
 @given(st.integers(0, 4).flatmap(lambda n: matrices(n, n)))
 def test_inverse(m):
     assert_inverse_agrees(m)
+
+
+def assert_bases_agree(m: Matrix) -> None:
+    # sympy's null space holds one basis vector per row, here scaled so its
+    # last nonzero, the free column's entry, is 1; transposed, the vectors
+    # stand side by side as columns.
+    null_rows = to_sympy(m).nullspace(divide_last=True)
+    assert kernel_basis(m) == from_sympy(null_rows.transpose())
+    assert column_space_basis(m) == from_sympy(to_sympy(m).columnspace())
+
+
+@given(st.tuples(st.integers(1, 5), st.integers(1, 6))
+       .flatmap(lambda shape: matrices(*shape)))
+def test_kernel_and_column_space_bases(m):
+    assert_bases_agree(m)
+
+
+@pytest.mark.parametrize("m,kernel", [
+    (Matrix.zeros(0, 3), Matrix.identity(3)),
+    (Matrix.zeros(2, 0), Matrix.zeros(0, 0)),
+], ids=["0x3", "2x0"])
+def test_kernel_and_column_space_bases_of_empty_shapes(m, kernel):
+    assert kernel_basis(m) == kernel
+    assert_bases_agree(m)
 
 
 @st.composite
