@@ -18,14 +18,12 @@ import argparse
 import json
 import sys
 from collections import Counter
-from itertools import repeat
-from math import gcd
 from pathlib import Path
 
 from .generators import GenerationExhausted, Verdict, run_campaign
 from .ginverse import NotGroupInvertible, drazin, group_inverse
 from .matrices import Matrix, ShapeMismatch
-from .scalars import ScalarParseError, scalar_parts, scalar_text
+from .scalars import ScalarParseError, scalar_parts
 from .theorems import (
     SHAPE_FOR_THEOREM,
     THEOREM_IDS,
@@ -46,19 +44,9 @@ class OutputError(ValueError):
     """A result entry has too many digits to print."""
 
 
-def _entry_text(re: int, im: int, den: int) -> str:
-    g, h = gcd(re, den), gcd(im, den)
-    return scalar_text(re // g, den // g, im // h, den // h)
-
-
 def matrix_to_rows(matrix: Matrix) -> list[list[str]]:
-    """The entries as scalar strings, formatted from the stored integers."""
-    w = matrix.cols
-    if not any(matrix._re) and not any(matrix._im):
-        return [["0"] * w for _ in range(matrix.rows)]
-    texts = _printed(list, map(_entry_text, matrix._re, matrix._im,
-                               repeat(matrix._den)))
-    return [texts[i * w:(i + 1) * w] for i in range(matrix.rows)]
+    """The entries as scalar strings (``Matrix.text_rows``)."""
+    return _printed(matrix.text_rows)
 
 
 def _printed(text, *args):

@@ -7,8 +7,8 @@ positive int, and ``_re`` and ``_im`` are row-major tuples of ints, so
 entry (i, j) is (_re[k] + _im[k]*i) / _den with k = i*cols + j; a real
 matrix has an all-zero ``_im``. The form is canonical: the gcd of the
 denominator and all numerators is 1 (the zero matrix has denominator 1),
-so equal matrices have equal storage. Entries become GaussianRational
-values only when read.
+so equal matrices have equal storage, which only this module reads or
+writes. Entries become GaussianRational values or text only when read.
 
 Sums and scalar multiples combine the numerator lists over one LCM
 denominator, and products take integer dot products of the stored rows
@@ -42,7 +42,7 @@ from math import gcd, lcm
 from operator import add, mul, or_, sub
 from typing import Callable, Iterable, Sequence
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, scalar_text
 
 _Entry = GaussianRational | int | Fraction
 
@@ -62,11 +62,11 @@ class SingularMatrix(ArithmeticError):
     """Inversion was asked of a matrix without full rank."""
 
 
-def _coerce_entry(value: _Entry) -> GaussianRational:
-    coerced = GaussianRational._coerce(value)
-    if coerced is None:
+def _entry_parts(value: _Entry) -> tuple[int, int, int, int]:
+    x = GaussianRational._coerce(value)
+    if x is None:
         raise TypeError(f"cannot use {type(value).__name__} as a matrix entry")
-    return coerced
+    return x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator
 
 
 def _matrix(rows: int, cols: int, den: int, re: Sequence[int],
@@ -103,13 +103,9 @@ class Matrix:
     def __init__(self, rows: int, cols: int, entries: Sequence[_Entry]):
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
-        parts = [(x.re, x.im) for x in map(_coerce_entry, entries)]
-        # Over the LCM of lowest-term denominators the form is canonical.
-        den = lcm(*(q.denominator for pair in parts for q in pair))
-        re = tuple(a.numerator * (den // a.denominator) for a, _ in parts)
-        im = tuple(b.numerator * (den // b.denominator) for _, b in parts)
-        self.rows, self.cols, self._den = rows, cols, den
-        self._re, self._im = re, im
+        m = Matrix.from_parts(rows, cols, list(map(_entry_parts, entries)))
+        self.rows, self.cols, self._den, self._re, self._im = (
+            rows, cols, m._den, m._re, m._im)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[_Entry]]) -> Matrix:
@@ -132,17 +128,24 @@ class Matrix:
         if rows < 0 or cols < 0 or len(parts) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(parts)}")
         den = lcm(*(p[1] for p in parts), *(p[3] for p in parts))
+        if not den:
+            k = next(k for k, p in enumerate(parts) if not p[1] * p[3])
+            raise ValueError(f"entry {divmod(k, cols)} has a zero denominator")
         return _matrix(rows, cols, den,
                        [a * (den // b) for a, b, _, _ in parts],
                        [c * (den // d) for _, _, c, d in parts])
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
+        if n < 0:
+            raise ValueError(f"negative size {n}x{n}")
         return _matrix(n, n, 1, [int(i == j) for i in range(n)
                                  for j in range(n)], [0] * (n * n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Matrix:
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative size {rows}x{cols}")
         zero = [0] * (rows * cols)
         return _matrix(rows, cols, 1, zero, zero)
 
@@ -202,6 +205,14 @@ class Matrix:
 
     def to_lists(self) -> list[list[GaussianRational]]:
         return [list(self.row(i)) for i in range(self.rows)]
+
+    def text_rows(self) -> list[list[str]]:
+        """Each row's entries as scalar strings, formatted from storage."""
+        w, den = self.cols, repeat(self._den)
+        if self.is_zero():
+            return [["0"] * w for _ in range(self.rows)]
+        texts = list(map(scalar_text, self._re, den, self._im, den))
+        return [texts[i * w:(i + 1) * w] for i in range(self.rows)]
 
     def _take(self, rows: int, cols: int, indices: list[int]) -> Matrix:
         return _matrix(rows, cols, self._den, [self._re[k] for k in indices],
@@ -291,9 +302,7 @@ class Matrix:
         return result
 
     def __str__(self) -> str:
-        return "[" + "; ".join(
-            ", ".join(str(x) for x in self.row(i)) for i in range(self.rows)
-        ) + "]"
+        return "[" + "; ".join(map(", ".join, self.text_rows())) + "]"
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} {self})"
@@ -306,16 +315,15 @@ _Zi = tuple[int, int]
 
 
 def _scaled(matrix: Matrix, value) -> Matrix:
-    """The matrix times a scalar (p + q*i)/r, read off a 1 x 1 Matrix."""
-    scalar = GaussianRational._coerce(value)
-    if scalar is None:
+    """The matrix times a scalar p/r + (q/s)i = (p*s + q*r*i) / (r*s)."""
+    try:
+        p, r, q, s = _entry_parts(value)
+    except TypeError:
         return NotImplemented
-    c = Matrix(1, 1, [scalar])
-    (p,), (q,) = c._re, c._im
-    a, b = matrix._re, matrix._im
-    return _matrix(matrix.rows, matrix.cols, matrix._den * c._den,
-                   [s * p - t * q for s, t in zip(a, b)],
-                   [s * q + t * p for s, t in zip(a, b)])
+    p, q, pairs = p * s, q * r, list(zip(matrix._re, matrix._im))
+    return _matrix(matrix.rows, matrix.cols, matrix._den * r * s,
+                   [x * p - y * q for x, y in pairs],
+                   [x * q + y * p for x, y in pairs])
 
 
 def _product(left: Matrix, right: Matrix) -> Matrix:

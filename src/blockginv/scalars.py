@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 _ZERO = Fraction(0)
 # ASCII only: \d would also match other scripts' digits, such as U+0663.
@@ -144,9 +145,11 @@ class GaussianRational:
 
 
 def scalar_text(re: int, re_den: int, im: int, im_den: int) -> str:
-    """The scalar syntax of re/re_den + (im/im_den)i, parts in lowest terms."""
+    """The scalar syntax of re/re_den + (im/im_den)i, each part written in
+    lowest terms; the denominators must be positive."""
+    g, h = gcd(re, re_den), gcd(im, im_den)
     real, imag = (str(a) if b == 1 else f"{a}/{b}"
-                  for a, b in ((re, re_den), (im, im_den)))
+                  for a, b in ((re // g, re_den // g), (im // h, im_den // h)))
     if not im:
         return real
     imag = {"1": "", "-1": "-"}.get(imag, imag) + "i"  # i, -i, 2i, 1/2i

@@ -21,6 +21,8 @@ from blockginv.theorems import (THEOREM_IDS, HypothesisViolated,
 from conftest import (DIGIT_LIMIT_TEMPLATES, REJECTED_SCALARS,
                       TOO_MANY_DIGITS, mat, rect_matrices, scalars)
 
+# Ten digits past the int-to-str limit, so a small factor keeps it past.
+_HUGE = 10 ** (sys.get_int_max_str_digits() + 10)
 _blanks = st.text(" \t", max_size=2)
 _signs = st.sampled_from(["", "-"])
 
@@ -543,6 +545,26 @@ class TestMatrixToRows:
             m = c * m + m
         assert matrix_to_rows(m) == [[str(x) for x in row]
                                      for row in m.to_lists()]
+
+    @given(rect_matrices(), st.lists(scalars(), max_size=2),
+           st.sampled_from([None, (_HUGE, 1, 0, 1), (0, 1, -_HUGE, 1),
+                            (1, _HUGE, 0, 1), (0, 1, 1, _HUGE)]))
+    def test_str_joins_the_same_texts(self, m, factors, huge):
+        # huge adds an entry part with more digits than Python prints.
+        for c in factors:
+            m = c * m + m
+        if huge:
+            m = m + Matrix.from_parts(m.rows, m.cols, [huge] + [(0, 1, 0, 1)]
+                                      * (m.rows * m.cols - 1))
+        try:
+            rows = matrix_to_rows(m)
+        except OutputError:
+            assert huge
+            with pytest.raises(ValueError):
+                str(m)
+        else:
+            assert not huge
+            assert str(m) == "[" + "; ".join(", ".join(r) for r in rows) + "]"
 
     def test_zero_matrices(self):
         for rows in (1, 2, 3):

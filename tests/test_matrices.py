@@ -73,6 +73,27 @@ class TestConstruction:
             Matrix(2, 2, [1, 2, 3])
         with pytest.raises(ValueError, match="need 2 entries, got 1"):
             Matrix.from_parts(1, 2, [(1, 1, 0, 1)])
+        # The count is checked before the entries' types.
+        with pytest.raises(ValueError, match="need 4 entries, got 1"):
+            Matrix(2, 2, [1.5])
+
+    @pytest.mark.parametrize("cols, parts, where", [
+        (1, [(1, 0, 0, 1)], r"\(0, 0\)"),
+        (2, [(1, 1, 0, 1), (1, 2, 0, 1), (0, 1, 1, 1), (2, 3, 5, 0)],
+         r"\(1, 1\)"),
+    ], ids=["entry (0, 0)", "entry (1, 1)"])
+    def test_from_parts_rejects_zero_denominators(self, cols, parts, where):
+        with pytest.raises(ValueError, match=f"entry {where} has a zero "):
+            Matrix.from_parts(len(parts) // cols, cols, parts)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Matrix.zeros(-2, -3),
+        lambda: Matrix.zeros(2, -1),
+        lambda: Matrix.identity(-1),
+    ], ids=["zeros -2x-3", "zeros 2x-1", "identity -1"])
+    def test_rejects_negative_sizes(self, build):
+        with pytest.raises(ValueError, match="negative size"):
+            build()
 
     @pytest.mark.parametrize("grid", [[], [[]], [[Matrix.identity(1)], []]])
     def test_from_blocks_rejects_empty_grids(self, grid):
@@ -373,6 +394,24 @@ class TestCanonicalForm:
         assert again == m and hash(again) == hash(m)
         assert Matrix(m.rows, m.cols, [x for row in m.to_lists()
                                        for x in row]) == m
+
+    @given(rect_matrices(), st.data())
+    def test_init_stores_as_from_parts_in_any_terms(self, m, data):
+        # Each entry goes in as an int, a Fraction or a GaussianRational,
+        # and again as its parts times a nonzero factor, which may be
+        # negative, so the denominators are neither reduced nor positive.
+        values = [x for row in m.to_lists() for x in row]
+        entries = [x if x.im else x.re.numerator if x.re.denominator == 1
+                   else x.re for x in values]
+        factors = data.draw(st.lists(
+            st.integers(-4, 4).filter(bool), min_size=2 * len(values),
+            max_size=2 * len(values)))
+        parts = [(x.re.numerator * k, x.re.denominator * k,
+                  x.im.numerator * h, x.im.denominator * h)
+                 for x, k, h in zip(values, factors[::2], factors[1::2])]
+        built = Matrix(m.rows, m.cols, entries)
+        assert_canonical(built)
+        assert built == Matrix.from_parts(m.rows, m.cols, parts) == m
 
     @given(square_pairs())
     def test_sums_products_and_negation(self, pair):

@@ -38,6 +38,20 @@ def test_library_touches_no_private_fraction_fields():
     assert found == []
 
 
+def test_only_matrices_touches_matrix_storage():
+    # The storage format is a decision of matrices.py alone; everything else
+    # goes through Matrix's methods, such as from_parts and text_rows.
+    storage = {"_re", "_im", "_den"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "matrices.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in storage
+        or isinstance(node, ast.Constant) and node.value in storage
+    ]
+    assert found == []
+
+
 def test_theorem_and_generator_tests_pass_optimized():
     # test_cli.py is here because matrix input goes from the scanner's
     # integer parts straight into Matrix storage, past GaussianRational's

@@ -12,6 +12,7 @@ from blockginv.scalars import (
     GaussianRational,
     ScalarParseError,
     parse_scalar,
+    scalar_text,
 )
 from conftest import (DIGIT_LIMIT_TEMPLATES, REJECTED_SCALARS,
                       TOO_MANY_DIGITS, nonzero_scalars, scalars)
@@ -99,6 +100,14 @@ class TestRendering:
     ])
     def test_str(self, scalar, text):
         assert str(scalar) == text
+
+    @pytest.mark.parametrize("parts, text", [
+        ((2, 4, 0, 3), "1/2"),
+        ((0, 5, -6, 4), "-3/2i"),
+        ((-9, 3, 4, 8), "-3+1/2i"),
+    ])
+    def test_scalar_text_writes_lowest_terms(self, parts, text):
+        assert scalar_text(*parts) == text
 
 
 class TestParsing:
