@@ -8,8 +8,8 @@ existence condition, so one draw gives an instance where the closed form
 must succeed, or one where it must refuse. Every rule's draw returns its
 split-basis pair (E~, C), and ``_draw`` conjugates both by one random P,
 drawn last: E = P E~ P^-1 and F = P[:, :r] C P^-1[:r, :], never a
-product with diag(C, 0). No draw is repeated: ``gen_pair`` checks its one
-draw and raises if it missed.
+product with diag(C, 0), so every draw has F group invertible. No draw is
+repeated: ``gen_pair`` checks its one draw and raises if it missed.
 
 Every drawn entry is a tuple of integer parts (re, re_den, im, im_den)
 that ``Matrix.from_parts`` stores directly.
@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .ginverse import NotGroupInvertible, drazin
-from .matrices import Matrix, _certainly_invertible, inverse, rank
+from .matrices import Matrix, inverse, rank
 from .theorems import (
     SHAPE_FOR_THEOREM,
     BlockShape,
@@ -118,9 +118,7 @@ def _rand_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
 def _gen_invertible(rng: random.Random, n: int) -> Matrix:
     for _ in range(1000):
         candidate = _rand_matrix(rng, n, n)
-        # The mod-P certificate is cheap and only ever says True of an
-        # invertible matrix; the exact rank decides the rest.
-        if _certainly_invertible(candidate) or rank(candidate) == n:
+        if rank(candidate) == n:
             return candidate
     raise GenerationExhausted(f"no invertible {n}x{n} draw found")
 
@@ -381,6 +379,8 @@ def run_campaign(theorem: str, trials: int, max_n: int, seed: int,
         raise ValueError("trials must be nonnegative")
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     spare = _spare_dims(theorem, negative)
     rng = random.Random(seed)
     specs = []

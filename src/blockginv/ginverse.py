@@ -9,10 +9,10 @@ rank(T^(j+1)) = rank(M_j), an invertible M_k means T has index k, and
     T^D = B1 ... Bk M^-(k+1) Ck ... C1;
 
 a zero M_k means T is nilpotent of index k + 1, and T^D = 0. Every step
-after the first works on the shrinking M_j, never on a power of T. A
-nonzero determinant mod a prime proves M_j invertible; failing that, its
-exact rref decides, so no limits and no numerics enter. The group inverse
-is the k <= 1 case.
+after the first works on the shrinking M_j, never on a power of T. The
+exact rref of M_j decides, full rank or zero, so no limits and no
+numerics enter (``rref`` proves full rank mod a prime when it can). The
+group inverse is the k <= 1 case.
 
 The factors are never composed. Cline's identity for T = B C,
 (T^D)^p = B ((C B)^D)^(p+1) C, peels one step at a time: starting from
@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .matrices import (Matrix, ShapeMismatch, _certainly_invertible,
-                       _placed_columns, _single_entry_lines,
-                       inverse, rref)
+from .matrices import (Matrix, ShapeMismatch, _placed_columns,
+                       _single_entry_lines, inverse, rref)
 
 
 class NotGroupInvertible(ArithmeticError):
@@ -100,12 +99,11 @@ def _chain(matrix: Matrix) -> tuple[list[tuple], Matrix | None]:
     matrix, the core, or on a zero one, recorded as a rank-0 step with core
     None. Either way T has index len(steps).
     """
-    steps = []
-    core = matrix
-    while not _certainly_invertible(core):
+    steps, core = [], matrix
+    while True:
         reduced, r, pivots = rref(core)
-        if r == core.rows:  # invertible after all: an unlucky prime
-            break
+        if r == core.rows:
+            return steps, core
         free = [c for c in range(core.cols) if c not in pivots]
         free_part = reduced.pick(range(r), free)
         columns = core.columns(pivots)
@@ -114,7 +112,6 @@ def _chain(matrix: Matrix) -> tuple[list[tuple], Matrix | None]:
             return steps, None
         core = (columns.pick(pivots, range(r))
                 + free_part * columns.pick(free, range(r)))
-    return steps, core
 
 
 def drazin_index(matrix: Matrix) -> int:
@@ -134,8 +131,7 @@ def drazin(matrix: Matrix) -> DrazinResult:
     take a product with C. T^pi = I - T T^D is formed on its first read,
     from T, which the cache holds anyway as its key. An invertible T has
     index 0, T^D = T^-1 and T^pi = 0; a nilpotent T has T^D = 0 and
-    T^pi = I. The chain runs one rref per step, one inverse and no rank
-    pass. Results are cached; matrices are immutable.
+    T^pi = I. Results are cached; matrices are immutable.
 
     When T has more single-entry columns than single-entry rows, the chain
     runs on T^T and its T^D is transposed back; the index is the same. A

@@ -24,9 +24,9 @@ pivot once, at the end. FFGJ pivots each column on its smallest candidate
 row by total bit length, the first on a tie, which keeps the minors small
 (identity rows go first). No output depends on the order: the rank, the
 rref, its pivot columns and the inverse are unique, storage is canonical,
-and the fraction-free divisions are exact in any row order. The only
-other elimination is ``_certainly_invertible``, a one-sided certificate
-mod a prime P.
+and the fraction-free divisions are exact in any row order. ``rank`` and
+``rref`` skip FFGJ on a square matrix that ``_certainly_invertible``, a
+one-sided certificate mod a prime P, proves invertible.
 
 References: FLINT's fmpq_mat (https://flintlib.org/doc/fmpq_mat.html);
 E. H. Bareiss, Math. Comp. 22 (1968); G. C. Nakos, P. R. Turner and
@@ -517,12 +517,14 @@ def _certainly_invertible(matrix: Matrix) -> bool:
 def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
 
-    Returns (R, rank, pivot_columns). Each column pivots on the smallest
-    candidate row (``_bits``); R is unique, so the choice only sets the
-    cost. Every pivot ends up equal to the last one, d; R is the final
-    Gaussian-integer rows over d, which normalizes the pivots to 1.
+    Returns (R, rank, pivot_columns); R = I when the certificate proves a
+    square matrix invertible. Otherwise each column pivots on the smallest
+    candidate row (``_bits``), which only sets the cost: R is unique. Each
+    pivot ends equal to the last, d, and R is the final rows over d.
     """
     height, width = matrix.rows, matrix.cols
+    if matrix.is_square and _certainly_invertible(matrix):
+        return Matrix.identity(height), height, tuple(range(height))
     rows = _integer_rows(matrix)[0]
     pivot_cols, d, _ = _gauss_jordan(rows, width, False)
     free = [c for c in range(width) if c not in pivot_cols]
@@ -537,7 +539,9 @@ def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 
 
 def rank(matrix: Matrix) -> int:
-    """Rank: the number of pivots the shared Gauss-Jordan kernel finds."""
+    """Rank: full if certified, else the pivots the shared kernel finds."""
+    if matrix.is_square and _certainly_invertible(matrix):
+        return matrix.rows
     return len(_gauss_jordan(_integer_rows(matrix)[0], matrix.cols, False)[0])
 
 

@@ -22,9 +22,9 @@ layout [[E, F], [I, 0]] under the same hypothesis, and Theorem 3.1 for
 transposing the block matrix turns their layout and hypotheses into the
 kernel's, and swaps the two off-diagonal result blocks. The commutation
 rules cor2.5 and cor3.4 are mirrored too, through thm2.3's and cor3.3's
-kernels: either law, with F group invertible, forces F^pi E F = 0. So a
-mirrored rule transposes (E, F) once, and transposes its residuals and
-blocks back; only the commutation law is read on (E, F) as given.
+kernels: either law, with F group invertible, forces F^pi E F = 0, so
+both hold "F group-invertible" as standing. A mirrored rule transposes
+(E, F) once, and its residuals and blocks back; the law keeps (E, F).
 
 Every hypothesis is one name; the commutation either/or is the one
 hypothesis "EF=lambda FE or EF^2=FEF", reported as its two laws.
@@ -292,8 +292,8 @@ RULES: dict[str, Rule] = {
                    (_F_GROUP, "F^pi E^pi=0"), _thm21, mirrored=True),
     "cor2.4": Rule(BlockShape.EI_F0, ("F^pi EF=0",),
                    (_F_GROUP, "F^pi E^pi=0"), _cor22, mirrored=True),
-    "cor2.5": Rule(BlockShape.EF_I0, (_COMMUTATION,),
-                   (_F_GROUP, "F^pi E^pi=0"), _thm21, mirrored=True),
+    "cor2.5": Rule(BlockShape.EF_I0, (_COMMUTATION, _F_GROUP),
+                   ("F^pi E^pi=0",), _thm21, mirrored=True),
     "thm3.1": Rule(BlockShape.EF_F0, ("FEF^pi=0", _F_GROUP),
                    ("EE^pi F^pi=0",), _thm31),
     "cor3.2": Rule(BlockShape.EF_F0, ("F^pi EF=0", _F_GROUP),

@@ -57,9 +57,9 @@ class TestBuildingBlocks:
 
     def test_exact_rank_decides_when_the_certificate_abstains(
             self, monkeypatch):
-        # The mod-P certificate only ever proves invertibility; with it
-        # silenced, the exact rank alone must make every decision, so the
-        # same draws are accepted and rejected.
+        # The mod-P certificate inside rank only ever proves invertibility;
+        # with it silenced, the exact elimination alone must make every
+        # decision, so the same draws are accepted and rejected.
         specs = [GenSpec(theorem, 4, 2, True, seed=1)
                  for theorem in THEOREM_IDS]
         draws = [gen_invertible(n, seed) for n in range(7) for seed in (0, 1)]
@@ -70,7 +70,7 @@ class TestBuildingBlocks:
             ranks.append((rank(matrix), matrix.rows))
             return ranks[-1][0]
 
-        monkeypatch.setattr(generators, "_certainly_invertible",
+        monkeypatch.setattr(matrices, "_certainly_invertible",
                             lambda matrix: False)
         monkeypatch.setattr(generators, "rank", counting)
         assert [gen_invertible(n, seed) for n in range(7)
@@ -421,5 +421,8 @@ class TestRunCampaign:
             run_campaign("thm2.1", -1, 4, seed=0)
         with pytest.raises(ValueError):
             run_campaign("thm2.1", 3, 0, seed=0)
+        for jobs in (0, -4):
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                run_campaign("thm2.1", 2, 2, 0, jobs=jobs)
         with pytest.raises(GenerationExhausted):
             run_campaign("thm3.1", 3, 1, seed=0, negative=True)

@@ -241,8 +241,12 @@ class TestExactDivision:
         # Column 0 pivots on i. Row 1 is then zero in column 1, so column 1
         # swaps rows, and the next step divides by the non-real pivot i.
         # The step folds conj(d) in, so the pivot is recorded where it
-        # enters the step, not at the division by its norm.
+        # enters the step, not at the division by its norm. rank gets the
+        # rows with a zero column appended: not square, so the mod-P
+        # certificate cannot settle it without the kernel.
         m = mat([["i", "1", "0"], ["0", "0", "1"], ["1", "2", "3"]])
+        wide = mat([["i", "1", "0", "0"], ["0", "0", "1", "0"],
+                    ["1", "2", "3", "0"]])
         divisors = []
         combine = matrices._combine
 
@@ -251,7 +255,7 @@ class TestExactDivision:
             return combine(p, x, c, y, d)
 
         monkeypatch.setattr(matrices, "_combine", recording_combine)
-        assert rank(m) == 3
+        assert rank(wide) == 3
         assert (0, 1) in divisors
         divisors.clear()
         m_inv = inverse(m)

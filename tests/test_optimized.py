@@ -52,6 +52,22 @@ def test_only_matrices_touches_matrix_storage():
     assert found == []
 
 
+def test_only_matrices_names_the_certificate():
+    # Full rank is decided inside rank and rref; no caller consults the
+    # mod-P certificate on its own, by import or by expression.
+    name = "_certainly_invertible"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "matrices.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.alias) and name in (node.name, node.asname)
+        or isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.Constant) and node.value == name
+    ]
+    assert found == []
+
+
 def test_theorem_and_generator_tests_pass_optimized():
     # test_cli.py is here because matrix input goes from the scanner's
     # integer parts straight into Matrix storage, past GaussianRational's
