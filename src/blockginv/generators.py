@@ -331,14 +331,15 @@ def verify_instance(e: Matrix, f: Matrix, theorem: str) -> VerificationReport:
         error, refused = None, False
     big = assemble_M(e, f, SHAPE_FOR_THEOREM[theorem])
     oracle = drazin(big)
-    if formula is not None and formula == oracle.drazin and oracle.index <= 1:
+    same = formula == oracle.drazin
+    if same and oracle.index <= 1:
         verdict = Verdict.AGREE_EXISTS
     elif refused and oracle.index >= 2:
         verdict = Verdict.AGREE_NOT_EXISTS
     else:
         verdict = Verdict.MISMATCH
     positions: tuple[tuple[int, int], ...] = ()
-    if formula is not None and formula != oracle.drazin:
+    if formula is not None and not same:
         positions = tuple(
             (i, j)
             for i in range(formula.rows)

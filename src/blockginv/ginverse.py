@@ -124,11 +124,12 @@ def drazin_index(matrix: Matrix) -> int:
 def drazin(matrix: Matrix) -> DrazinResult:
     """Drazin inverse by Cline's chain of full-rank factorizations.
 
-    With index k >= 1 and an invertible core M, X = M^-(k+1), a power of
-    M's one inverse. The steps, last first, then set X = B X C, which is
-    Cline's identity for that step. C is the identity on its pivot
-    columns, so B X fills those columns of B X C and only the free columns
-    take a product with C. T^pi = I - T T^D is formed on its first read,
+    With index k and an invertible core M, X = M^-(k+1), a power of M's
+    one inverse. The k steps, last first, then set X = B X C, which is
+    Cline's identity for that step; at k = 0 the core is T itself and
+    X = T^-1 takes no product. C is the identity on its pivot columns, so
+    B X fills those columns of B X C and only the free columns take a
+    product with C. T^pi = I - T T^D is formed on its first read,
     from T, which the cache holds anyway as its key. An invertible T has
     index 0, T^D = T^-1 and T^pi = 0; a nilpotent T has T^D = 0 and
     T^pi = I. Results are cached; matrices are immutable.
@@ -146,12 +147,10 @@ def drazin(matrix: Matrix) -> DrazinResult:
     k = len(steps)
     if core is None:
         return DrazinResult(Matrix.zeros(n, n), k, Matrix.identity(n))
-    x = inverse(core)
-    if k:
-        x = x ** (k + 1)
-        for left, pivots, free, free_part in reversed(steps):
-            bx = left * x
-            x = _placed_columns(bx, pivots, bx * free_part, free)
+    x = inverse(core) ** (k + 1)
+    for left, pivots, free, free_part in reversed(steps):
+        bx = left * x
+        x = _placed_columns(bx, pivots, bx * free_part, free)
     if flip:
         x = x.transpose()
     return DrazinResult(x, k, None if k else Matrix.zeros(n, n), matrix)

@@ -469,8 +469,6 @@ def _gauss_jordan(rows: list[_ZiVector], width: int,
     d = (1, 0)
     for col in range(width):
         top = len(pivot_cols)
-        if top >= height:
-            break
         slot = col - top
         candidates = [r for r in range(top, height)
                       if rows[r][0][slot] or rows[r][1][slot]]

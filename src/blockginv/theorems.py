@@ -148,21 +148,18 @@ def assemble_M(e: Matrix, f: Matrix, shape: BlockShape) -> Matrix:
 def _commutation(e: Matrix, f: Matrix) -> tuple[Condition, Condition]:
     """Decide EF = lambda FE and EF^2 = FEF from one pair of products.
 
-    When both products vanish the scalar law holds with lambda = 0. When
-    exactly one vanishes no scalar is searched for and the law is reported
-    failed (with the nonzero product as residual). Otherwise lambda is read
-    off the first position, in row-major order, where both products are
-    nonzero, and then checked globally. EF^2 - FEF is formed as
+    lambda is EF / FE at the first position, in row-major order, where
+    both products are nonzero, and 0 when there is none; the scalar law
+    holds exactly when the residual EF - lambda FE is zero. Any scalar
+    that fits must equal that ratio, and with no such position only
+    EF = 0 fits, which lambda = 0 meets. EF^2 - FEF is formed as
     (EF - FE) F, and is zero without a product when EF = FE.
     """
     ef = e * f
     fe = f * e
-    if ef.is_zero() or fe.is_zero():
-        lam, residual = ZERO, fe if ef.is_zero() else ef
-    else:
-        lam = next((p / q for i in range(ef.rows)
-                    for p, q in zip(ef.row(i), fe.row(i)) if p and q), None)
-        residual = ef if lam is None else ef - lam * fe
+    lam = next((p / q for i in range(ef.rows)
+                for p, q in zip(ef.row(i), fe.row(i)) if p and q), ZERO)
+    residual = ef - lam * fe
     holds = residual.is_zero()
     diff = ef - fe
     aligned = diff if diff.is_zero() else diff * f

@@ -212,15 +212,22 @@ class TestCheckCommand:
         law = next(c for c in json.loads(out)["conditions"]
                    if c["name"] == "EF=lambda FE")
         assert law["holds"] is True
-        return law["lambda"]
+        return law
 
     def test_reports_lambda(self, tmp_path, capsys):
         assert self._law(tmp_path, capsys,
-                         [["2", "0"], ["0", "3"]]) == "3/2"
+                         [["2", "0"], ["0", "3"]])["lambda"] == "3/2"
 
     def test_reports_a_complex_fractional_lambda(self, tmp_path, capsys):
         assert self._law(tmp_path, capsys,
-                         [["2", "0"], ["0", "-1+3i"]]) == "-1/2+3/2i"
+                         [["2", "0"], ["0", "-1+3i"]])["lambda"] == "-1/2+3/2i"
+
+    def test_reports_lambda_zero_when_only_ef_vanishes(self, tmp_path,
+                                                        capsys):
+        # EF = 0 while FE = [[0, 1], [0, 0]].
+        law = self._law(tmp_path, capsys, [["1", "0"], ["0", "0"]])
+        assert law["lambda"] == "0"
+        assert law["residual"] == [["0", "0"], ["0", "0"]]
 
 
 class TestVerifyCommand:

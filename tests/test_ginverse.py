@@ -16,7 +16,7 @@ from blockginv.ginverse import (
     drazin_index,
     group_inverse,
 )
-from blockginv.matrices import Matrix, ShapeMismatch, rank
+from blockginv.matrices import Matrix, ShapeMismatch, inverse, rank
 from blockginv.scalars import GaussianRational
 from blockginv.theorems import SHAPE_FOR_THEOREM, BlockShape, assemble_M
 from conftest import (mat, nonzero_scalars, singular_square_matrices,
@@ -417,6 +417,8 @@ class TestInvertibilityCertificate:
 
     def test_index_and_nilpotent_take_one_product_per_step(self, monkeypatch):
         # Only C B of each step: no composed factors to multiply and discard.
+        # An invertible T has no step, and its inverse's first power is
+        # the inverse itself.
         calls = []
         product = matrices._product
 
@@ -428,11 +430,16 @@ class TestInvertibilityCertificate:
                            ["0", "0", "0", "1"], ["0", "0", "0", "0"]])
         jordan = Matrix.from_rows([[1 if j == i + 1 else 0 for j in range(5)]
                                    for i in range(5)])
+        invertible = mat([["1", "2"], ["0", "-1"]])
         monkeypatch.setattr(matrices, "_product", counted)
         assert drazin_index(index_three) == 3
         assert len(calls) == 3
         calls.clear()
         result = drazin.__wrapped__(jordan)
         assert len(calls) == 4
+        calls.clear()
+        unit = drazin.__wrapped__(invertible)
+        assert calls == []
         monkeypatch.setattr(matrices, "_product", product)
         assert result.index == 5 and result.drazin.is_zero()
+        assert unit.index == 0 and unit.drazin == inverse(invertible)

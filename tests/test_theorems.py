@@ -650,13 +650,26 @@ class TestCheckConditions:
         assert law.lam == GaussianRational(0)
 
     def test_scalar_law_one_sided_zero(self):
+        # EF = 0 != FE: lambda = 0 gives EF = lambda FE.
         e = mat([["0", "1"], ["0", "0"]])
         f = mat([["1", "0"], ["0", "0"]])
         report = check_conditions(e, f, "cor2.5")
         law = next(c for c in report.conditions if c.name == "EF=lambda FE")
+        assert (e * f).is_zero() and not (f * e).is_zero()
+        assert law.holds
+        assert law.lam == GaussianRational(0)
+        assert law.residual.is_zero()
+
+    def test_scalar_law_fails_when_only_fe_vanishes(self):
+        # FE = 0 != EF: no lambda gives EF = lambda FE.
+        e = mat([["1", "0"], ["0", "0"]])
+        f = mat([["0", "1"], ["0", "0"]])
+        report = check_conditions(e, f, "cor2.5")
+        law = next(c for c in report.conditions if c.name == "EF=lambda FE")
+        assert (f * e).is_zero() and not (e * f).is_zero()
         assert not law.holds
         assert law.lam is None
-        assert law.residual == f * e
+        assert law.residual == e * f
 
     def test_condition_names_per_theorem(self):
         e, f = Matrix.identity(2), Matrix.identity(2)
