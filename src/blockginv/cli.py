@@ -28,7 +28,6 @@ from .theorems import (
     SHAPE_FOR_THEOREM,
     THEOREM_IDS,
     BlockGroupInverse,
-    BlockShape,
     Condition,
     HypothesisViolated,
     block_group_inverse,
@@ -169,17 +168,11 @@ def _cmd_groupinv(args) -> int:
 
 
 def _cmd_block(args) -> int:
-    expected_shape = SHAPE_FOR_THEOREM[args.theorem].value
-    if args.shape != "auto" and args.shape != expected_shape:
-        return _fail(1, "Usage",
-                     f"--shape {args.shape} does not match {args.theorem}, "
-                     f"which uses {expected_shape}")
-    e = load_matrix(args.e_file)
-    f = load_matrix(args.f_file)
+    e, f = map(load_matrix, (args.e_file, args.f_file))
     result = block_group_inverse(args.theorem, e, f)
     print(json.dumps({
         "theorem": args.theorem,
-        "shape": expected_shape,
+        "shape": SHAPE_FOR_THEOREM[args.theorem].value,
         **_blocks_json(result),
         "conditions": [_condition_json(c) for c in result.report.conditions],
     }))
@@ -187,8 +180,7 @@ def _cmd_block(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    e = load_matrix(args.e_file)
-    f = load_matrix(args.f_file)
+    e, f = map(load_matrix, (args.e_file, args.f_file))
     report = check_conditions(e, f, args.theorem)
     print(json.dumps({
         "theorem": args.theorem,
@@ -288,22 +280,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="JSON matrix file")
     p.set_defaults(func=_cmd_groupinv)
 
-    p = sub.add_parser("block", help="closed-form group inverse of the "
-                                     "block matrix a theorem id covers")
-    p.add_argument("--theorem", required=True, choices=THEOREM_IDS)
-    p.add_argument("--E", required=True, dest="e_file", metavar="FILE")
-    p.add_argument("--F", required=True, dest="f_file", metavar="FILE")
-    p.add_argument("--shape", default="auto",
-                   choices=["auto", *(s.value for s in BlockShape)],
-                   help="layout sanity check; must match the theorem's")
-    p.set_defaults(func=_cmd_block)
-
-    p = sub.add_parser("check", help="evaluate a theorem's hypotheses on a "
-                                     "pair without inverting anything")
-    p.add_argument("--theorem", required=True, choices=THEOREM_IDS)
-    p.add_argument("--E", required=True, dest="e_file", metavar="FILE")
-    p.add_argument("--F", required=True, dest="f_file", metavar="FILE")
-    p.set_defaults(func=_cmd_check)
+    # The rule fixes the block layout, so a pair's command takes no layout.
+    for name, func, text in (
+            ("block", _cmd_block, "closed-form group inverse of the block "
+                                  "matrix a theorem id covers"),
+            ("check", _cmd_check, "evaluate a theorem's hypotheses on a "
+                                  "pair without inverting anything")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--theorem", required=True, choices=THEOREM_IDS)
+        p.add_argument("--E", required=True, dest="e_file", metavar="FILE")
+        p.add_argument("--F", required=True, dest="f_file", metavar="FILE")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="random instances: closed form "
                                       "against the from-scratch inverse")

@@ -19,14 +19,15 @@ divides exactly by the previous pivot d in Z[i], with conj(d) folded into
 the step for a non-real d; a remainder raises ArithmeticError. Rows are
 compact: a pivoted column is d in its own row, so no row keeps it, and
 ``inverse`` runs in place, its identity columns taking the freed slots.
-``rank`` counts the pivots; ``rref`` and ``inverse`` divide by the last
-pivot once, at the end. FFGJ pivots each column on its smallest candidate
-row by total bit length, the first on a tie, which keeps the minors small
-(identity rows go first). No output depends on the order: the rank, the
-rref, its pivot columns and the inverse are unique, storage is canonical,
-and the fraction-free divisions are exact in any row order. ``rank`` and
-``rref`` skip FFGJ on a square matrix that ``_certainly_invertible``, a
-one-sided certificate mod a prime P, proves invertible.
+``rank`` counts ``rref``'s pivots; ``rref`` and ``inverse`` divide by the
+last pivot once, at the end. FFGJ pivots each column on its smallest
+candidate row by total bit length, the first on a tie, which keeps the
+minors small (identity rows go first). No output depends on the order:
+the rank, the rref, its pivot columns and the inverse are unique, storage
+is canonical, and the fraction-free divisions are exact in any row order.
+``rref`` skips FFGJ on a square matrix that ``_certainly_invertible``, a
+one-sided certificate mod a prime P, proves invertible; no other function
+asks it.
 
 References: FLINT's fmpq_mat (https://flintlib.org/doc/fmpq_mat.html);
 E. H. Bareiss, Math. Comp. 22 (1968); G. C. Nakos, P. R. Turner and
@@ -101,9 +102,10 @@ class Matrix:
     __slots__ = ("rows", "cols", "_den", "_re", "_im")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[_Entry]):
-        if rows < 0 or cols < 0 or len(entries) != rows * cols:
-            raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
-        m = Matrix.from_parts(rows, cols, list(map(_entry_parts, entries)))
+        # from_parts rejects a bad size or count before any entry is read.
+        if min(rows, cols) >= 0 and len(entries) == rows * cols:
+            entries = list(map(_entry_parts, entries))
+        m = Matrix.from_parts(rows, cols, entries)
         self.rows, self.cols, self._den, self._re, self._im = (
             rows, cols, m._den, m._re, m._im)
 
@@ -125,7 +127,9 @@ class Matrix:
         any terms (see ``scalars.scalar_parts``). The numerators go over the
         LCM of the denominators, and ``_matrix``'s gcd step reduces them.
         """
-        if rows < 0 or cols < 0 or len(parts) != rows * cols:
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative size {rows}x{cols}")
+        if len(parts) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(parts)}")
         den = lcm(*(p[1] for p in parts), *(p[3] for p in parts))
         if not den:
@@ -139,8 +143,9 @@ class Matrix:
     def identity(cls, n: int) -> Matrix:
         if n < 0:
             raise ValueError(f"negative size {n}x{n}")
-        return _matrix(n, n, 1, [int(i == j) for i in range(n)
-                                 for j in range(n)], [0] * (n * n))
+        re = [0] * (n * n)
+        re[::n + 1] = [1] * n
+        return _matrix(n, n, 1, re, [0] * (n * n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Matrix:
@@ -537,10 +542,8 @@ def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 
 
 def rank(matrix: Matrix) -> int:
-    """Rank: full if certified, else the pivots the shared kernel finds."""
-    if matrix.is_square and _certainly_invertible(matrix):
-        return matrix.rows
-    return len(_gauss_jordan(_integer_rows(matrix)[0], matrix.cols, False)[0])
+    """Rank: the number of pivots ``rref`` finds, full if it certifies."""
+    return rref(matrix)[1]
 
 
 def inverse(matrix: Matrix) -> Matrix:

@@ -152,23 +152,6 @@ class TestBlockCommand:
         ]
         assert json.loads(out)["group_inverse"] == original
 
-    def test_explicit_matching_shape(self, worked_files, capsys):
-        e, f = worked_files
-        code, _, _ = run_cli(capsys, [
-            "block", "--theorem", "thm3.1", "--E", e, "--F", f,
-            "--shape", "EF_F0",
-        ])
-        assert code == 0
-
-    def test_shape_contradiction_is_usage_error(self, worked_files, capsys):
-        e, f = worked_files
-        code, out, err = run_cli(capsys, [
-            "block", "--theorem", "thm3.1", "--E", e, "--F", f,
-            "--shape", "EI_F0",
-        ])
-        assert code == 1
-        assert json.loads(err)["error"] == "Usage"
-
     def test_hypothesis_violation_exits_two(self, tmp_path, capsys):
         e = write_matrix(tmp_path / "e.json", [["0", "1"], ["0", "0"]])
         f = write_matrix(tmp_path / "f.json", [["1", "0"], ["0", "0"]])
@@ -595,5 +578,14 @@ class TestUsage:
     def test_unknown_theorem(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify", "--theorem", "thm9.9"])
+        assert info.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "Usage"
+
+    def test_block_takes_no_layout(self, worked_files, capsys):
+        # The rule fixes the layout, so even the rule's own one is refused.
+        e, f = worked_files
+        with pytest.raises(SystemExit) as info:
+            main(["block", "--theorem", "thm3.1", "--E", e, "--F", f,
+                  "--shape", "EF_F0"])
         assert info.value.code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "Usage"

@@ -57,9 +57,10 @@ class TestBuildingBlocks:
 
     def test_exact_rank_decides_when_the_certificate_abstains(
             self, monkeypatch):
-        # The mod-P certificate inside rank only ever proves invertibility;
-        # with it silenced, the exact elimination alone must make every
-        # decision, so the same draws are accepted and rejected.
+        # The mod-P certificate inside rref, whose pivots rank counts, only
+        # ever proves invertibility; with it silenced, the exact elimination
+        # alone must make every decision, so the same draws are accepted
+        # and rejected.
         specs = [GenSpec(theorem, 4, 2, True, seed=1)
                  for theorem in THEOREM_IDS]
         draws = [gen_invertible(n, seed) for n in range(7) for seed in (0, 1)]

@@ -353,7 +353,8 @@ class TestInvertibilityCertificate:
 
     @given(square_matrices(max_n=4))
     def test_holds_only_for_invertible_matrices(self, m):
-        # rank consults the certificate, so check it against the kernel.
+        # rref consults the certificate, and rank counts rref's pivots, so
+        # check it against the kernel.
         if matrices._certainly_invertible(m):
             rows = matrices._integer_rows(m)[0]
             pivots = matrices._gauss_jordan(rows, m.cols, False)[0]

@@ -90,7 +90,10 @@ class TestConstruction:
         lambda: Matrix.zeros(-2, -3),
         lambda: Matrix.zeros(2, -1),
         lambda: Matrix.identity(-1),
-    ], ids=["zeros -2x-3", "zeros 2x-1", "identity -1"])
+        lambda: Matrix(-1, -1, [1]),
+        lambda: Matrix.from_parts(-1, -2, [(1, 1, 0, 1)] * 2),
+    ], ids=["zeros -2x-3", "zeros 2x-1", "identity -1", "Matrix -1x-1",
+            "from_parts -1x-2"])
     def test_rejects_negative_sizes(self, build):
         with pytest.raises(ValueError, match="negative size"):
             build()

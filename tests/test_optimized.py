@@ -53,18 +53,27 @@ def test_only_matrices_touches_matrix_storage():
 
 
 def test_only_matrices_names_the_certificate():
-    # Full rank is decided inside rank and rref; no caller consults the
-    # mod-P certificate on its own, by import or by expression.
+    # Full rank is decided inside rref alone: no caller consults the mod-P
+    # certificate on its own, by import or by expression, and inside
+    # matrices.py no function but rref names it (rank counts its pivots).
     name = "_certainly_invertible"
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py")) if path.name != "matrices.py"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.alias) and name in (node.name, node.asname)
-        or isinstance(node, ast.Name) and node.id == name
-        or isinstance(node, ast.Attribute) and node.attr == name
-        or isinstance(node, ast.Constant) and node.value == name
-    ]
+
+    def naming(tree):
+        return [node for node in ast.walk(tree)
+                if isinstance(node, ast.alias) and name in (node.name,
+                                                            node.asname)
+                or isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.Constant) and node.value == name]
+
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    found = [f"{file}:{node.lineno}" for file, tree in trees.items()
+             if file != "matrices.py" for node in naming(tree)]
+    found += [f"matrices.py:{node.name}"
+              for node in ast.walk(trees["matrices.py"])
+              if isinstance(node, ast.FunctionDef) and node.name != "rref"
+              and naming(node)]
     assert found == []
 
 
