@@ -192,12 +192,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials < 1:
-        return _fail(1, "Usage", "--trials must be at least 1")
-    if args.max_n < 1:
-        return _fail(1, "Usage", "--max-n must be at least 1")
-    if args.jobs < 1:
-        return _fail(1, "Usage", "--jobs must be at least 1")
+    for flag, value in (("--trials", args.trials), ("--max-n", args.max_n),
+                        ("--jobs", args.jobs)):
+        if value < 1:
+            return _fail(1, "Usage", f"{flag} must be at least 1")
     trials = run_campaign(args.theorem, args.trials, args.max_n, args.seed,
                           negative=args.negative, jobs=args.jobs)
     counts: Counter[Verdict] = Counter()

@@ -156,14 +156,19 @@ def drazin(matrix: Matrix) -> DrazinResult:
     return DrazinResult(x, k, None if k else Matrix.zeros(n, n), matrix)
 
 
-def group_inverse(matrix: Matrix) -> Matrix:
-    """The group inverse T^#, defined only when the Drazin index is <= 1."""
+def _group(matrix: Matrix, message: str) -> DrazinResult:
+    """drazin(matrix), or NotGroupInvertible(message.format(index)) when
+    its index exceeds 1."""
     result = drazin(matrix)
     if result.index > 1:
-        raise NotGroupInvertible(
-            f"Drazin index is {result.index}", index=result.index
-        )
-    return result.drazin
+        raise NotGroupInvertible(message.format(result.index),
+                                 index=result.index)
+    return result
+
+
+def group_inverse(matrix: Matrix) -> Matrix:
+    """The group inverse T^#, defined only when the Drazin index is <= 1."""
+    return _group(matrix, "Drazin index is {}").drazin
 
 
 def cline(a: Matrix, b: Matrix) -> DrazinResult:
@@ -196,18 +201,8 @@ def block_triangular_drazin(a: Matrix, c: Matrix, d: Matrix) -> Matrix:
     if c.rows != d.rows or c.cols != a.cols:
         raise ShapeMismatch("block_triangular_drazin", c.shape,
                             (d.rows, a.cols))
-    a_result = drazin(a)
-    if a_result.index > 1:
-        raise NotGroupInvertible(
-            f"upper-left block has Drazin index {a_result.index}",
-            index=a_result.index,
-        )
-    d_result = drazin(d)
-    if d_result.index > 1:
-        raise NotGroupInvertible(
-            f"lower-right block has Drazin index {d_result.index}",
-            index=d_result.index,
-        )
+    a_result = _group(a, "upper-left block has Drazin index {}")
+    d_result = _group(d, "lower-right block has Drazin index {}")
     a_sharp, a_pi = a_result.drazin, a_result.spectral_idempotent
     d_sharp, d_pi = d_result.drazin, d_result.spectral_idempotent
     z = (d_sharp * d_sharp * c * a_pi + d_pi * c * (a_sharp * a_sharp)

@@ -9,7 +9,9 @@ serves single values, such as ``parse_scalar``'s result and the scalar of
 the commutation law EF = lambda FE. Parsed matrix input never becomes
 GaussianRationals: ``scalar_parts``, the one scanner of the scalar
 grammar, gives each entry's integer parts, and ``Matrix.from_parts``
-stores them directly.
+stores them directly. Arithmetic accepts int, Fraction and
+GaussianRational operands and returns NotImplemented for any other, a rule
+that ``_operators`` states once.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from math import gcd
 _ZERO = Fraction(0)
 # ASCII only: \d would also match other scripts' digits, such as U+0663.
 _DIGIT_RUN = re.compile("[0-9]+")
+_BLANKS = re.compile("[ \t]*")
 
 
 class ScalarParseError(ValueError):
@@ -33,6 +36,24 @@ class ScalarParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
+
+
+def _operators(op):
+    """The forward and reflected methods of the binary operation op(a, b).
+
+    Each coerces its other operand through ``GaussianRational._coerce``
+    and returns NotImplemented when that is not an int, a Fraction or a
+    GaussianRational, so Python can try the other operand's method.
+    """
+    def forward(self, other):
+        other = GaussianRational._coerce(other)
+        return NotImplemented if other is None else op(self, other)
+
+    def reflected(self, other):
+        other = GaussianRational._coerce(other)
+        return NotImplemented if other is None else op(other, self)
+
+    return forward, reflected
 
 
 class GaussianRational:
@@ -68,11 +89,7 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+    __eq__ = _operators(lambda a, b: a.re == b.re and a.im == b.im)[0]
 
     def __hash__(self):
         # Matches the numeric tower for real values, so x == 2 implies
@@ -81,50 +98,17 @@ class GaussianRational:
             return hash(self.re)
         return hash((self.re, self.im))
 
-    def __add__(self, other) -> GaussianRational:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational._new(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> GaussianRational:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational._new(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> GaussianRational:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+    __add__, __radd__ = _operators(
+        lambda a, b: GaussianRational._new(a.re + b.re, a.im + b.im))
+    __sub__, __rsub__ = _operators(
+        lambda a, b: GaussianRational._new(a.re - b.re, a.im - b.im))
+    __mul__, __rmul__ = _operators(
+        lambda a, b: GaussianRational._new(a.re * b.re - a.im * b.im,
+                                           a.re * b.im + a.im * b.re))
+    __truediv__, __rtruediv__ = _operators(lambda a, b: a * b.inverse())
 
     def __neg__(self) -> GaussianRational:
         return GaussianRational._new(-self.re, -self.im)
-
-    def __mul__(self, other) -> GaussianRational:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.re, self.im
-        c, d = other.re, other.im
-        return GaussianRational._new(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> GaussianRational:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other) -> GaussianRational:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     def conjugate(self) -> GaussianRational:
         return GaussianRational._new(self.re, -self.im)
@@ -214,27 +198,20 @@ def scalar_parts(text: str) -> tuple[int, int, int, int]:
     else raises ScalarParseError with the byte offset of the problem.
     """
     n = len(text)
-    pos = 0
-    while pos < n and text[pos] in " \t":
-        pos += 1
+    pos = _BLANKS.match(text).end()
     num, den, first_imag, pos = _parse_term(text, pos)
-    while pos < n and text[pos] in " \t":
-        pos += 1
+    pos = _BLANKS.match(text, pos).end()
     parts = (0, 1, num, den) if first_imag else (num, den, 0, 1)
     if pos < n and text[pos] in "+-":
         if first_imag:
             raise ScalarParseError("imaginary term must come last", pos)
         sign = -1 if text[pos] == "-" else 1
-        pos += 1
-        while pos < n and text[pos] in " \t":
-            pos += 1
-        term_start = pos
-        im, im_den, second_imag, pos = _parse_term(text, pos)
+        term_start = _BLANKS.match(text, pos + 1).end()
+        im, im_den, second_imag, pos = _parse_term(text, term_start)
         if not second_imag:
             raise ScalarParseError("expected an imaginary term", term_start)
         parts = (num, den, sign * im, im_den)
-    while pos < n and text[pos] in " \t":
-        pos += 1
+    pos = _BLANKS.match(text, pos).end()
     if pos != n:
         raise ScalarParseError("unexpected character", pos)
     return parts

@@ -80,6 +80,7 @@ REJECTED_SCALARS = [
     ("1+2", 2),
     ("i+1", 1),
     ("1 2", 2),
+    ("1 +\t2", 4),
     ("1+2i3", 4),
     ("1/", 2),
     ("--1", 1),

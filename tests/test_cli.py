@@ -268,6 +268,14 @@ class TestVerifyCommand:
         assert json.loads(err) == {"error": "Usage",
                                    "message": f"{flag} must be at least 1"}
 
+    def test_first_bad_count_is_the_one_reported(self, capsys):
+        code, out, err = run_cli(capsys, [
+            "verify", "--theorem", "thm2.1", "--trials", "0", "--jobs", "0",
+        ])
+        assert (code, out) == (1, "")
+        assert err == ('{"error": "Usage", '
+                       '"message": "--trials must be at least 1"}\n')
+
     def test_mismatch_lines(self, monkeypatch, capsys):
         # thm2.1's kernel off by one in gamma's first entry: every trial
         # differs from the oracle there and only there, and its line

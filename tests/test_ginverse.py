@@ -147,9 +147,11 @@ class TestBlockTriangular:
 
     def test_rejects_index_two_diagonal_block(self):
         nil = mat([["0", "1"], ["0", "0"]])
-        with pytest.raises(NotGroupInvertible):
+        with pytest.raises(NotGroupInvertible,
+                           match="upper-left block has Drazin index 2"):
             block_triangular_drazin(nil, Matrix.zeros(2, 2), Matrix.identity(2))
-        with pytest.raises(NotGroupInvertible):
+        with pytest.raises(NotGroupInvertible,
+                           match="lower-right block has Drazin index 2"):
             block_triangular_drazin(Matrix.identity(2), Matrix.zeros(2, 2), nil)
 
     def test_rejects_bad_coupling_shape(self):

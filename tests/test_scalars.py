@@ -1,10 +1,12 @@
 """Scalar arithmetic, rendering, and the string parser."""
 
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import given
 
+from blockginv.matrices import Matrix
 from blockginv.scalars import (
     I,
     ONE,
@@ -81,6 +83,21 @@ class TestArithmetic:
         assert hash(GaussianRational(Fraction(1, 2))) == hash(Fraction(1, 2))
         assert GaussianRational(1, 1) != 1
         assert GaussianRational(1, 1) != "1+i"
+        assert (GaussianRational(1) == "1") is False
+
+    @pytest.mark.parametrize("foreign", ["1", 1.5, None])
+    @pytest.mark.parametrize("op", [add, sub, mul, truediv])
+    def test_foreign_operands_raise_type_error(self, op, foreign):
+        with pytest.raises(TypeError):
+            op(ONE, foreign)
+        with pytest.raises(TypeError):
+            op(foreign, ONE)
+
+    def test_matrix_operand_reaches_matrix_rmul(self):
+        # _commutation's lam * fe: only NotImplemented from the scalar
+        # lets Python try Matrix.__rmul__.
+        assert (GaussianRational(2) * Matrix.identity(2)
+                == 2 * Matrix.identity(2))
 
 
 class TestRendering:
@@ -122,6 +139,8 @@ class TestParsing:
         ("3i", GaussianRational(0, 3)),
         ("1 + i", GaussianRational(1, 1)),
         ("7/4+i", GaussianRational(Fraction(7, 4), 1)),
+        ("\t1\t", ONE),
+        ("1\t+\ti", GaussianRational(1, 1)),
     ])
     def test_accepts(self, text, expected):
         assert parse_scalar(text) == expected
