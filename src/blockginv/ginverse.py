@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .matrices import (Matrix, ShapeMismatch, _placed_columns,
+from .matrices import (Matrix, ShapeMismatch, _null_basis, _placed_columns,
                        _single_entry_lines, inverse, rref)
 
 
@@ -56,15 +56,22 @@ class DrazinResult:
     ``DrazinResult(d, k, pi)`` holds all three. Given T as ``matrix`` in
     place of pi, it forms T^pi on first read, so a caller that reads only
     T^D and the index never pays for it. Equality compares all three.
+
+    ``drazin`` also keeps, in the private ``_step``, the first step of
+    its chain when the index is 1: (pivots, free, R, flipped), with R the
+    rref's free columns, of T or of T^T when ``flipped``. Then the null
+    space of T, or of T^T, is read off R (see ``_spectral_factors``)
+    without a second elimination; ``_factors`` keeps what that reads.
     """
 
-    __slots__ = ("drazin", "index", "_pi", "_matrix")
+    __slots__ = ("drazin", "index", "_pi", "_matrix", "_step", "_factors")
 
     def __init__(self, drazin: Matrix, index: int,
                  spectral_idempotent: Matrix | None = None,
-                 matrix: Matrix | None = None):
+                 matrix: Matrix | None = None, step: tuple | None = None):
         self.drazin, self.index = drazin, index
-        self._pi, self._matrix = spectral_idempotent, matrix
+        self._pi, self._matrix, self._step = spectral_idempotent, matrix, step
+        self._factors = None
 
     @property
     def spectral_idempotent(self) -> Matrix:
@@ -145,15 +152,40 @@ def drazin(matrix: Matrix) -> DrazinResult:
     flip = single_cols > single_rows
     steps, core = _chain(matrix.transpose() if flip else matrix)
     k = len(steps)
+    step = (*steps[0][1:], flip) if k == 1 else None
     if core is None:
-        return DrazinResult(Matrix.zeros(n, n), k, Matrix.identity(n))
+        return DrazinResult(Matrix.zeros(n, n), k, Matrix.identity(n),
+                            step=step)
     x = inverse(core) ** (k + 1)
     for left, pivots, free, free_part in reversed(steps):
         bx = left * x
         x = _placed_columns(bx, pivots, bx * free_part, free)
     if flip:
         x = x.transpose()
-    return DrazinResult(x, k, None if k else Matrix.zeros(n, n), matrix)
+    return DrazinResult(x, k, None if k else Matrix.zeros(n, n), matrix, step)
+
+
+def _spectral_factors(result: DrazinResult) -> tuple[Matrix, Matrix]:
+    """(G, H) with T^pi = G H and H G = I, for ``drazin``'s T of index <= 1.
+
+    G is n x q and H is q x n, for q = n - rank(T). At index 1, range(T^pi)
+    is the null space of T and its row space the left null space, and the
+    first step's rref gives a basis K of one of them with the identity on
+    its free rows (``_null_basis``). Unflipped, G = K and H = T^pi[free, :];
+    flipped, K spans T^T's null space, H = K^T and G = T^pi[:, free]. At
+    index 0, T^pi = 0 and q = 0.
+    """
+    if result._factors is None:
+        pi = result.spectral_idempotent
+        n = pi.rows
+        if result._step is None:
+            result._factors = Matrix.zeros(n, 0), Matrix.zeros(0, n)
+        else:
+            pivots, free, reduced, flipped = result._step
+            null = _null_basis(reduced, pivots, free)
+            result._factors = ((pi.columns(free), null.transpose()) if flipped
+                               else (null, pi.pick(free, range(n))))
+    return result._factors
 
 
 def _group(matrix: Matrix, message: str) -> DrazinResult:

@@ -12,7 +12,13 @@ writes. Entries become GaussianRational values or text only when read.
 
 Sums and scalar multiples combine the numerator lists over one LCM
 denominator, and products take integer dot products of the stored rows
-and columns; each result is reduced by one gcd. ``rank``, ``rref`` and
+and columns; each result is reduced by one gcd. A product packs each row
+of its right factor into one int (Kronecker substitution), in slots wide
+enough for any entry of the result with its sign: 2n max|L| max|R|
+bounds every dot product, for n inner terms and the largest numerator
+parts of the two factors. An output row is then three sums of int
+products, read back by shift and mask, with the same integers as entry
+by entry dot products. ``rank``, ``rref`` and
 ``inverse`` share one fraction-free Gauss-Jordan kernel (FFGJ), which
 starts from the numerator rows, each divided by its content. Every step
 divides exactly by the previous pivot d in Z[i], with conj(d) folded into
@@ -40,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul, or_, sub
+from operator import add, lshift, mul, or_, sub
 from typing import Callable, Iterable, Sequence
 
 from .scalars import GaussianRational, scalar_text
@@ -331,6 +337,13 @@ def _scaled(matrix: Matrix, value) -> Matrix:
                    [x * q + y * p for x, y in pairs])
 
 
+def _packed_rows(values: Sequence[int], width: int,
+                 shifts: range) -> list[int]:
+    """Each row of a row-major list as one int, entry j shifted by shifts[j]."""
+    return [sum(map(lshift, values[lo:lo + width], shifts))
+            for lo in range(0, len(values), width)] if width else []
+
+
 def _product(left: Matrix, right: Matrix) -> Matrix:
     """Matrix product by integer dot products of the stored numerators.
 
@@ -339,21 +352,36 @@ def _product(left: Matrix, right: Matrix) -> Matrix:
     (a.c - b.d + (a.d + b.c)*i) / (s*t); one gcd reduces the result. Each
     entry takes three dot products (Gauss's trick):
     a.c - b.d = (a+b).c - b.(c+d) and a.d + b.c = (a+b).c + a.(d-c).
+
+    Each row of c and of d is packed into one int, entry j in slot j
+    (Kronecker substitution), so an output row is three sums of int
+    products and packing is linear: c+d and d-c pack as sums. Every
+    dot product above is at most B = 2n max|L| max|R|, for n inner terms
+    and the largest numerator parts of each factor, so a slot of
+    B.bit_length() + 1 bits holds it with its sign. Adding 2^(slot-1) to
+    every slot makes them all nonnegative, and shift and mask read each
+    entry back.
     """
-    n, width = left.cols, right.cols
-    rows = [(a, b, list(map(add, a, b))) for a, b in (
-        (left._re[i * n:(i + 1) * n], left._im[i * n:(i + 1) * n])
-        for i in range(left.rows))]
-    cols = [(c, list(map(add, c, d)), list(map(sub, d, c))) for c, d in (
-        (right._re[j::width], right._im[j::width]) for j in range(width))]
+    n, width, height = left.cols, right.cols, left.rows
+    big = 2 * n * max(map(abs, left._re + left._im), default=0) * max(
+        map(abs, right._re + right._im), default=0)
+    slot = big.bit_length() + 1
+    shifts = range(0, slot * width, slot)
+    c = _packed_rows(right._re, width, shifts)
+    d = _packed_rows(right._im, width, shifts)
+    c_plus_d, d_minus_c = list(map(add, c, d)), list(map(sub, d, c))
+    half, mask = 1 << (slot - 1), (1 << slot) - 1
+    offset = sum(map(lshift, repeat(half, width), shifts))
     re: list[int] = []
     im: list[int] = []
-    for a, b, a_plus_b in rows:
-        for c, c_plus_d, d_minus_c in cols:
-            k = sum(map(mul, a_plus_b, c))
-            re.append(k - sum(map(mul, b, c_plus_d)))
-            im.append(k + sum(map(mul, a, d_minus_c)))
-    return _matrix(left.rows, width, left._den * right._den, re, im)
+    for i in range(height):
+        a, b = left._re[i * n:(i + 1) * n], left._im[i * n:(i + 1) * n]
+        k = sum(map(mul, map(add, a, b), c))
+        real = k - sum(map(mul, b, c_plus_d)) + offset
+        imag = k + sum(map(mul, a, d_minus_c)) + offset
+        re += [(real >> s & mask) - half for s in shifts]
+        im += [(imag >> s & mask) - half for s in shifts]
+    return _matrix(height, width, left._den * right._den, re, im)
 
 
 def _placed_columns(left: Matrix, left_cols: Sequence[int], right: Matrix,
@@ -566,18 +594,29 @@ def inverse(matrix: Matrix) -> Matrix:
     return _matrix(n, n, (d[0] * d[0] + d[1] * d[1]) * scale, re, im)
 
 
+def _null_basis(reduced: Matrix, pivot_cols: Sequence[int],
+                free_cols: Sequence[int]) -> Matrix:
+    """The null-space basis that an rref gives, from its free columns.
+
+    ``reduced`` is the rref's nonzero rows at its free columns. The basis
+    has one column per free column: its rows at the pivot columns are
+    minus ``reduced`` and its rows at the free columns are the identity.
+    """
+    return _placed_columns(
+        -reduced.transpose(), pivot_cols,
+        Matrix.identity(len(free_cols)), free_cols).transpose()
+
+
 def kernel_basis(matrix: Matrix) -> Matrix:
     """Columns spanning the null space, one per free column of the rref.
 
     The result is cols x (cols - rank); for full column rank that is a
-    cols x 0 matrix. Its rows at the pivot columns are minus the rref's
-    free columns, and its rows at the free columns are the identity.
+    cols x 0 matrix (see ``_null_basis``).
     """
     reduced, found, pivot_cols = rref(matrix)
     free_cols = [c for c in range(matrix.cols) if c not in pivot_cols]
-    return _placed_columns(
-        -reduced.pick(range(found), free_cols).transpose(), pivot_cols,
-        Matrix.identity(len(free_cols)), free_cols).transpose()
+    return _null_basis(reduced.pick(range(found), free_cols), pivot_cols,
+                       free_cols)
 
 
 def column_space_basis(matrix: Matrix) -> Matrix:

@@ -182,6 +182,16 @@ def _parse_term(text: str, pos: int) -> tuple[int, int, bool, int]:
     return sign * numerator, denominator, False, pos
 
 
+def _past_blanks(text: str, pos: int) -> int:
+    """The first position at or after pos that is not a blank.
+
+    Most entries have no blanks, so the regex runs only when one is there.
+    """
+    if pos < len(text) and text[pos] in " \t":
+        return _BLANKS.match(text, pos).end()
+    return pos
+
+
 def scalar_parts(text: str) -> tuple[int, int, int, int]:
     """Scan a scalar string into integer parts (re, re_den, im, im_den).
 
@@ -198,20 +208,20 @@ def scalar_parts(text: str) -> tuple[int, int, int, int]:
     else raises ScalarParseError with the byte offset of the problem.
     """
     n = len(text)
-    pos = _BLANKS.match(text).end()
+    pos = _past_blanks(text, 0)
     num, den, first_imag, pos = _parse_term(text, pos)
-    pos = _BLANKS.match(text, pos).end()
+    pos = _past_blanks(text, pos)
     parts = (0, 1, num, den) if first_imag else (num, den, 0, 1)
     if pos < n and text[pos] in "+-":
         if first_imag:
             raise ScalarParseError("imaginary term must come last", pos)
         sign = -1 if text[pos] == "-" else 1
-        term_start = _BLANKS.match(text, pos + 1).end()
+        term_start = _past_blanks(text, pos + 1)
         im, im_den, second_imag, pos = _parse_term(text, term_start)
         if not second_imag:
             raise ScalarParseError("expected an imaginary term", term_start)
         parts = (num, den, sign * im, im_den)
-    pos = _BLANKS.match(text, pos).end()
+    pos = _past_blanks(text, pos)
     if pos != n:
         raise ScalarParseError("unexpected character", pos)
     return parts

@@ -31,13 +31,22 @@ hypothesis "EF=lambda FE or EF^2=FEF", reported as its two laws.
 
 In the kernel's orientation the constraint F E F^pi = 0 makes range(F^pi)
 E-invariant, so no rule needs drazin(E). The kernel inputs and residuals
-on E's Drazin data come from T = E F^pi: E^D F^pi = T^D and
-E^pi F^pi = S = F^pi + T^pi - I. ``_report`` is the one reader of Drazin
-data here: it calls drazin once on F and once on T, forms S once, and
-hands the kernel its inputs, so ``block_group_inverse`` only raises or
-runs the kernel. "E group-invertible" is decided by drazin_index(E). A
-report reads drazin(E) only for a residual after a failed hypothesis,
-because it lists every residual.
+on E's Drazin data are those of T = E F^pi: E^D F^pi = T^D and
+E^pi F^pi = S = F^pi + T^pi - I. T is never formed. For F of index <= 1,
+F^pi = G H with H G = I_q, q = n - rank(F), read off the rref of F's own
+first Cline step, and T = (E G) H has its Drazin data from the q x q
+matrix W = H E G, by Cline's (BC)^D = B ((CB)^D)^2 C. ``_report`` is the
+one reader of Drazin data here: it calls drazin once on F and, when F is
+group invertible, once on W, and decides each hypothesis from indices
+and n x q products (see ``_evaluate``). F E F^pi = 0 iff F E G = 0. Once
+every earlier hypothesis holds, E^pi F^pi = 0 iff W has index 0, and
+E E^pi F^pi = 0 iff W has index <= 1. For F of index >= 2 the
+constraint's residual is F (E F^pi), formed; nothing reads W. "E
+group-invertible" is decided by drazin_index(E). A held hypothesis has
+the zero residual, and every other residual is formed when it is read;
+drazin(E) is read only for a residual after a failed hypothesis. The
+kernel inputs T^D and S are formed only when the kernel runs, so
+``block_group_inverse`` only raises or runs the kernel.
 
 Each kernel forms E F# once, so they take three, four and five n x n
 products. Theorem 3.1's blocks follow from Meyer and Rose's block
@@ -50,7 +59,8 @@ import enum
 from dataclasses import dataclass
 from typing import Callable
 
-from .ginverse import DrazinResult, NotGroupInvertible, drazin, drazin_index
+from .ginverse import (NotGroupInvertible, _spectral_factors, drazin,
+                       drazin_index)
 from .matrices import Matrix, ShapeMismatch
 from .scalars import ZERO, GaussianRational
 
@@ -72,23 +82,61 @@ class HypothesisViolated(ArithmeticError):
     """A standing hypothesis of a closed-form rule does not hold.
 
     The rule makes no claim either way in this case. ``condition`` names the
-    failed hypothesis; ``residual`` is a matrix that would be zero if it held.
+    failed hypothesis; ``residual``, a matrix that would be zero if it held,
+    is the report's failing residual, formed on first read.
     """
 
-    def __init__(self, condition: str, residual: Matrix | None = None):
+    def __init__(self, condition: str, report: ConditionReport | None = None):
         super().__init__(f"hypothesis does not hold: {condition}")
         self.condition = condition
-        self.residual = residual
+        self.report = report
+
+    @property
+    def residual(self) -> Matrix | None:
+        if self.report is None or self.report.first_failure is None:
+            return None
+        return self.report.first_failure.residual
 
 
-@dataclass(frozen=True)
 class Condition:
-    """One named hypothesis with its witnessing residual (zero iff it holds)."""
+    """One named hypothesis with its witnessing residual (zero iff it holds).
 
-    name: str
-    holds: bool
-    residual: Matrix
-    lam: GaussianRational | None = None
+    The residual may be given as a function of no arguments, which forms
+    it on first read; it is then kept. Pickling forms it, so a report
+    crosses to another process as plain matrices. Equality compares the
+    name, the verdict, the formed residual and lambda.
+    """
+
+    __slots__ = ("name", "holds", "_residual", "lam")
+
+    def __init__(self, name: str, holds: bool,
+                 residual: Matrix | Callable[[], Matrix],
+                 lam: GaussianRational | None = None):
+        self.name, self.holds, self._residual, self.lam = (
+            name, holds, residual, lam)
+
+    @property
+    def residual(self) -> Matrix:
+        if not isinstance(self._residual, Matrix):
+            self._residual = self._residual()
+        return self._residual
+
+    def _fields(self) -> tuple:
+        return self.name, self.holds, self.residual, self.lam
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Condition):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return Condition, self._fields()
+
+    def __repr__(self) -> str:
+        return "Condition({!r}, {!r}, {!r}, {!r})".format(*self._fields())
 
 
 @dataclass(frozen=True)
@@ -167,31 +215,74 @@ def _commutation(e: Matrix, f: Matrix) -> tuple[Condition, Condition]:
             Condition("EF^2=FEF", aligned.is_zero(), aligned))
 
 
-def _evaluate(hypothesis: str, e: Matrix, f: Matrix, df: DrazinResult,
-              t: Matrix, dt: DrazinResult, s: Matrix, short: bool) -> Matrix:
-    """The residual of one hypothesis on a kernel-oriented pair.
+class _Oriented:
+    """A kernel-oriented pair (E, F) and the Drazin data its rule reads.
 
-    T = E F^pi has Drazin data ``dt``; the one-sided constraint's residual
-    is F T. ``short`` says that every earlier hypothesis held, which in
-    every rule implies that constraint. Then S = F^pi + T^pi - I is
-    E^pi F^pi, and the residuals on E's Drazin data are S and E S;
-    E S = T T^pi vanishes exactly when T has index <= 1. Otherwise S comes
-    from drazin(E).
+    For F of index <= 1, F^pi = G H with H G = I, G n x q and H q x n
+    (``_spectral_factors``), so T = E F^pi = (E G) H and Cline's identity
+    gives T's Drazin data from the q x q matrix W = H E G:
+    T^D = E G (W^D)^2 H. drazin runs on F and W, never on T.
     """
-    zero, f_pi = Matrix.zeros(e.rows, e.rows), df.spectral_idempotent
-    # Index <= 1 is exactly when F F^pi (E E^pi) vanishes: skip the product.
+
+    def __init__(self, e: Matrix, f: Matrix):
+        self.e, self.f, self.df = e, f, drazin(f)
+        self.f_pi = self.df.spectral_idempotent
+        if self.df.index <= 1:
+            self.g, self.h = _spectral_factors(self.df)
+            self.eg = e * self.g
+            self.dw = drazin(self.h * self.eg)
+
+    def kernel_inputs(self) -> tuple[Matrix, ...]:
+        """(E, F#, F^pi, T^D, S) once every hypothesis holds.
+
+        Then F E F^pi = 0 makes range(G) = null(F) E-invariant, so
+        E G = G W, T^D = G W^D H and S = E^pi F^pi = (G - E G W^D) H,
+        which is 0 when W is invertible.
+        """
+        n, w_d = self.e.rows, self.dw.drazin
+        side = (Matrix.zeros(n, n) if self.dw.index == 0
+                else (self.g - self.eg * w_d) * self.h)
+        return self.e, self.df.drazin, self.f_pi, self.g * w_d * self.h, side
+
+
+def _evaluate(hypothesis: str, pair: _Oriented,
+              short: bool) -> tuple[bool, Callable[[], Matrix]]:
+    """Whether one hypothesis holds on a kernel-oriented pair, and a
+    function that forms its residual.
+
+    The one-sided constraint's residual is F T = F E F^pi. For F of index
+    <= 1 it vanishes iff F E G does, H having full row rank; otherwise it
+    is formed. ``short`` says that every earlier hypothesis held, which in
+    every rule implies F group invertible and the constraint. In the basis
+    that splits F, T is then similar to diag(0, D) and W to D, so
+    E^pi F^pi = 0 iff W has index 0, and E E^pi F^pi = 0 iff W has index
+    <= 1; their residuals, (G - E G W^D) H and E G W^pi H, are formed
+    only when read. Otherwise E^pi F^pi comes from drazin(E).
+    """
+    e, f, f_pi = pair.e, pair.f, pair.f_pi
+    # Index <= 1 is exactly when F F^pi (E E^pi) vanishes.
     if hypothesis == _F_GROUP:
-        return zero if df.index <= 1 else f * f_pi
+        return pair.df.index <= 1, lambda: f * f_pi
     if hypothesis == "E group-invertible":
-        return (zero if drazin_index(e) <= 1
-                else e * drazin(e).spectral_idempotent)
+        return (drazin_index(e) <= 1,
+                lambda: e * drazin(e).spectral_idempotent)
     if hypothesis in ("FEF^pi=0", "F^pi EF=0"):
-        return f * t
-    if not short:
-        s = drazin(e).spectral_idempotent * f_pi
-    if hypothesis in ("E^pi F^pi=0", "F^pi E^pi=0"):
-        return s
-    return zero if short and dt.index <= 1 else e * s
+        if pair.df.index <= 1:
+            feg = f * pair.eg
+            return feg.is_zero(), lambda: feg * pair.h
+        ft = f * (e * f_pi)
+        return ft.is_zero(), lambda: ft
+    e_pi_f_pi = hypothesis in ("E^pi F^pi=0", "F^pi E^pi=0")
+    if short:
+        dw = pair.dw
+        if e_pi_f_pi:
+            return (dw.index == 0,
+                    lambda: (pair.g - pair.eg * dw.drazin) * pair.h)
+        return (dw.index <= 1,
+                lambda: pair.eg * dw.spectral_idempotent * pair.h)
+    s = drazin(e).spectral_idempotent * f_pi
+    residual = s if e_pi_f_pi else e * s
+    return residual.is_zero(), lambda: residual
 
 
 def _thm21(e: Matrix, f_sharp: Matrix, f_pi: Matrix, core: Matrix,
@@ -326,40 +417,35 @@ def check_conditions(e: Matrix, f: Matrix, theorem: str) -> ConditionReport:
 
 
 def _report(theorem: str, e: Matrix, f: Matrix
-            ) -> tuple[ConditionReport, DrazinResult, tuple[Matrix, ...]]:
-    """The report, F's Drazin data and the kernel inputs.
+            ) -> tuple[ConditionReport, _Oriented]:
+    """The report and the kernel-oriented pair it was read from.
 
     A mirrored rule transposes (E, F) once, here; every hypothesis but the
     commutation law is evaluated on that kernel-oriented pair and its
     residual transposed back. The law's lambda is read in row-major order,
-    so it stays on (E, F) as given. drazin runs once on F, then once on
-    T = E F^pi, and S = F^pi + T^pi - I is formed once; every residual is
-    read from them, and from drazin(E) only after a failed hypothesis. The
-    inputs (E, F#, F^pi, T^D, S) are the kernel's
-    (E, F#, F^pi, E^D F^pi, E^pi F^pi) when every hypothesis holds.
+    so it stays on (E, F) as given. drazin runs once on F and, when F is
+    group invertible, once on W (see ``_Oriented``); every decision is
+    read from their indices and from products through G, and from
+    drazin(E) only after a failed hypothesis. A held hypothesis has the
+    zero residual; any other residual is formed when it is read.
     """
     rule = rule_for(theorem)
-    _require_pair(e, f)
+    n = _require_pair(e, f)
     back = Matrix.transpose if rule.mirrored else (lambda m: m)
-    ke, kf = back(e), back(f)
-    df = drazin(kf)
-    f_pi = df.spectral_idempotent
-    t = ke * f_pi
-    dt = drazin(t)
-    s = f_pi + dt.spectral_idempotent - Matrix.identity(e.rows)
+    pair, zero = _Oriented(back(e), back(f)), Matrix.zeros(n, n)
     conditions, failure = [], None
     for hypothesis in rule.hypotheses:
         if hypothesis == _COMMUTATION:
             found = _commutation(e, f)
         else:
-            residual = back(_evaluate(hypothesis, ke, kf, df, t, dt, s,
-                                      failure is None))
-            found = (Condition(hypothesis, residual.is_zero(), residual),)
+            holds, formed = _evaluate(hypothesis, pair, failure is None)
+            found = (Condition(hypothesis, holds, zero if holds
+                               else lambda formed=formed: back(formed())),)
         conditions += found
         if failure is None and not any(c.holds for c in found):
-            failure = Condition(hypothesis, False, found[-1].residual)
-    report = ConditionReport(theorem, tuple(conditions), failure)
-    return report, df, (ke, df.drazin, f_pi, dt.drazin, s)
+            failure = (found[-1] if found[-1].name == hypothesis
+                       else Condition(hypothesis, False, found[-1].residual))
+    return ConditionReport(theorem, tuple(conditions), failure), pair
 
 
 def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse:
@@ -370,17 +456,17 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
     HypothesisViolated is raised; when it is a refusal condition,
     NotGroupInvertible. Either exception carries the report as ``report``.
     Otherwise every hypothesis held, and the kernel runs on the inputs that
-    ``_report`` formed from the Drazin data of F and T.
+    the report's oriented pair forms from the Drazin data of F and W.
     """
-    report, df, inputs = _report(theorem, e, f)
+    report, pair = _report(theorem, e, f)
     rule = RULES[theorem]
     failure = report.first_failure
     if failure is not None:
         name = failure.name
         if name not in rule.refusing:
-            error = HypothesisViolated(name, failure.residual)
+            error = HypothesisViolated(name, report)
         else:
-            index = df.index if name == _F_GROUP else None
+            index = pair.df.index if name == _F_GROUP else None
             error = NotGroupInvertible(
                 f"no group inverse: F has Drazin index {index}" if index
                 else f"no group inverse: {name} fails",
@@ -388,7 +474,7 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
             )
         error.report = report
         raise error
-    gamma, delta, lambda_blk, xi = rule.kernel(*inputs)
+    gamma, delta, lambda_blk, xi = rule.kernel(*pair.kernel_inputs())
     if rule.mirrored:
         # Transposing swaps the off-diagonal blocks.
         gamma, delta, lambda_blk, xi = (

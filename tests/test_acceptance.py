@@ -10,8 +10,10 @@ from fractions import Fraction
 
 import pytest
 
+from blockginv import generators, matrices
 from blockginv.generators import Verdict, gen_group_invertible, run_campaign
 from blockginv.ginverse import (
+    NotGroupInvertible,
     block_triangular_drazin,
     cline,
     drazin,
@@ -30,6 +32,7 @@ from paper_forms import (
     thm31_factored,
     thm31_statement,
 )
+from reference_drazin import reference_drazin
 
 CORPUS_TRIALS = 200
 CORPUS_SEED = 20260817
@@ -111,6 +114,58 @@ def test_criterion_4_negative_campaigns():
                     f"{theorem}: seed {t.spec.seed} gave {t.report.verdict}"
                 assert t.report.oracle_index >= 2
                 assert t.report.formula is None
+
+
+# Each refusal hypothesis and its residual, by definition, from the test-side
+# Drazin reference: (E, F, E^pi, F^pi) -> the matrix that must vanish.
+RESIDUAL_DEFINITIONS = {
+    "FEF^pi=0": lambda e, f, e_pi, f_pi: f * e * f_pi,
+    "F^pi EF=0": lambda e, f, e_pi, f_pi: f_pi * e * f,
+    "F group-invertible": lambda e, f, e_pi, f_pi: f * f_pi,
+    "E^pi F^pi=0": lambda e, f, e_pi, f_pi: e_pi * f_pi,
+    "F^pi E^pi=0": lambda e, f, e_pi, f_pi: f_pi * e_pi,
+    "EE^pi F^pi=0": lambda e, f, e_pi, f_pi: e * e_pi * f_pi,
+    "F^pi E^pi E=0": lambda e, f, e_pi, f_pi: f_pi * e_pi * e,
+}
+
+
+@pytest.mark.parametrize("theorem", ["thm2.1", "thm2.3", "thm3.1", "cor3.2"])
+def test_refusals_form_residuals_on_read(theorem, monkeypatch):
+    """On criterion 4's corpus a refusal is decided from W's index after
+    products E G (n x q), W = H E G (q x q) and F E G (n x q) alone, and
+    forms its failing residual only when that is read; every residual
+    read equals its definition. gen_pair leaves drazin's cache warm, so
+    the refusal takes no product inside drazin."""
+    product, refused = matrices._product, []
+
+    def refuse(e, f, name):
+        n, q = e.rows, e.rows - rank(f)
+        shapes = []
+
+        def recording(left, right):
+            shapes.append((left.rows, right.cols))
+            return product(left, right)
+
+        monkeypatch.setattr(matrices, "_product", recording)
+        with pytest.raises(NotGroupInvertible) as info:
+            block_group_inverse(name, e, f)
+        assert shapes == [(n, q), (q, q), (n, q)]
+        shapes.clear()
+        report = info.value.report
+        residuals = [c.residual for c in report.conditions]
+        assert (n, n) in shapes
+        monkeypatch.setattr(matrices, "_product", product)
+        e_pi, f_pi = (reference_drazin(m).spectral_idempotent for m in (e, f))
+        for condition, residual in zip(report.conditions, residuals):
+            defined = RESIDUAL_DEFINITIONS[condition.name](e, f, e_pi, f_pi)
+            assert residual == defined
+            assert condition.holds == defined.is_zero()
+        refused.append(name)
+
+    monkeypatch.setattr(generators, "verify_instance", refuse)
+    run_campaign(theorem, NEGATIVE_TRIALS, 6, seed=CORPUS_SEED + 1,
+                 negative=True)
+    assert refused == [theorem] * NEGATIVE_TRIALS
 
 
 def test_criterion_5_route_consistency(corpus):

@@ -238,12 +238,15 @@ class TestVerifyCommand:
         assert summary["agree_not_exists"] == 4
 
     def test_jobs_do_not_change_output(self, capsys):
-        args = ["verify", "--theorem", "thm2.1", "--trials", "4",
-                "--max-n", "4", "--seed", "5"]
-        code1, out1, _ = run_cli(capsys, args)
-        code2, out2, _ = run_cli(capsys, args + ["--jobs", "2"])
-        assert code1 == code2 == 0
-        assert out1 == out2
+        # A refusal's report holds residuals formed only when read; a
+        # worker's report must still cross back to the parent process.
+        for negative in ([], ["--negative"]):
+            args = ["verify", "--theorem", "thm2.1", "--trials", "4",
+                    "--max-n", "4", "--seed", "5", *negative]
+            code1, out1, _ = run_cli(capsys, args)
+            code2, out2, _ = run_cli(capsys, args + ["--jobs", "2"])
+            assert code1 == code2 == 0
+            assert out1 == out2
 
     def test_impossible_negatives_exit_one(self, capsys):
         code, _, err = run_cli(capsys, [

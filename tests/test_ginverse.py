@@ -195,6 +195,37 @@ class TestDefiningIdentities:
         assert rank(m + pi) == m.rows
 
 
+class TestSpectralFactors:
+    """At index <= 1, T^pi = G H with H G = I_q and q = n - rank(T), read
+    off the first step of drazin's chain, on T or on T^T."""
+
+    @staticmethod
+    def assert_factors(m):
+        result = drazin(m)
+        g, h = ginverse._spectral_factors(result)
+        q = m.rows - rank(m)
+        assert (g.shape, h.shape) == ((m.rows, q), (q, m.rows))
+        assert g * h == result.spectral_idempotent
+        assert h * g == Matrix.identity(q)
+        assert (m * g).is_zero() and (h * m).is_zero()
+
+    @given(st.one_of(square_matrices(1, 4), singular_square_matrices(1, 4)))
+    def test_drawn_matrices(self, m):
+        if drazin_index(m) <= 1:
+            self.assert_factors(m)
+
+    @pytest.mark.parametrize("rows", [
+        [["1", "1"], ["0", "0"]],              # factored through T^T
+        [["1", "0"], ["1", "0"]],              # factored through T
+        [["0", "0"], ["0", "0"]],              # T^pi = I
+        [["2", "i"], ["0", "1/3"]],            # invertible: q = 0
+    ])
+    def test_both_orientations_and_the_ends(self, rows):
+        m = mat(rows)
+        drazin.cache_clear()
+        self.assert_factors(m)
+
+
 def _core_nilpotent(rng: random.Random, core_n: int, index: int) -> Matrix:
     """U S diag(C, N) S^T U^-1 with C invertible, N nilpotent of the index.
 

@@ -23,7 +23,7 @@ from blockginv.matrices import (
     rank,
     rref,
 )
-from blockginv.scalars import GaussianRational, I
+from blockginv.scalars import GaussianRational, I, parse_scalar
 from conftest import (
     mat,
     nonzero_scalars,
@@ -186,6 +186,85 @@ class TestAlgebra:
         if a.cols != b.rows:
             return
         assert (a * b).transpose() == b.transpose() * a.transpose()
+
+
+def reference_product(left: Matrix, right: Matrix) -> Matrix:
+    """The product by a plain triple loop over GaussianRational entries."""
+    return Matrix(left.rows, right.cols, [
+        sum((left[i, k] * right[k, j] for k in range(left.cols)),
+            GaussianRational(0))
+        for i in range(left.rows) for j in range(right.cols)])
+
+
+def filled(rows: int, cols: int, value) -> Matrix:
+    return Matrix(rows, cols, [value] * (rows * cols))
+
+
+class TestPackedProduct:
+    """The packed-row product against the triple loop.
+
+    The slot of a packed row holds the bound 2n max|L| max|R| with its
+    sign; the first test reaches that bound with both signs, in both
+    parts, at every output position, so a slot one bit narrower fails it.
+    """
+
+    @pytest.mark.parametrize("bits", [1, 7, 64, 1000])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 4), (3, 5, 2)])
+    def test_entries_at_the_slot_bound(self, bits, shape):
+        rows, n, cols = shape
+        m, m_right = 2 ** bits - 1, 2 ** bits + 1
+        for left_sign in (1, -1):
+            for right_sign in (1, -1):
+                for im_sign in (1, -1):
+                    left = filled(rows, n, GaussianRational(
+                        left_sign * m, left_sign * m))
+                    right = filled(n, cols, GaussianRational(
+                        right_sign * m_right, im_sign * m_right))
+                    product = left * right
+                    assert product == reference_product(left, right)
+                    # re or im of every entry is +-2n m m_right, the bound.
+                    bound = 2 * n * m * m_right
+                    assert {abs(x.re) + abs(x.im) for row in
+                            product.to_lists() for x in row} == {bound}
+
+    def test_purely_imaginary(self):
+        left = mat([["i", "-2i", "0"], ["3i", "1/2i", "-i"]])
+        right = mat([["-i", "4i"], ["2i", "0"], ["i", "-1/3i"]])
+        assert left * right == reference_product(left, right)
+
+    @pytest.mark.parametrize("rows, n, cols", [
+        (1, 1, 1), (1, 4, 1), (4, 1, 4), (1, 3, 4), (4, 3, 1),
+        (0, 3, 2), (2, 3, 0), (2, 0, 3), (0, 0, 0),
+    ])
+    def test_edge_shapes(self, rows, n, cols):
+        values = [parse_scalar(x) for x in
+                  ("2-i", "-1/3", "5/7i", "0", "-4+2/9i", "1")]
+        left = Matrix(rows, n, [values[k % 6] for k in range(rows * n)])
+        right = Matrix(n, cols, [values[(k + 2) % 6]
+                                 for k in range(n * cols)])
+        product = left * right
+        assert product.shape == (rows, cols)
+        assert product == reference_product(left, right)
+
+    def test_long_entries_and_mixed_denominators(self):
+        big = 3 ** 700       # about 1110 bits
+        left = Matrix(2, 3, [GaussianRational(big, -1), GaussianRational(1, 3),
+                             GaussianRational(-big + 1, big),
+                             GaussianRational(0, 5), GaussianRational(-7, 11),
+                             GaussianRational(big * big, 2)])
+        right = Matrix(3, 2, [GaussianRational(-big, big - 2),
+                              GaussianRational(1, -13),
+                              GaussianRational(2, 17), GaussianRational(-big),
+                              GaussianRational(0, 1), GaussianRational(big, 19)])
+        for a, b in ((left, right), (right, left)):
+            assert a * b == reference_product(a, b)
+
+    @given(rect_matrices(), rect_matrices())
+    def test_drawn_pairs(self, a, b):
+        if a.cols != b.rows:
+            b = b.transpose()
+        if a.cols == b.rows:
+            assert a * b == reference_product(a, b)
 
 
 class TestRowReduction:

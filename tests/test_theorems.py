@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from blockginv import ginverse, matrices, theorems
 from blockginv.generators import GenSpec, gen_pair
-from blockginv.ginverse import NotGroupInvertible, drazin
+from blockginv.ginverse import NotGroupInvertible, _spectral_factors, drazin
 from blockginv.matrices import Matrix, ShapeMismatch, inverse, rank
 from blockginv.scalars import GaussianRational
 from blockginv.theorems import (
@@ -279,19 +279,64 @@ class TestProductCounts:
         assert len(calls) == products
 
 
+class TestRouteCounts:
+    """A closed form at n = 8, from a cold cache: (products, Gauss-Jordan
+    eliminations, invertibility certificates) for rank_f 1, 4 and 7.
+
+    Every count includes the two drazin calls, on F and on W; cor3.3 and
+    cor3.4 also eliminate once more for E's index.
+    """
+
+    COUNTS = {
+        "thm2.1": [(13, 3, 3)] * 3,
+        "cor2.2": [(14, 3, 3)] * 3,
+        "thm2.3": [(13, 3, 3)] * 3,
+        "cor2.4": [(14, 3, 3)] * 3,
+        "cor2.5": [(15, 3, 3)] * 3,
+        "thm3.1": [(21, 4, 4), (15, 3, 3), (17, 3, 3)],
+        "cor3.2": [(21, 4, 4), (15, 3, 3), (17, 3, 3)],
+        "cor3.3": [(15, 3, 4), (16, 4, 5), (15, 3, 4)],
+        "cor3.4": [(17, 4, 5), (23, 5, 6), (17, 4, 5)],
+    }
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_counts_at_n8(self, theorem, monkeypatch):
+        counts = [0, 0, 0]
+
+        def counting(slot, function):
+            def counted(*args):
+                counts[slot] += 1
+                return function(*args)
+            return counted
+
+        found = []
+        for rank_f in (1, 4, 7):
+            e, f = gen_pair(GenSpec(theorem, 8, rank_f, True, seed=0))
+            drazin.cache_clear()
+            counts[:] = [0, 0, 0]
+            with monkeypatch.context() as patch:
+                for slot, name in enumerate(("_product", "_gauss_jordan",
+                                             "_certainly_invertible")):
+                    patch.setattr(matrices, name,
+                                  counting(slot, getattr(matrices, name)))
+                block_group_inverse(theorem, e, f)
+            found.append(tuple(counts))
+        assert found == self.COUNTS[theorem]
+
+
 class TestDrazinDataOfT:
-    """Positive and refusal draws hand drazin only F and T, never E.
+    """Positive and refusal draws hand drazin only F and W, never E or T.
 
     Every rule reads E through T = E F^pi in its kernel's orientation, on
-    (E^T, F^T) for a mirrored rule, and T is E itself only when E F = 0
-    (F E = 0 when mirrored). cor3.3 and cor3.4 decide
+    (E^T, F^T) for a mirrored rule, and T's Drazin data through the
+    q x q matrix W = H E G, where F^pi = G H. cor3.3 and cor3.4 decide
     "E group-invertible" from E's index, which for an invertible E is a
     certificate, not an inverse.
     """
 
     @pytest.mark.parametrize("theorem", THEOREM_IDS)
     def test_drazin_sees_only_f_and_t(self, theorem, monkeypatch):
-        # One report reads F's and T's Drazin data once each, in that order
+        # One report reads F's and W's Drazin data once each, in that order
         # and in the kernel's orientation, and block_group_inverse reads none
         # beyond its report's.
         given_drazin, inverted = [], []
@@ -309,13 +354,16 @@ class TestDrazinDataOfT:
                     GenSpec(theorem, 4, rank_f, satisfy, seed))
                 if rule.mirrored:
                     e, f = e.transpose(), f.transpose()
-                t = e * drazin(f).spectral_idempotent
+                g, h = _spectral_factors(drazin(f))
+                assert g * h == drazin(f).spectral_idempotent
+                assert h * g == Matrix.identity(4 - rank_f)
+                w = h * e * g
                 for accepts in (_checks, _inverts):
                     drazin.cache_clear()
                     given_drazin.clear()
                     inverted.clear()
                     assert accepts(theorem, *given) == satisfy
-                    assert given_drazin == [f, t]
+                    assert given_drazin == [f, w]
                     assert all(m not in (e, e.transpose()) for m in inverted)
 
 
