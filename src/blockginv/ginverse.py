@@ -32,22 +32,23 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .matrices import (Matrix, ShapeMismatch, _null_basis, _placed_columns,
-                       _single_entry_lines, inverse, rref)
+                       _require_square, _single_entry_lines, inverse, rref)
 
 
 class NotGroupInvertible(ArithmeticError):
     """A group inverse was required but the Drazin index exceeds 1.
 
     ``index`` is the Drazin index of the offending matrix when known;
-    ``condition`` names the violated equivalence condition when the refusal
-    comes from a closed-form rule rather than direct computation.
+    ``condition`` names the violated equivalence condition, and ``report``
+    holds the rule's condition report, when the refusal comes from a
+    closed-form rule rather than direct computation; both are None
+    otherwise.
     """
 
     def __init__(self, message: str, index: int | None = None,
-                 condition: str | None = None):
+                 condition: str | None = None, report=None):
         super().__init__(message)
-        self.index = index
-        self.condition = condition
+        self.index, self.condition, self.report = index, condition, report
 
 
 class DrazinResult:
@@ -88,11 +89,6 @@ class DrazinResult:
 
     def __repr__(self) -> str:
         return f"DrazinResult({self.drazin!r}, {self.index})"
-
-
-def _require_square(matrix: Matrix, op: str) -> None:
-    if not matrix.is_square:
-        raise ShapeMismatch(op, matrix.shape, matrix.shape)
 
 
 def _chain(matrix: Matrix) -> tuple[list[tuple], Matrix | None]:

@@ -65,6 +65,11 @@ class ShapeMismatch(ValueError):
         self.right = right
 
 
+def _require_square(matrix: Matrix, op: str) -> None:
+    if not matrix.is_square:
+        raise ShapeMismatch(op, matrix.shape, matrix.shape)
+
+
 class SingularMatrix(ArithmeticError):
     """Inversion was asked of a matrix without full rank."""
 
@@ -296,8 +301,7 @@ class Matrix:
         return _scaled(self, other)
 
     def __pow__(self, exponent: int) -> Matrix:
-        if not self.is_square:
-            raise ShapeMismatch("pow", self.shape, self.shape)
+        _require_square(self, "pow")
         if exponent < 0:
             raise ValueError("negative powers are not defined here")
         if exponent == 0:
@@ -576,8 +580,7 @@ def rank(matrix: Matrix) -> int:
 
 def inverse(matrix: Matrix) -> Matrix:
     """Exact inverse by in-place Gauss-Jordan; SingularMatrix if rank < n."""
-    if not matrix.is_square:
-        raise ShapeMismatch("inverse", matrix.shape, matrix.shape)
+    _require_square(matrix, "inverse")
     n = matrix.rows
     rows, contents = _integer_rows(matrix)
     pivot_cols, d, order = _gauss_jordan(rows, n, True)

@@ -10,9 +10,9 @@ its route to the four result blocks. Standing hypotheses come first: when
 one fails the rule says nothing and HypothesisViolated is raised. Refusal
 conditions follow: when one fails the rule certifies that the block matrix
 has no group inverse and NotGroupInvertible is raised. The one walk that
-builds a report records ``ConditionReport.first_failure``, and every
-decision reads it. F^pi is the spectral idempotent I - F F^D of F, and
-E^pi that of E.
+builds a report records ``ConditionReport.first_failure``, and
+``block_group_inverse`` raises or runs the kernel from it alone. F^pi is
+the spectral idempotent I - F F^D of F, and E^pi that of E.
 
 Three formula kernels do all the block algebra: Theorem 2.1 for
 [[E, I], [F, 0]] under F E F^pi = 0, Corollary 2.2 for the conjugate
@@ -23,30 +23,36 @@ transposing the block matrix turns their layout and hypotheses into the
 kernel's, and swaps the two off-diagonal result blocks. The commutation
 rules cor2.5 and cor3.4 are mirrored too, through thm2.3's and cor3.3's
 kernels: either law, with F group invertible, forces F^pi E F = 0, so
-both hold "F group-invertible" as standing. A mirrored rule transposes
-(E, F) once, and its residuals and blocks back; the law keeps (E, F).
+both hold "F group-invertible" as standing. cor2.5's report still checks
+F^pi E F = 0, as the split that its refusal condition reads. A mirrored
+rule transposes (E, F) once, and its residuals and blocks back; the law
+keeps (E, F).
 
 Every hypothesis is one name; the commutation either/or is the one
 hypothesis "EF=lambda FE or EF^2=FEF", reported as its two laws.
 
-In the kernel's orientation the constraint F E F^pi = 0 makes range(F^pi)
-E-invariant, so no rule needs drazin(E). The kernel inputs and residuals
-on E's Drazin data are those of T = E F^pi: E^D F^pi = T^D and
-E^pi F^pi = S = F^pi + T^pi - I. T is never formed. For F of index <= 1,
-F^pi = G H with H G = I_q, q = n - rank(F), read off the rref of F's own
-first Cline step, and T = (E G) H has its Drazin data from the q x q
-matrix W = H E G, by Cline's (BC)^D = B ((CB)^D)^2 C. ``_report`` is the
-one reader of Drazin data here: it calls drazin once on F and, when F is
+In the kernel's orientation the pair is split when F has index <= 1 and
+F E F^pi = 0, which makes range(F^pi) E-invariant; on a split pair no
+rule needs drazin(E). The kernel inputs and residuals on E's Drazin data
+are those of T = E F^pi: E^D F^pi = T^D and E^pi F^pi = S =
+F^pi + T^pi - I. T is never formed. For F of index <= 1, F^pi = G H with
+H G = I_q, q = n - rank(F), read off the rref of F's own first Cline
+step, and T = (E G) H has its Drazin data from the q x q matrix
+W = H E G, by Cline's (BC)^D = B ((CB)^D)^2 C. ``_report`` is the one
+reader of Drazin data here: it calls drazin once on F and, when F is
 group invertible, once on W, and decides each hypothesis from indices
-and n x q products (see ``_evaluate``). F E F^pi = 0 iff F E G = 0. Once
-every earlier hypothesis holds, E^pi F^pi = 0 iff W has index 0, and
-E E^pi F^pi = 0 iff W has index <= 1. For F of index >= 2 the
-constraint's residual is F (E F^pi), formed; nothing reads W. "E
-group-invertible" is decided by drazin_index(E). A held hypothesis has
-the zero residual, and every other residual is formed when it is read;
-drazin(E) is read only for a residual after a failed hypothesis. The
-kernel inputs T^D and S are formed only when the kernel runs, so
-``block_group_inverse`` only raises or runs the kernel.
+and n x q products (see ``_evaluate``). F E F^pi = 0 iff F E G = 0, so
+the constraint's verdict is ``_Oriented.split``. On a split pair
+E^pi F^pi = 0 iff W has index 0, and E E^pi F^pi = 0 iff W has index
+<= 1, whichever of the rule's other hypotheses fail; on any other pair
+they are decided from drazin(E). Each verdict is thus a function of the
+kernel-oriented pair alone, not of the order of the hypotheses. For F of
+index >= 2 the constraint's residual is F (E F^pi), formed; nothing
+reads W. "E group-invertible" is decided by drazin_index(E). A held
+hypothesis has the zero residual, and every other residual is formed
+when it is read. The kernel inputs T^D and S are formed only when the
+kernel runs, on a split pair, so ``block_group_inverse`` only raises or
+runs the kernel.
 
 Each kernel forms E F# once, so they take three, four and five n x n
 products. Theorem 3.1's blocks follow from Meyer and Rose's block
@@ -57,6 +63,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .ginverse import (NotGroupInvertible, _spectral_factors, drazin,
@@ -222,6 +229,12 @@ class _Oriented:
     (``_spectral_factors``), so T = E F^pi = (E G) H and Cline's identity
     gives T's Drazin data from the q x q matrix W = H E G:
     T^D = E G (W^D)^2 H. drazin runs on F and W, never on T.
+
+    The pair is split when F has index <= 1 and F E G = 0, H having full
+    row rank, that is F E F^pi = 0. Then range(G) = null(F) is
+    E-invariant: E G = G W, and in the basis that splits F, E is
+    [[A, 0], [X, D]] with D similar to W. ``split`` is decided on first
+    read, from the one n x q product F E G, which it keeps as ``feg``.
     """
 
     def __init__(self, e: Matrix, f: Matrix):
@@ -232,12 +245,19 @@ class _Oriented:
             self.eg = e * self.g
             self.dw = drazin(self.h * self.eg)
 
-    def kernel_inputs(self) -> tuple[Matrix, ...]:
-        """(E, F#, F^pi, T^D, S) once every hypothesis holds.
+    @cached_property
+    def feg(self) -> Matrix:
+        return self.f * self.eg
 
-        Then F E F^pi = 0 makes range(G) = null(F) E-invariant, so
-        E G = G W, T^D = G W^D H and S = E^pi F^pi = (G - E G W^D) H,
-        which is 0 when W is invertible.
+    @property
+    def split(self) -> bool:
+        return self.df.index <= 1 and self.feg.is_zero()
+
+    def kernel_inputs(self) -> tuple[Matrix, ...]:
+        """(E, F#, F^pi, T^D, S) on a split pair.
+
+        There E G = G W, so T^D = G W^D H and
+        S = E^pi F^pi = (G - E G W^D) H, which is 0 when W is invertible.
         """
         n, w_d = self.e.rows, self.dw.drazin
         side = (Matrix.zeros(n, n) if self.dw.index == 0
@@ -245,19 +265,18 @@ class _Oriented:
         return self.e, self.df.drazin, self.f_pi, self.g * w_d * self.h, side
 
 
-def _evaluate(hypothesis: str, pair: _Oriented,
-              short: bool) -> tuple[bool, Callable[[], Matrix]]:
+def _evaluate(hypothesis: str, pair: _Oriented
+              ) -> tuple[bool, Callable[[], Matrix]]:
     """Whether one hypothesis holds on a kernel-oriented pair, and a
     function that forms its residual.
 
-    The one-sided constraint's residual is F T = F E F^pi. For F of index
-    <= 1 it vanishes iff F E G does, H having full row rank; otherwise it
-    is formed. ``short`` says that every earlier hypothesis held, which in
-    every rule implies F group invertible and the constraint. In the basis
-    that splits F, T is then similar to diag(0, D) and W to D, so
-    E^pi F^pi = 0 iff W has index 0, and E E^pi F^pi = 0 iff W has index
-    <= 1; their residuals, (G - E G W^D) H and E G W^pi H, are formed
-    only when read. Otherwise E^pi F^pi comes from drazin(E).
+    The one-sided constraint F E F^pi = 0 holds iff the pair is split; its
+    residual F T is F E G H for F of index <= 1 and is formed otherwise.
+    On a split pair E^pi, a polynomial in E, acts on range(G) as W^pi, so
+    E^pi F^pi = G W^pi H vanishes iff W has index 0, and E E^pi F^pi =
+    G W W^pi H iff W has index <= 1; their residuals,
+    (G - E G W^D) H and E G W^pi H, are formed only when read. On any
+    other pair E^pi F^pi comes from drazin(E).
     """
     e, f, f_pi = pair.e, pair.f, pair.f_pi
     # Index <= 1 is exactly when F F^pi (E E^pi) vanishes.
@@ -268,12 +287,11 @@ def _evaluate(hypothesis: str, pair: _Oriented,
                 lambda: e * drazin(e).spectral_idempotent)
     if hypothesis in ("FEF^pi=0", "F^pi EF=0"):
         if pair.df.index <= 1:
-            feg = f * pair.eg
-            return feg.is_zero(), lambda: feg * pair.h
+            return pair.split, lambda: pair.feg * pair.h
         ft = f * (e * f_pi)
         return ft.is_zero(), lambda: ft
     e_pi_f_pi = hypothesis in ("E^pi F^pi=0", "F^pi E^pi=0")
-    if short:
+    if pair.split:
         dw = pair.dw
         if e_pi_f_pi:
             return (dw.index == 0,
@@ -426,8 +444,8 @@ def _report(theorem: str, e: Matrix, f: Matrix
     so it stays on (E, F) as given. drazin runs once on F and, when F is
     group invertible, once on W (see ``_Oriented``); every decision is
     read from their indices and from products through G, and from
-    drazin(E) only after a failed hypothesis. A held hypothesis has the
-    zero residual; any other residual is formed when it is read.
+    drazin(E) only on a pair that does not split. A held hypothesis has
+    the zero residual; any other residual is formed when it is read.
     """
     rule = rule_for(theorem)
     n = _require_pair(e, f)
@@ -438,7 +456,7 @@ def _report(theorem: str, e: Matrix, f: Matrix
         if hypothesis == _COMMUTATION:
             found = _commutation(e, f)
         else:
-            holds, formed = _evaluate(hypothesis, pair, failure is None)
+            holds, formed = _evaluate(hypothesis, pair)
             found = (Condition(hypothesis, holds, zero if holds
                                else lambda formed=formed: back(formed())),)
         conditions += found
@@ -461,19 +479,14 @@ def block_group_inverse(theorem: str, e: Matrix, f: Matrix) -> BlockGroupInverse
     report, pair = _report(theorem, e, f)
     rule = RULES[theorem]
     failure = report.first_failure
+    if failure is not None and failure.name not in rule.refusing:
+        raise HypothesisViolated(failure.name, report)
     if failure is not None:
-        name = failure.name
-        if name not in rule.refusing:
-            error = HypothesisViolated(name, report)
-        else:
-            index = pair.df.index if name == _F_GROUP else None
-            error = NotGroupInvertible(
-                f"no group inverse: F has Drazin index {index}" if index
-                else f"no group inverse: {name} fails",
-                index=index, condition=name,
-            )
-        error.report = report
-        raise error
+        index = pair.df.index if failure.name == _F_GROUP else None
+        raise NotGroupInvertible(
+            f"no group inverse: F has Drazin index {index}" if index
+            else f"no group inverse: {failure.name} fails",
+            index=index, condition=failure.name, report=report)
     gamma, delta, lambda_blk, xi = rule.kernel(*pair.kernel_inputs())
     if rule.mirrored:
         # Transposing swaps the off-diagonal blocks.

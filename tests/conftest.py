@@ -66,6 +66,21 @@ CONDITION_NAMES = {
 }
 
 
+# Each condition's defining product, the matrix that vanishes exactly when it
+# holds, from (E, F, E^pi, F^pi).
+DEFINITIONS = {
+    "FEF^pi=0": lambda e, f, e_pi, f_pi: f * e * f_pi,
+    "F^pi EF=0": lambda e, f, e_pi, f_pi: f_pi * e * f,
+    "F group-invertible": lambda e, f, e_pi, f_pi: f * f_pi,
+    "E group-invertible": lambda e, f, e_pi, f_pi: e * e_pi,
+    "E^pi F^pi=0": lambda e, f, e_pi, f_pi: e_pi * f_pi,
+    "F^pi E^pi=0": lambda e, f, e_pi, f_pi: f_pi * e_pi,
+    "EE^pi F^pi=0": lambda e, f, e_pi, f_pi: e * e_pi * f_pi,
+    "F^pi E^pi E=0": lambda e, f, e_pi, f_pi: f_pi * e_pi * e,
+    "EF^2=FEF": lambda e, f, e_pi, f_pi: e * f * f - f * e * f,
+}
+
+
 def holds(report, name):
     """Whether the report's condition of that name holds."""
     return next(c.holds for c in report.conditions if c.name == name)

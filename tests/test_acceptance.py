@@ -23,7 +23,7 @@ from blockginv.ginverse import (
 from blockginv.matrices import Matrix, rank
 from blockginv.scalars import GaussianRational
 from blockginv.theorems import THEOREM_IDS, block_group_inverse
-from conftest import mat
+from conftest import DEFINITIONS, mat
 from paper_forms import (
     blocks,
     cor24_direct,
@@ -116,19 +116,6 @@ def test_criterion_4_negative_campaigns():
                 assert t.report.formula is None
 
 
-# Each refusal hypothesis and its residual, by definition, from the test-side
-# Drazin reference: (E, F, E^pi, F^pi) -> the matrix that must vanish.
-RESIDUAL_DEFINITIONS = {
-    "FEF^pi=0": lambda e, f, e_pi, f_pi: f * e * f_pi,
-    "F^pi EF=0": lambda e, f, e_pi, f_pi: f_pi * e * f,
-    "F group-invertible": lambda e, f, e_pi, f_pi: f * f_pi,
-    "E^pi F^pi=0": lambda e, f, e_pi, f_pi: e_pi * f_pi,
-    "F^pi E^pi=0": lambda e, f, e_pi, f_pi: f_pi * e_pi,
-    "EE^pi F^pi=0": lambda e, f, e_pi, f_pi: e * e_pi * f_pi,
-    "F^pi E^pi E=0": lambda e, f, e_pi, f_pi: f_pi * e_pi * e,
-}
-
-
 @pytest.mark.parametrize("theorem", ["thm2.1", "thm2.3", "thm3.1", "cor3.2"])
 def test_refusals_form_residuals_on_read(theorem, monkeypatch):
     """On criterion 4's corpus a refusal is decided from W's index after
@@ -157,7 +144,7 @@ def test_refusals_form_residuals_on_read(theorem, monkeypatch):
         monkeypatch.setattr(matrices, "_product", product)
         e_pi, f_pi = (reference_drazin(m).spectral_idempotent for m in (e, f))
         for condition, residual in zip(report.conditions, residuals):
-            defined = RESIDUAL_DEFINITIONS[condition.name](e, f, e_pi, f_pi)
+            defined = DEFINITIONS[condition.name](e, f, e_pi, f_pi)
             assert residual == defined
             assert condition.holds == defined.is_zero()
         refused.append(name)

@@ -95,10 +95,21 @@ class TestDrazinExamples:
         ])
 
     def test_non_square_raises(self):
-        with pytest.raises(ShapeMismatch):
-            drazin(mat([["1", "2"]]))
-        with pytest.raises(ShapeMismatch):
-            drazin_index(mat([["1", "2"]]))
+        # Every square check names its operation and the shape twice.
+        wide, one = mat([["1", "2"]]), Matrix.identity(1)
+        for op, call in [
+            ("drazin", lambda: drazin(wide)),
+            ("drazin_index", lambda: drazin_index(wide)),
+            ("block_triangular_drazin",
+             lambda: block_triangular_drazin(wide, one, one)),
+            ("block_triangular_drazin",
+             lambda: block_triangular_drazin(one, one, wide)),
+            ("inverse", lambda: inverse(wide)),
+            ("pow", lambda: wide ** 2),
+        ]:
+            with pytest.raises(ShapeMismatch) as info:
+                call()
+            assert str(info.value) == f"{op}: shapes 1x2 and 1x2 do not fit"
 
 
 class TestGroupInverse:
@@ -110,6 +121,15 @@ class TestGroupInverse:
         with pytest.raises(NotGroupInvertible) as info:
             group_inverse(mat([["0", "1"], ["0", "0"]]))
         assert info.value.index == 2
+
+    def test_refusals_outside_a_rule_carry_no_report(self):
+        nil = mat([["0", "1"], ["0", "0"]])
+        with pytest.raises(NotGroupInvertible) as info:
+            group_inverse(nil)
+        assert (info.value.report, info.value.condition) == (None, None)
+        with pytest.raises(NotGroupInvertible) as info:
+            block_triangular_drazin(nil, Matrix.zeros(2, 2), Matrix.identity(2))
+        assert info.value.report is None
 
 
 class TestCline:

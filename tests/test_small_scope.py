@@ -33,6 +33,7 @@ from blockginv.matrices import Matrix
 from blockginv.theorems import (SHAPE_FOR_THEOREM, THEOREM_IDS,
                                 HypothesisViolated, assemble_M,
                                 block_group_inverse, check_conditions)
+from conftest import DEFINITIONS
 
 ENTRIES = (-1, 0, 0, 1)
 PAIRS = 1500
@@ -42,19 +43,6 @@ PAIRS = 1500
 # commutation law need not force F^pi E F = 0.
 PINNED = ([[0, 0, -1], [1, 0, 1], [1, 0, -1]],
           [[0, 0, 0], [0, 1, 1], [0, -1, -1]])
-
-# Each condition's defining product, from (E, F, E^pi, F^pi).
-DEFINITIONS = {
-    "FEF^pi=0": lambda e, f, e_pi, f_pi: f * e * f_pi,
-    "F^pi EF=0": lambda e, f, e_pi, f_pi: f_pi * e * f,
-    "F group-invertible": lambda e, f, e_pi, f_pi: f * f_pi,
-    "E group-invertible": lambda e, f, e_pi, f_pi: e * e_pi,
-    "E^pi F^pi=0": lambda e, f, e_pi, f_pi: e_pi * f_pi,
-    "F^pi E^pi=0": lambda e, f, e_pi, f_pi: f_pi * e_pi,
-    "EE^pi F^pi=0": lambda e, f, e_pi, f_pi: e * e_pi * f_pi,
-    "F^pi E^pi E=0": lambda e, f, e_pi, f_pi: f_pi * e_pi * e,
-    "EF^2=FEF": lambda e, f, e_pi, f_pi: e * f * f - f * e * f,
-}
 
 
 def _pairs(count):

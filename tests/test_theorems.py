@@ -25,6 +25,7 @@ from blockginv.theorems import (
 from conftest import (
     COMMUTATION_LAWS,
     CONDITION_NAMES,
+    DEFINITIONS,
     FIRST_STANDING_BREAKERS,
     holds,
     mat,
@@ -229,6 +230,37 @@ class TestCor25:
                                 mat([["0", "1"], ["0", "0"]]))
         assert info.value.condition == "F group-invertible"
 
+    @pytest.mark.parametrize("e_rows, e_pi_f_pi_holds", [
+        ([["1", "0", "1"], ["1", "1", "0"], ["0", "0", "2"]], True),
+        ([["1", "0", "1"], ["1", "1", "0"], ["0", "0", "0"]], False),
+    ], ids=["holds", "fails"])
+    def test_split_pair_without_law_reads_w(self, e_rows, e_pi_f_pi_holds,
+                                            monkeypatch):
+        # Neither law holds, but F is group invertible and F^pi E F = 0,
+        # so F^pi E^pi is decided from W, whatever failed before it.
+        e = mat(e_rows)
+        f = mat([["1", "1", "0"], ["0", "1", "0"], ["0", "0", "0"]])
+        with pytest.raises(HypothesisViolated) as info:
+            block_group_inverse("cor2.5", e, f)
+        assert info.value.condition == "EF=lambda FE or EF^2=FEF"
+        df, de = reference_drazin(f), reference_drazin(e)
+        f_pi = df.spectral_idempotent
+        assert df.index <= 1 and (f_pi * e * f).is_zero()
+        given_drazin = []
+        monkeypatch.setattr(theorems, "drazin",
+                            lambda m: given_drazin.append(m) or drazin(m))
+        drazin.cache_clear()
+        report = check_conditions(e, f, "cor2.5")
+        g, h = _spectral_factors(drazin(f.transpose()))
+        w = h * e.transpose() * g
+        assert given_drazin == [f.transpose(), w]
+        condition = next(c for c in report.conditions
+                         if c.name == "F^pi E^pi=0")
+        defined = DEFINITIONS["F^pi E^pi=0"](e, f, de.spectral_idempotent,
+                                             f_pi)
+        assert condition.holds == defined.is_zero() == e_pi_f_pi_holds
+        assert condition.residual == defined
+
 
 class TestFactoredRoute:
     """Theorem 3.1 and its corollaries against the route through N^#."""
@@ -284,7 +316,8 @@ class TestRouteCounts:
     eliminations, invertibility certificates) for rank_f 1, 4 and 7.
 
     Every count includes the two drazin calls, on F and on W; cor3.3 and
-    cor3.4 also eliminate once more for E's index.
+    cor3.4 also eliminate once more for E's index, and cor2.5 forms F E G
+    to decide whether its pair splits.
     """
 
     COUNTS = {
@@ -292,7 +325,7 @@ class TestRouteCounts:
         "cor2.2": [(14, 3, 3)] * 3,
         "thm2.3": [(13, 3, 3)] * 3,
         "cor2.4": [(14, 3, 3)] * 3,
-        "cor2.5": [(15, 3, 3)] * 3,
+        "cor2.5": [(16, 3, 3)] * 3,
         "thm3.1": [(21, 4, 4), (15, 3, 3), (17, 3, 3)],
         "cor3.2": [(21, 4, 4), (15, 3, 3), (17, 3, 3)],
         "cor3.3": [(15, 3, 4), (16, 4, 5), (15, 3, 4)],
