@@ -31,21 +31,45 @@ candidate row by total bit length, the first on a tie, which keeps the
 minors small (identity rows go first). No output depends on the order:
 the rank, the rref, its pivot columns and the inverse are unique, storage
 is canonical, and the fraction-free divisions are exact in any row order.
-``rref`` skips FFGJ on a square matrix that ``_certainly_invertible``, a
-one-sided certificate mod a prime P, proves invertible; no other function
-asks it.
+
+Modulo a fixed prime P = 1 (mod 4), i goes to S or to -S, S^2 = -1 mod P,
+and one Gauss-Jordan routine, ``_gauss_jordan_mod``, eliminates either
+image of the numerators; it packs each row into one int, so a step costs
+one int product per row. ``rref`` skips FFGJ on a square matrix that
+``_certainly_invertible``, that routine's forward elimination under
+i -> S, proves invertible; no other function asks it. From ``_LIFT_FROM``
+rows up ``inverse`` lifts p-adically (Dixon): the same routine inverts
+both images, which recombine to C = N^-1 mod P for the Z[i] numerators
+N, and each step takes Y = C R mod P and R' = (R - N Y) / P from R = I,
+so after k steps X = sum P^j Y_j has N X = I mod P^k. Each real and
+imaginary part of the inverse is read back from X as a fraction, over
+one running denominator D (rational reconstruction), and the candidate
+U / D is returned only when the one exact product N U = den D I holds;
+no answer rests on P. When N is singular mod P, or lifting reaches the
+Hadamard bound with nothing certified, FFGJ runs instead, so ``inverse``
+decides nothing about rank mod P and a singular matrix raises from FFGJ.
+Lifting costs in proportion to the inverse's size and FFGJ to that of
+its minors, which grow far past it; but lifting has a fixed cost of two
+eliminations mod P and two products a step, so it pays only from 9 x 9
+up. FFGJ time over lifting time, on every ``inverse`` input of one round
+of the benchmark's three workloads at seeds 0 and 1 (README): 0.68 at
+6 x 6, 0.91 at 7, 1.01 at 8, 1.15 at 9, 1.21 at 10, 1.81 at 11, 1.66 at
+12, 2.40 at 14 and 2.95 at 15 x 15.
 
 References: FLINT's fmpq_mat (https://flintlib.org/doc/fmpq_mat.html);
 E. H. Bareiss, Math. Comp. 22 (1968); G. C. Nakos, P. R. Turner and
 R. M. Williams, "Fraction-free algorithms for linear and polynomial
-equations", SIGSAM Bull. 31 (1997).
+equations", SIGSAM Bull. 31 (1997); J. D. Dixon, "Exact solution of
+linear equations using p-adic expansions", Numer. Math. 40 (1982);
+P. S. Wang, M. J. T. Guy and J. H. Davenport, "P-adic reconstruction of
+rational numbers", SIGSAM Bull. 16 (1982).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, lshift, mul, or_, sub
 from typing import Callable, Iterable, Sequence
 
@@ -525,28 +549,80 @@ def _gauss_jordan(rows: list[_ZiVector], width: int,
     return pivot_cols, d, order
 
 
-# P = 1 (mod 4) is prime and S^2 = -1 (mod P), so i -> S maps Z[i] to F_P.
+# P = 1 (mod 4) is prime and S^2 = -1 (mod P), so i -> S and i -> -S map
+# Z[i] onto F_P, and the pair of them is an isomorphism Z[i]/P -> F_P^2:
+# a + bS and a - bS give back a and b through 1/2 and 1/(2S) mod P.
 _P, _S = 2305843009213693921, 583529827753931384
+_HALF, _HALF_OVER_S = (_P + 1) // 2, pow(2 * _S, -1, _P)
+
+# ``inverse`` lifts from this many rows up; the measurements behind it are in
+# the module docstring.
+_LIFT_FROM = 9
+
+
+def _gauss_jordan_mod(matrix: Matrix, s: int,
+                      invert: bool) -> list[int] | None:
+    """Gauss-Jordan mod P on a square matrix's numerators, with i -> s.
+
+    None when a column has no pivot, which proves nothing over Q(i): the
+    determinant can vanish mod an unlucky P. Without invert only the rows
+    below each pivot are reduced, a forward elimination that only says
+    every pivot exists, and the result is []. To invert, every row is
+    reduced, and the result is the inverse, row-major.
+
+    Rows are compact and packed: row r is one int of w-bit slots, and
+    each step shifts out its pivoted slot and adds f_r times the negated
+    pivot row, f_r being its lead, one int product per row. The pivot row
+    alone is read back, reduced mod P and divided by its lead. A slot
+    starts below P and grows by at most (P - 1) P in each of at most n - 1
+    steps, so it stays below n P^2, within w = 2 log P + log n bits, and
+    only the leads, the pivot rows and the result are reduced. To invert,
+    the step that pivots on a row appends that row's identity column in
+    the top slot (1/lead in the pivot row, minus the cleared multiple
+    elsewhere), so the t-th pivot row ends as row t of the inverse with
+    its slot j in column order[j]; the slots are read back in column
+    order.
+    """
+    n = matrix.rows
+    w = 2 * _P.bit_length() + n.bit_length()
+    mask, shifts = (1 << w) - 1, range(0, w * n, w)
+    residues = [(a + b * s) % _P for a, b in zip(matrix._re, matrix._im)]
+    pending = [sum(map(lshift, residues[i * n:(i + 1) * n], shifts))
+               for i in range(n)]
+    done: list[int] = []
+    index, order = list(range(n)), []
+    while pending:
+        leads = [(row & mask) % _P for row in pending]
+        lead = next(filter(None, leads), 0)
+        if not lead:
+            return None
+        k = leads.index(lead)
+        top = pending.pop(k)
+        del leads[k]
+        if not (pending or invert):
+            return []
+        inv = pow(lead, -1, _P)
+        pivot = [(top >> t & mask) * inv % _P
+                 for t in shifts[1:n if invert else len(leads) + 1]]
+        if invert:
+            pivot.append(inv)
+        negated = sum(map(lshift, [_P - y for y in pivot], shifts))
+        pending = [(row >> w) + f * negated for row, f in zip(pending, leads)]
+        if invert:
+            done = [(row >> w) + (row & mask) % _P * negated for row in done]
+            done.append(sum(map(lshift, pivot, shifts)))
+            order.append(index.pop(k))
+    slots = [shifts[j] for j in sorted(range(n), key=order.__getitem__)]
+    return [(row >> t & mask) % _P for row in done for t in slots]
 
 
 def _certainly_invertible(matrix: Matrix) -> bool:
     """True only if the square matrix is invertible; False proves nothing.
 
     i -> S is a ring map, so if elimination mod P finds every pivot, the
-    numerators' determinant is nonzero. It can vanish mod an unlucky P.
+    numerators' determinant is nonzero.
     """
-    n = matrix.rows
-    residues = [(a + b * _S) % _P for a, b in zip(matrix._re, matrix._im)]
-    rows = [residues[i * n:(i + 1) * n] for i in range(n)]
-    while rows:
-        k = next((k for k, row in enumerate(rows) if row[0]), None)
-        if k is None:
-            return False
-        top = rows.pop(k)
-        inv = pow(top[0], -1, _P)
-        rows = [[(x - f * y) % _P for x, y in zip(row[1:], top[1:])]
-                for row in rows for f in (row[0] * inv,)]
-    return True
+    return _gauss_jordan_mod(matrix, _S, False) is not None
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
@@ -578,10 +654,110 @@ def rank(matrix: Matrix) -> int:
     return rref(matrix)[1]
 
 
+def _inverse_mod_p(matrix: Matrix) -> tuple[list[int], list[int]] | None:
+    """N^-1 mod P for the numerators N, as row-major residue lists of its
+    real and imaginary parts; None when N is singular mod P."""
+    images = [_gauss_jordan_mod(matrix, s, True) for s in (_S, _P - _S)]
+    if None in images:
+        return None
+    u, v = images
+    return ([(x + y) * _HALF % _P for x, y in zip(u, v)],
+            [(x - y) * _HALF_OVER_S % _P for x, y in zip(u, v)])
+
+
+def _rational_parts(values: list[int], modulus: int,
+                    scale: int) -> tuple[int, list[int]] | None:
+    """One denominator D > 0 and numerators a with a / D = scale * value,
+    each value read mod modulus as a fraction with both parts at most
+    sqrt(modulus / 2); None when some value is not such a fraction.
+
+    Each value is first multiplied by the D found so far, so a value whose
+    denominator divides D needs no reconstruction: its numerator is the
+    symmetric residue. Otherwise the half extended Euclid of Wang, Guy and
+    Davenport gives it as a / b, and D and the numerators found so far
+    grow by the factor b.
+    """
+    half = isqrt(modulus >> 1)
+    den, factor, found = 1, scale % modulus, []
+    for x in values:
+        y = x * factor % modulus
+        if y > half:
+            if y >= modulus - half:
+                y -= modulus
+            else:
+                r0, r1, t0, t1 = modulus, y, 0, 1
+                while r1 > half:
+                    q = r0 // r1
+                    r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+                if not t1 or abs(t1) * den > half:
+                    return None
+                y, b = (r1, t1) if t1 > 0 else (-r1, -t1)
+                den, factor = den * b, factor * b % modulus
+                found = [a * b for a in found]
+        found.append(y)
+    return den, found
+
+
+def _lifted_inverse(matrix: Matrix) -> Matrix | None:
+    """The inverse by Dixon's p-adic lifting, or None to fall back to FFGJ.
+
+    With C = N^-1 mod P and R_0 = I, each step takes Y_j = C R_j mod P and
+    R_(j+1) = (R_j - N Y_j) / P, an exact division, so X = sum P^j Y_j
+    has N X = I mod P^k after k steps. After each step every real and
+    imaginary part of den X, den being the matrix's denominator, is read
+    as a fraction (``_rational_parts``), giving the candidate U / D, and it
+    is returned only when N U = den D I holds exactly. That product is the
+    certificate. Past P^k > 2 (den H)^2, with H = prod |row|^2 >= |det N|^2
+    by Hadamard's bound, the fractions are unique and must certify, so
+    lifting stops there and returns None, as it does when N is singular
+    mod P.
+    """
+    n = matrix.rows
+    start = _inverse_mod_p(matrix)
+    if start is None:
+        return None
+    re, im, den = matrix._re, matrix._im, matrix._den
+    numerators, c = _matrix(n, n, 1, re, im), _matrix(n, n, 1, *start)
+    bound = 1
+    for i in range(0, n * n, n):
+        bound *= sum(a * a + b * b for a, b in zip(re[i:i + n], im[i:i + n]))
+    limit = 2 * (den * bound) ** 2
+    target = Matrix.identity(n)
+    residual = target
+    x_re, x_im = [0] * (n * n), [0] * (n * n)
+    modulus = 1
+    while modulus <= limit:
+        y = _product(c, residual)
+        y_re = [a % _P for a in y._re]
+        y_im = [b % _P for b in y._im]
+        x_re = [a + modulus * b for a, b in zip(x_re, y_re)]
+        x_im = [a + modulus * b for a, b in zip(x_im, y_im)]
+        modulus *= _P
+        found = _rational_parts(x_re + x_im, modulus, den)
+        if found is not None:
+            d, parts = found
+            u = _matrix(n, n, 1, parts[:n * n], parts[n * n:])
+            if _product(numerators, u) == d * den * target:
+                return _matrix(n, n, d, u._re, u._im)
+        ny = _product(numerators, _matrix(n, n, 1, y_re, y_im))
+        residual = _matrix(
+            n, n, 1, [(a - b) // _P for a, b in zip(residual._re, ny._re)],
+            [(a - b) // _P for a, b in zip(residual._im, ny._im)])
+    return None
+
+
 def inverse(matrix: Matrix) -> Matrix:
-    """Exact inverse by in-place Gauss-Jordan; SingularMatrix if rank < n."""
+    """Exact inverse; SingularMatrix if rank < n.
+
+    From ``_LIFT_FROM`` rows up by certified p-adic lifting, and otherwise,
+    or when lifting abstains, by in-place Gauss-Jordan (FFGJ).
+    """
     _require_square(matrix, "inverse")
     n = matrix.rows
+    if n >= _LIFT_FROM:
+        lifted = _lifted_inverse(matrix)
+        if lifted is not None:
+            return lifted
     rows, contents = _integer_rows(matrix)
     pivot_cols, d, order = _gauss_jordan(rows, n, True)
     if len(pivot_cols) < n:

@@ -40,9 +40,12 @@ H G = I_q, q = n - rank(F), read off the rref of F's own first Cline
 step, and T = (E G) H has its Drazin data from the q x q matrix
 W = H E G, by Cline's (BC)^D = B ((CB)^D)^2 C. ``_report`` is the one
 reader of Drazin data here: it calls drazin once on F and, when F is
-group invertible, once on W, and decides each hypothesis from indices
-and n x q products (see ``_evaluate``). F E F^pi = 0 iff F E G = 0, so
-the constraint's verdict is ``_Oriented.split``. On a split pair
+group invertible and a verdict or the kernel reads W, once on W, and
+decides each hypothesis from indices and n x q products (see
+``_evaluate``). cor3.3's and cor3.4's hypotheses never read W, so their
+reports form no W, and cor3.4's no E G, until the kernel runs.
+F E F^pi = 0 iff F E G = 0, so the constraint's verdict is
+``_Oriented.split``. On a split pair
 E^pi F^pi = 0 iff W has index 0, and E E^pi F^pi = 0 iff W has index
 <= 1, whichever of the rule's other hypotheses fail; on any other pair
 they are decided from drazin(E). Each verdict is thus a function of the
@@ -66,8 +69,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .ginverse import (NotGroupInvertible, _spectral_factors, drazin,
-                       drazin_index)
+from .ginverse import (DrazinResult, NotGroupInvertible, _spectral_factors,
+                       drazin, drazin_index)
 from .matrices import Matrix, ShapeMismatch
 from .scalars import ZERO, GaussianRational
 
@@ -235,6 +238,8 @@ class _Oriented:
     E-invariant: E G = G W, and in the basis that splits F, E is
     [[A, 0], [X, D]] with D similar to W. ``split`` is decided on first
     read, from the one n x q product F E G, which it keeps as ``feg``.
+    E G, ``eg``, and W's Drazin data, ``dw``, are likewise formed on first
+    read, so a report whose verdicts never read W forms no W.
     """
 
     def __init__(self, e: Matrix, f: Matrix):
@@ -242,8 +247,14 @@ class _Oriented:
         self.f_pi = self.df.spectral_idempotent
         if self.df.index <= 1:
             self.g, self.h = _spectral_factors(self.df)
-            self.eg = e * self.g
-            self.dw = drazin(self.h * self.eg)
+
+    @cached_property
+    def eg(self) -> Matrix:
+        return self.e * self.g
+
+    @cached_property
+    def dw(self) -> DrazinResult:
+        return drazin(self.h * self.eg)
 
     @cached_property
     def feg(self) -> Matrix:
@@ -442,10 +453,10 @@ def _report(theorem: str, e: Matrix, f: Matrix
     commutation law is evaluated on that kernel-oriented pair and its
     residual transposed back. The law's lambda is read in row-major order,
     so it stays on (E, F) as given. drazin runs once on F and, when F is
-    group invertible, once on W (see ``_Oriented``); every decision is
-    read from their indices and from products through G, and from
-    drazin(E) only on a pair that does not split. A held hypothesis has
-    the zero residual; any other residual is formed when it is read.
+    group invertible and W is read, once on W (see ``_Oriented``); every
+    decision is read from their indices and from products through G, and
+    from drazin(E) only on a pair that does not split. A held hypothesis
+    has the zero residual; any other residual is formed when it is read.
     """
     rule = rule_for(theorem)
     n = _require_pair(e, f)

@@ -119,7 +119,7 @@ def test_criterion_4_negative_campaigns():
 @pytest.mark.parametrize("theorem", ["thm2.1", "thm2.3", "thm3.1", "cor3.2"])
 def test_refusals_form_residuals_on_read(theorem, monkeypatch):
     """On criterion 4's corpus a refusal is decided from W's index after
-    products E G (n x q), W = H E G (q x q) and F E G (n x q) alone, and
+    products E G (n x q), F E G (n x q) and W = H E G (q x q) alone, and
     forms its failing residual only when that is read; every residual
     read equals its definition. gen_pair leaves drazin's cache warm, so
     the refusal takes no product inside drazin."""
@@ -136,7 +136,7 @@ def test_refusals_form_residuals_on_read(theorem, monkeypatch):
         monkeypatch.setattr(matrices, "_product", recording)
         with pytest.raises(NotGroupInvertible) as info:
             block_group_inverse(name, e, f)
-        assert shapes == [(n, q), (q, q), (n, q)]
+        assert shapes == [(n, q), (n, q), (q, q)]
         shapes.clear()
         report = info.value.report
         residuals = [c.residual for c in report.conditions]

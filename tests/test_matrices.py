@@ -7,7 +7,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockginv
@@ -402,6 +402,116 @@ class TestInverse:
             return
         assert m * inverse(m) == Matrix.identity(m.rows)
         assert inverse(m) * m == Matrix.identity(m.rows)
+
+
+LIFT_FROM = matrices._LIFT_FROM
+
+
+def padded(core: Matrix) -> Matrix:
+    """diag(core, I), as large as the smallest size that inverse lifts."""
+    rest = LIFT_FROM - core.rows
+    return Matrix.from_blocks([
+        [core, Matrix.zeros(core.rows, rest)],
+        [Matrix.zeros(rest, core.rows), Matrix.identity(rest)],
+    ])
+
+
+@st.composite
+def lifting_route_matrices(draw):
+    """Square, LIFT_FROM to LIFT_FROM + 2, real or complex, with numerators
+    of up to 200 bits over one denominator of up to 64 bits."""
+    n = draw(st.integers(LIFT_FROM, LIFT_FROM + 2))
+    parts = st.lists(st.integers(-2 ** 200, 2 ** 200), min_size=n * n,
+                     max_size=n * n)
+    re = draw(parts)
+    im = draw(parts) if draw(st.booleans()) else [0] * (n * n)
+    den = draw(st.integers(1, 2 ** 64))
+    return Matrix.from_parts(n, n, [(a, den, b, den) for a, b in zip(re, im)])
+
+
+def by_ffgj(m: Matrix) -> Matrix:
+    """inverse(m) with lifting turned away, so FFGJ computes it."""
+    with mock.patch.object(matrices, "_lifted_inverse", return_value=None):
+        return inverse(m)
+
+
+class TestLiftedInverse:
+    """From LIFT_FROM up, inverse lifts N^-1 mod P p-adically and returns
+    only what N U = den D I certifies; FFGJ runs when lifting abstains."""
+
+    @settings(max_examples=10)
+    @given(lifting_route_matrices())
+    def test_lifting_certifies_the_ffgj_inverse(self, m):
+        # Every invertible draw is invertible mod P too, but for a chance
+        # of about n / P, so lifting itself must return the inverse.
+        lifted = matrices._lifted_inverse(m)
+        try:
+            expected = by_ffgj(m)
+        except SingularMatrix:
+            assert lifted is None
+            return
+        assert lifted == expected
+        assert inverse(m) == expected
+
+    @pytest.mark.parametrize("core", [
+        Matrix.from_rows([[matrices._P, 1], [0, 1]]),
+        Matrix.from_rows([[GaussianRational(matrices._P - matrices._S, 1),
+                           2], [0, 3]]),
+    ], ids=["det P", "det (P - S + i) 3"])
+    def test_singular_mod_p_falls_back_to_ffgj(self, core):
+        m = padded(core)
+        assert matrices._lifted_inverse(m) is None
+        assert inverse(m) == padded(inverse(core))
+        assert m * inverse(m) == Matrix.identity(LIFT_FROM)
+
+    def test_reconstruction_needs_the_certificate(self):
+        # The inverse's corner entry P^2 reads as 0 mod P and mod P^2, so
+        # every entry reconstructs after one step as I, and again after
+        # two; only N U = D I turns those down, until P^5 reads P^2 back.
+        core = Matrix.from_rows([[1, -matrices._P ** 2], [0, 1]])
+        expected = padded(Matrix.from_rows([[1, matrices._P ** 2], [0, 1]]))
+        assert matrices._lifted_inverse(padded(core)) == expected
+        assert by_ffgj(padded(core)) == expected
+
+    @staticmethod
+    def assert_inverse_mod_p(m: Matrix) -> None:
+        n, p = m.rows, matrices._P
+        c = Matrix.from_parts(n, n, [(a, 1, b, 1) for a, b in
+                                     zip(*matrices._inverse_mod_p(m))])
+        assert [(x.re.numerator % p, x.im.numerator % p)
+                for row in (m * c).to_lists() for x in row] == [
+            (int(i == j), 0) for i in range(n) for j in range(n)]
+
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.sampled_from([0, 1, matrices._P - 1]) | st.integers(
+            0, matrices._P - 1), min_size=2 * n * n, max_size=2 * n * n))))
+    def test_inverse_mod_p_is_a_right_inverse(self, drawn):
+        n, parts = drawn
+        m = Matrix.from_parts(n, n, [(a, 1, b, 1) for a, b in
+                                     zip(parts[::2], parts[1::2])])
+        if matrices._inverse_mod_p(m) is not None:
+            self.assert_inverse_mod_p(m)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_inverse_mod_p_at_the_slot_bound(self, n):
+        # P - 1 on and below the diagonal: every pivot row reduces to its
+        # lead alone, so each step adds (P - 1) P to every slot below it,
+        # and the last row's slots reach (P - 1)(1 + (n - 1) P), past
+        # 2^(w - 1) for these n.
+        p = matrices._P
+        m = Matrix.from_rows([[p - 1 if j <= i else 0 for j in range(n)]
+                              for i in range(n)])
+        self.assert_inverse_mod_p(m)
+
+    def test_singular_raises_as_before(self):
+        rows = [[(i + 2) ** j for j in range(LIFT_FROM)]
+                for i in range(LIFT_FROM - 1)]
+        rows.append([a + b for a, b in zip(rows[0], rows[1])])
+        m = Matrix.from_rows(rows)
+        assert matrices._lifted_inverse(m) is None
+        with pytest.raises(SingularMatrix,
+                           match=rf"^rank {LIFT_FROM - 1} < {LIFT_FROM}$"):
+            inverse(m)
 
 
 class TestKernelAndColumnSpace:
