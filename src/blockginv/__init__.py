@@ -55,8 +55,6 @@ from .generators import (
     Trial,
     Verdict,
     VerificationReport,
-    gen_group_invertible,
-    gen_invertible,
     gen_pair,
     run_campaign,
     verify_instance,
@@ -101,8 +99,6 @@ __all__ = [
     "Trial",
     "Verdict",
     "VerificationReport",
-    "gen_group_invertible",
-    "gen_invertible",
     "gen_pair",
     "run_campaign",
     "verify_instance",

@@ -124,8 +124,7 @@ def _gen_invertible(rng: random.Random, n: int) -> Matrix:
 
 
 def _gen_group_invertible(rng: random.Random, n: int, rank_: int) -> Matrix:
-    if not 0 <= rank_ <= n:
-        raise ValueError(f"rank {rank_} out of range for size {n}")
+    """A random n x n matrix of rank rank_ <= n with Drazin index <= 1."""
     p = _gen_invertible(rng, n)
     return _conjugate_core(p, _gen_invertible(rng, rank_), inverse(p))
 
@@ -134,16 +133,6 @@ def _conjugate_core(p: Matrix, core: Matrix, p_inv: Matrix) -> Matrix:
     """P diag(core, 0) P^-1 from P's first r columns and P^-1's first r rows."""
     r = core.rows
     return p.columns(range(r)) * core * p_inv.submatrix(0, r, 0, p.rows)
-
-
-def gen_invertible(n: int, seed: int = 0) -> Matrix:
-    """A seeded random invertible n x n matrix."""
-    return _gen_invertible(random.Random(seed), n)
-
-
-def gen_group_invertible(n: int, rank_: int, seed: int = 0) -> Matrix:
-    """A seeded random n x n matrix of the given rank with Drazin index <= 1."""
-    return _gen_group_invertible(random.Random(seed), n, rank_)
 
 
 def _singular(rng: random.Random, q: int) -> Matrix:

@@ -62,17 +62,16 @@ class DrazinResult:
     its chain when the index is 1: (pivots, free, R, flipped), with R the
     rref's free columns, of T or of T^T when ``flipped``. Then the null
     space of T, or of T^T, is read off R (see ``_spectral_factors``)
-    without a second elimination; ``_factors`` keeps what that reads.
+    without a second elimination.
     """
 
-    __slots__ = ("drazin", "index", "_pi", "_matrix", "_step", "_factors")
+    __slots__ = ("drazin", "index", "_pi", "_matrix", "_step")
 
     def __init__(self, drazin: Matrix, index: int,
                  spectral_idempotent: Matrix | None = None,
                  matrix: Matrix | None = None, step: tuple | None = None):
         self.drazin, self.index = drazin, index
         self._pi, self._matrix, self._step = spectral_idempotent, matrix, step
-        self._factors = None
 
     @property
     def spectral_idempotent(self) -> Matrix:
@@ -171,17 +170,14 @@ def _spectral_factors(result: DrazinResult) -> tuple[Matrix, Matrix]:
     flipped, K spans T^T's null space, H = K^T and G = T^pi[:, free]. At
     index 0, T^pi = 0 and q = 0.
     """
-    if result._factors is None:
-        pi = result.spectral_idempotent
-        n = pi.rows
-        if result._step is None:
-            result._factors = Matrix.zeros(n, 0), Matrix.zeros(0, n)
-        else:
-            pivots, free, reduced, flipped = result._step
-            null = _null_basis(reduced, pivots, free)
-            result._factors = ((pi.columns(free), null.transpose()) if flipped
-                               else (null, pi.pick(free, range(n))))
-    return result._factors
+    pi = result.spectral_idempotent
+    n = pi.rows
+    if result._step is None:
+        return Matrix.zeros(n, 0), Matrix.zeros(0, n)
+    pivots, free, reduced, flipped = result._step
+    null = _null_basis(reduced, pivots, free)
+    return ((pi.columns(free), null.transpose()) if flipped
+            else (null, pi.pick(free, range(n))))
 
 
 def _group(matrix: Matrix, message: str) -> DrazinResult:

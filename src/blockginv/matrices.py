@@ -85,8 +85,6 @@ class ShapeMismatch(ValueError):
         super().__init__(
             f"{op}: shapes {left[0]}x{left[1]} and {right[0]}x{right[1]} do not fit"
         )
-        self.left = left
-        self.right = right
 
 
 def _require_square(matrix: Matrix, op: str) -> None:
@@ -242,9 +240,6 @@ class Matrix:
         lo, hi = i * self.cols, (i + 1) * self.cols
         return tuple(map(_entry, repeat(self._den), self._re[lo:hi],
                          self._im[lo:hi]))
-
-    def to_lists(self) -> list[list[GaussianRational]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def text_rows(self) -> list[list[str]]:
         """Each row's entries as scalar strings, formatted from storage."""
@@ -587,8 +582,7 @@ def _gauss_jordan_mod(matrix: Matrix, s: int,
     w = 2 * _P.bit_length() + n.bit_length()
     mask, shifts = (1 << w) - 1, range(0, w * n, w)
     residues = [(a + b * s) % _P for a, b in zip(matrix._re, matrix._im)]
-    pending = [sum(map(lshift, residues[i * n:(i + 1) * n], shifts))
-               for i in range(n)]
+    pending = _packed_rows(residues, n, shifts)
     done: list[int] = []
     index, order = list(range(n)), []
     while pending:
@@ -780,10 +774,19 @@ def _null_basis(reduced: Matrix, pivot_cols: Sequence[int],
     ``reduced`` is the rref's nonzero rows at its free columns. The basis
     has one column per free column: its rows at the pivot columns are
     minus ``reduced`` and its rows at the free columns are the identity.
+    Both go straight into one numerator list over ``reduced``'s
+    denominator, one gcd pass in all, because a condition report builds
+    one for every F of index <= 1 (``ginverse._spectral_factors``).
     """
-    return _placed_columns(
-        -reduced.transpose(), pivot_cols,
-        Matrix.identity(len(free_cols)), free_cols).transpose()
+    w, den = len(free_cols), reduced._den
+    size = (len(pivot_cols) + w) * w
+    re, im = [0] * size, [0] * size
+    for t, col in enumerate(pivot_cols):
+        re[col * w:(col + 1) * w] = [-a for a in reduced._re[t * w:(t + 1) * w]]
+        im[col * w:(col + 1) * w] = [-b for b in reduced._im[t * w:(t + 1) * w]]
+    for s, col in enumerate(free_cols):
+        re[col * w + s] = den
+    return _matrix(len(pivot_cols) + w, w, den, re, im)
 
 
 def kernel_basis(matrix: Matrix) -> Matrix:

@@ -110,9 +110,6 @@ class GaussianRational:
     def __neg__(self) -> GaussianRational:
         return GaussianRational._new(-self.re, -self.im)
 
-    def conjugate(self) -> GaussianRational:
-        return GaussianRational._new(self.re, -self.im)
-
     def inverse(self) -> GaussianRational:
         """Multiplicative inverse; raises ZeroDivisionError at zero."""
         norm = self.re * self.re + self.im * self.im

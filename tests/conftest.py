@@ -28,6 +28,11 @@ def mat(rows):
     ])
 
 
+def rows_of(m):
+    """The matrix's entries as a list of row lists, read by ``Matrix.row``."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
 PROJ = [["1", "0"], ["0", "0"]]
 RIGHT_BREAKER = ([["0", "1"], ["0", "0"]], PROJ, "FEF^pi=0")
 LEFT_BREAKER = ([["0", "0"], ["1", "0"]], PROJ, "F^pi EF=0")

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from blockginv import generators, matrices
-from blockginv.generators import Verdict, gen_group_invertible, run_campaign
+from blockginv.generators import Verdict, run_campaign
 from blockginv.ginverse import (
     NotGroupInvertible,
     block_triangular_drazin,
@@ -33,6 +33,7 @@ from paper_forms import (
     thm31_statement,
 )
 from reference_drazin import reference_drazin
+from seeded import gen_group_invertible
 
 CORPUS_TRIALS = 200
 CORPUS_SEED = 20260817

@@ -19,7 +19,7 @@ from blockginv.scalars import parse_scalar
 from blockginv.theorems import (THEOREM_IDS, HypothesisViolated,
                                 block_group_inverse)
 from conftest import (DIGIT_LIMIT_TEMPLATES, REJECTED_SCALARS,
-                      TOO_MANY_DIGITS, mat, rect_matrices, scalars)
+                      TOO_MANY_DIGITS, mat, rect_matrices, rows_of, scalars)
 
 # Ten digits past the int-to-str limit, so a small factor keeps it past.
 _HUGE = 10 ** (sys.get_int_max_str_digits() + 10)
@@ -545,7 +545,7 @@ class TestMatrixToRows:
         for c in factors:  # spreads entries over larger shared denominators
             m = c * m + m
         assert matrix_to_rows(m) == [[str(x) for x in row]
-                                     for row in m.to_lists()]
+                                     for row in rows_of(m)]
 
     @given(rect_matrices(), st.lists(scalars(), max_size=2),
            st.sampled_from([None, (_HUGE, 1, 0, 1), (0, 1, -_HUGE, 1),

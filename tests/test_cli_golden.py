@@ -25,7 +25,7 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
 def _index_two(n: int, seed: int):
     """P J P^-1 with J = diag([[0, 1], [0, 0]], 2 I): Drazin index 2."""
-    from blockginv.generators import gen_invertible
+    from seeded import gen_invertible
     from blockginv.matrices import Matrix, inverse
     from blockginv.scalars import GaussianRational
 
@@ -38,8 +38,9 @@ def _index_two(n: int, seed: int):
 
 def _cases():
     """(name, argv, inputs) for every case; "{X}" in argv names input X."""
-    from blockginv.generators import GenSpec, gen_group_invertible, gen_pair
+    from blockginv.generators import GenSpec, gen_pair
     from blockginv.theorems import RULES
+    from seeded import gen_group_invertible
 
     pair_argv = ["--E", "{E}", "--F", "{F}"]
     e_index_two = _index_two(3, 5)

@@ -12,8 +12,6 @@ from blockginv.generators import (
     GenerationExhausted,
     GenSpec,
     Verdict,
-    gen_group_invertible,
-    gen_invertible,
     gen_pair,
     run_campaign,
     verify_instance,
@@ -24,6 +22,7 @@ from blockginv.matrices import Matrix, rank
 from blockginv.scalars import GaussianRational
 from blockginv.theorems import THEOREM_IDS, check_conditions, rule_for
 from conftest import CONDITION_NAMES, FIRST_STANDING_BREAKERS, holds, mat
+from seeded import gen_group_invertible, gen_invertible
 
 
 class TestBuildingBlocks:
@@ -41,10 +40,6 @@ class TestBuildingBlocks:
             m = gen_group_invertible(3, r, seed=r + 10)
             assert rank(m) == min(r, 3)
             assert drazin(m).index <= 1
-
-    def test_gen_group_invertible_validates_rank(self):
-        with pytest.raises(ValueError):
-            gen_group_invertible(2, 3, seed=0)
 
     def test_zero_size_draws_are_zero_and_use_no_randomness(self):
         # The general paths need no guard: a matrix with a zero dimension

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blockginv import ginverse, matrices
-from blockginv.generators import GenSpec, gen_group_invertible, gen_pair
+from blockginv.generators import GenSpec, gen_pair
 from blockginv.ginverse import (
     NotGroupInvertible,
     block_triangular_drazin,
@@ -19,9 +19,10 @@ from blockginv.ginverse import (
 from blockginv.matrices import Matrix, ShapeMismatch, inverse, rank
 from blockginv.scalars import GaussianRational
 from blockginv.theorems import SHAPE_FOR_THEOREM, BlockShape, assemble_M
-from conftest import (mat, nonzero_scalars, singular_square_matrices,
+from conftest import (mat, nonzero_scalars, rows_of, singular_square_matrices,
                       square_matrices)
 from reference_drazin import reference_drazin
+from seeded import gen_group_invertible
 
 
 class TestDrazinExamples:
@@ -323,7 +324,7 @@ def unit_line_matrices(draw):
     """Singular matrices with some rows or columns cut to one entry."""
     m = draw(singular_square_matrices(min_n=1, max_n=5))
     n = m.rows
-    rows = m.to_lists()
+    rows = rows_of(m)
     for _ in range(draw(st.integers(1, n))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         if draw(st.booleans()):

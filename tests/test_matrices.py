@@ -28,10 +28,12 @@ from conftest import (
     mat,
     nonzero_scalars,
     rect_matrices,
+    rows_of,
     scalars,
     singular_square_matrices,
     square_matrices,
 )
+from seeded import gen_invertible
 
 
 class TestConstruction:
@@ -225,7 +227,7 @@ class TestPackedProduct:
                     # re or im of every entry is +-2n m m_right, the bound.
                     bound = 2 * n * m * m_right
                     assert {abs(x.re) + abs(x.im) for row in
-                            product.to_lists() for x in row} == {bound}
+                            rows_of(product) for x in row} == {bound}
 
     def test_purely_imaginary(self):
         left = mat([["i", "-2i", "0"], ["3i", "1/2i", "-i"]])
@@ -479,7 +481,7 @@ class TestLiftedInverse:
         c = Matrix.from_parts(n, n, [(a, 1, b, 1) for a, b in
                                      zip(*matrices._inverse_mod_p(m))])
         assert [(x.re.numerator % p, x.im.numerator % p)
-                for row in (m * c).to_lists() for x in row] == [
+                for row in rows_of(m * c) for x in row] == [
             (int(i == j), 0) for i in range(n) for j in range(n)]
 
     @given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), st.lists(
@@ -502,6 +504,34 @@ class TestLiftedInverse:
         m = Matrix.from_rows([[p - 1 if j <= i else 0 for j in range(n)]
                               for i in range(n)])
         self.assert_inverse_mod_p(m)
+
+    def test_lifting_abstains_past_the_hadamard_bound(self):
+        # With every reconstruction refused, lifting runs until P^k passes
+        # 2 (den H)^2, H = prod |row of N|^2 for the numerators N = den m,
+        # and abstains there; inverse then takes the FFGJ route.
+        m = gen_invertible(LIFT_FROM, seed=0)
+        expected = by_ffgj(m)
+        den = m._den
+        hadamard = 1
+        for i in range(m.rows):
+            hadamard *= sum((den * x.re) ** 2 + (den * x.im) ** 2
+                            for x in m.row(i))
+        limit = 2 * (den * hadamard) ** 2
+        moduli = []
+
+        def refused(values, modulus, scale):
+            moduli.append(modulus)
+            return None
+
+        with mock.patch.object(matrices, "_rational_parts", refused):
+            assert matrices._lifted_inverse(m) is None
+            steps = len(moduli)
+            assert steps >= 2
+            assert moduli == [matrices._P ** k for k in range(1, steps + 1)]
+            assert moduli[-2] <= limit < moduli[-1]
+            assert inverse(m) == expected
+        assert len(moduli) == 2 * steps
+        assert m * expected == Matrix.identity(LIFT_FROM)
 
     def test_singular_raises_as_before(self):
         rows = [[(i + 2) ** j for j in range(LIFT_FROM)]
@@ -586,9 +616,9 @@ class TestCanonicalForm:
     @given(rect_matrices())
     def test_construction_and_round_trip(self, m):
         assert_canonical(m)
-        again = Matrix.from_rows(m.to_lists())
+        again = Matrix.from_rows(rows_of(m))
         assert again == m and hash(again) == hash(m)
-        assert Matrix(m.rows, m.cols, [x for row in m.to_lists()
+        assert Matrix(m.rows, m.cols, [x for row in rows_of(m)
                                        for x in row]) == m
 
     @given(rect_matrices(), st.data())
@@ -596,7 +626,7 @@ class TestCanonicalForm:
         # Each entry goes in as an int, a Fraction or a GaussianRational,
         # and again as its parts times a nonzero factor, which may be
         # negative, so the denominators are neither reduced nor positive.
-        values = [x for row in m.to_lists() for x in row]
+        values = [x for row in rows_of(m) for x in row]
         entries = [x if x.im else x.re.numerator if x.re.denominator == 1
                    else x.re for x in values]
         factors = data.draw(st.lists(
@@ -627,7 +657,7 @@ class TestCanonicalForm:
         assert_canonical(left)
         assert_canonical(right)
         assert left == right == Matrix.from_rows(
-            [[c * x for x in row] for row in m.to_lists()])
+            [[c * x for x in row] for row in rows_of(m)])
 
     @given(rect_matrices(), st.data())
     def test_reshuffles(self, m, data):
@@ -639,13 +669,13 @@ class TestCanonicalForm:
         c1 = data.draw(st.integers(c0, m.cols))
         part = m.submatrix(r0, r1, c0, c1)
         assert_canonical(part)
-        assert part.to_lists() == [row[c0:c1]
-                                   for row in m.to_lists()[r0:r1]]
+        assert rows_of(part) == [row[c0:c1]
+                                 for row in rows_of(m)[r0:r1]]
         picks = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=4))
         picked = m.columns(picks)
         assert_canonical(picked)
-        assert picked.to_lists() == [[row[c] for c in picks]
-                                     for row in m.to_lists()]
+        assert rows_of(picked) == [[row[c] for c in picks]
+                                   for row in rows_of(m)]
 
     @given(square_pairs(), nonzero_scalars())
     def test_from_blocks(self, pair, c):

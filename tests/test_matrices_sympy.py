@@ -23,7 +23,7 @@ from blockginv.matrices import (Matrix, SingularMatrix, column_space_basis,
                                 inverse, kernel_basis, rank, rref)
 from blockginv.scalars import GaussianRational
 from blockginv.theorems import SHAPE_FOR_THEOREM, assemble_M
-from conftest import mat, nonzero_scalars, scalars
+from conftest import mat, nonzero_scalars, rows_of, scalars
 
 
 def to_qq_i(x: GaussianRational):
@@ -39,7 +39,7 @@ def from_qq_i(x) -> GaussianRational:
 
 
 def to_sympy(m: Matrix) -> DomainMatrix:
-    return DomainMatrix([[to_qq_i(x) for x in row] for row in m.to_lists()],
+    return DomainMatrix([[to_qq_i(x) for x in row] for row in rows_of(m)],
                         m.shape, QQ_I)
 
 
@@ -206,7 +206,7 @@ def swapped_invertibles(draw):
     entries = [draw(nonzero_scalars()) if j == i else
                draw(scalars()) if j > i else GaussianRational(0)
                for i in range(n) for j in range(n)]
-    rows = Matrix(n, n, entries).to_lists()
+    rows = rows_of(Matrix(n, n, entries))
     return Matrix.from_rows(rows[1:] + rows[:1])
 
 
@@ -286,7 +286,7 @@ def test_unlucky_prime_matrices_stay_exact(m):
 def _entry_bits(m: Matrix) -> int:
     return max(
         max(abs(q.numerator).bit_length(), q.denominator.bit_length())
-        for x in m.to_lists() for y in x for q in (y.re, y.im)
+        for x in rows_of(m) for y in x for q in (y.re, y.im)
     )
 
 

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import blockginv
+from blockginv.ginverse import DrazinResult
 
 SRC = Path(blockginv.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -74,6 +75,29 @@ def test_only_matrices_names_the_certificate():
               for node in ast.walk(trees["matrices.py"])
               if isinstance(node, ast.FunctionDef) and node.name != "rref"
               and naming(node)]
+    assert found == []
+
+
+def test_only_drazin_result_writes_its_private_fields():
+    # drazin caches its results, so one DrazinResult is shared by every
+    # caller; none but its own methods may write a private field, and then
+    # only its lazy T^pi changes after construction. A write is a store or
+    # delete of the attribute, or the name as a string, as setattr takes it.
+    private = {name for name in DrazinResult.__slots__
+               if name.startswith("_")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name == "DrazinResult"
+               for node in ast.walk(cls)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree) if id(node) not in own
+            and (isinstance(node, ast.Attribute) and node.attr in private
+                 and not isinstance(node.ctx, ast.Load)
+                 or isinstance(node, ast.Constant) and node.value in private)
+        ]
     assert found == []
 
 

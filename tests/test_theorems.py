@@ -783,6 +783,27 @@ class TestBlockReport:
             assert result.report == check_conditions(e, f, theorem)
 
 
+class TestHashing:
+    def test_equal_conditions_hash_equal_formed_or_deferred(self):
+        residual = mat([["1", "i"], ["0", "2/3"]])
+        lam = GaussianRational(Fraction(1, 2), -1)
+        formed = Condition("EF=lambda FE", False, residual, lam)
+        deferred = Condition("EF=lambda FE", False,
+                             lambda: mat([["1", "i"], ["0", "2/3"]]), lam)
+        assert formed == deferred
+        assert hash(formed) == hash(deferred)
+        assert len({formed, deferred}) == 1
+
+    @pytest.mark.parametrize("theorem", ["thm2.1", "cor2.5"])
+    def test_reports_are_hashable(self, theorem):
+        e, f = gen_pair(GenSpec(theorem, 3, 1, False, seed=17))
+        report = check_conditions(e, f, theorem)
+        again = check_conditions(e, f, theorem)
+        assert report == again
+        assert hash(report) == hash(again)
+        assert len({report, again}) == 1
+
+
 class TestAssemblyAndDispatch:
     def test_layouts(self):
         e, f = mat([["2"]]), mat([["3"]])
