@@ -86,6 +86,10 @@ class ShapeMismatch(ValueError):
             f"{op}: shapes {left[0]}x{left[1]} and {right[0]}x{right[1]} do not fit"
         )
 
+    def __reduce__(self):
+        # Rebuilt from the formatted message, past __init__.
+        return BaseException.__new__, (type(self), *self.args), self.__dict__
+
 
 def _require_square(matrix: Matrix, op: str) -> None:
     if not matrix.is_square:
@@ -199,16 +203,12 @@ class Matrix:
         widths = [b.cols for b in grid[0]]
         for block_row in grid:
             if [b.cols for b in block_row] != widths:
-                raise ShapeMismatch(
-                    "from_blocks", (block_row[0].rows, block_row[0].cols),
-                    (grid[0][0].rows, grid[0][0].cols),
-                )
+                raise ShapeMismatch("from_blocks", block_row[0].shape,
+                                    grid[0][0].shape)
             height = block_row[0].rows
             for b in block_row:
                 if b.rows != height:
-                    raise ShapeMismatch(
-                        "from_blocks", (height, b.cols), (b.rows, b.cols)
-                    )
+                    raise ShapeMismatch("from_blocks", (height, b.cols), b.shape)
         den = lcm(*(b._den for block_row in grid for b in block_row))
         re: list[int] = []
         im: list[int] = []
@@ -237,6 +237,8 @@ class Matrix:
         return _entry(self._den, self._re[k], self._im[k])
 
     def row(self, i: int) -> tuple[GaussianRational, ...]:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside {self.rows}x{self.cols}")
         lo, hi = i * self.cols, (i + 1) * self.cols
         return tuple(map(_entry, repeat(self._den), self._re[lo:hi],
                          self._im[lo:hi]))

@@ -37,6 +37,10 @@ class ScalarParseError(ValueError):
         super().__init__(f"{message} (offset {offset})")
         self.offset = offset
 
+    def __reduce__(self):
+        # Rebuilt from the formatted message, past __init__.
+        return BaseException.__new__, (type(self), *self.args), self.__dict__
+
 
 def _operators(op):
     """The forward and reflected methods of the binary operation op(a, b).

@@ -32,30 +32,18 @@ Every hypothesis is one name; the commutation either/or is the one
 hypothesis "EF=lambda FE or EF^2=FEF", reported as its two laws.
 
 In the kernel's orientation the pair is split when F has index <= 1 and
-F E F^pi = 0, which makes range(F^pi) E-invariant; on a split pair no
-rule needs drazin(E). The kernel inputs and residuals on E's Drazin data
-are those of T = E F^pi: E^D F^pi = T^D and E^pi F^pi = S =
-F^pi + T^pi - I. T is never formed. For F of index <= 1, F^pi = G H with
-H G = I_q, q = n - rank(F), read off the rref of F's own first Cline
-step, and T = (E G) H has its Drazin data from the q x q matrix
-W = H E G, by Cline's (BC)^D = B ((CB)^D)^2 C. ``_report`` is the one
-reader of Drazin data here: it calls drazin once on F and, when F is
-group invertible and a verdict or the kernel reads W, once on W, and
-decides each hypothesis from indices and n x q products (see
-``_evaluate``). cor3.3's and cor3.4's hypotheses never read W, so their
-reports form no W, and cor3.4's no E G, until the kernel runs.
-F E F^pi = 0 iff F E G = 0, so the constraint's verdict is
-``_Oriented.split``. On a split pair
-E^pi F^pi = 0 iff W has index 0, and E E^pi F^pi = 0 iff W has index
-<= 1, whichever of the rule's other hypotheses fail; on any other pair
-they are decided from drazin(E). Each verdict is thus a function of the
-kernel-oriented pair alone, not of the order of the hypotheses. For F of
-index >= 2 the constraint's residual is F (E F^pi), formed; nothing
-reads W. "E group-invertible" is decided by drazin_index(E). A held
-hypothesis has the zero residual, and every other residual is formed
-when it is read. The kernel inputs T^D and S are formed only when the
-kernel runs, on a split pair, so ``block_group_inverse`` only raises or
-runs the kernel.
+F E F^pi = 0. On a split pair no rule needs drazin(E): every kernel input
+and residual on E's Drazin data comes from a q x q matrix W,
+q = n - rank(F), as ``_Oriented`` sets out. ``_report`` is the one reader
+of Drazin data here: it calls drazin once on F and, when F is group
+invertible and a verdict or the kernel reads W, once on W. cor3.3's and
+cor3.4's hypotheses never read W, so their reports form no W, and
+cor3.4's no E G, until the kernel runs. Each verdict is a function of the
+kernel-oriented pair alone, not of the order of the hypotheses (see
+``_evaluate``). A held hypothesis has the zero residual, and every other
+residual is formed when it is read. The kernel inputs are formed only
+when the kernel runs, on a split pair, so ``block_group_inverse`` only
+raises or runs the kernel.
 
 Each kernel forms E F# once, so they take three, four and five n x n
 products. Theorem 3.1's blocks follow from Meyer and Rose's block
@@ -92,8 +80,8 @@ class HypothesisViolated(ArithmeticError):
     """A standing hypothesis of a closed-form rule does not hold.
 
     The rule makes no claim either way in this case. ``condition`` names the
-    failed hypothesis; ``residual``, a matrix that would be zero if it held,
-    is the report's failing residual, formed on first read.
+    failed hypothesis, and ``report.first_failure.residual`` is a matrix
+    that would be zero if it held, formed on first read.
     """
 
     def __init__(self, condition: str, report: ConditionReport | None = None):
@@ -101,11 +89,9 @@ class HypothesisViolated(ArithmeticError):
         self.condition = condition
         self.report = report
 
-    @property
-    def residual(self) -> Matrix | None:
-        if self.report is None or self.report.first_failure is None:
-            return None
-        return self.report.first_failure.residual
+    def __reduce__(self):
+        # Rebuilt from the formatted message, past __init__.
+        return BaseException.__new__, (type(self), *self.args), self.__dict__
 
 
 class Condition:
@@ -228,18 +214,28 @@ def _commutation(e: Matrix, f: Matrix) -> tuple[Condition, Condition]:
 class _Oriented:
     """A kernel-oriented pair (E, F) and the Drazin data its rule reads.
 
-    For F of index <= 1, F^pi = G H with H G = I, G n x q and H q x n
-    (``_spectral_factors``), so T = E F^pi = (E G) H and Cline's identity
-    gives T's Drazin data from the q x q matrix W = H E G:
-    T^D = E G (W^D)^2 H. drazin runs on F and W, never on T.
+    The split-pair algebra is written here once; the module docstring and
+    ``_evaluate`` point to it. For F of index <= 1, F^pi = G H with H G = I_q, G n x q and H q x n,
+    q = n - rank(F), read off the rref of F's own first Cline step
+    (``_spectral_factors``). T = E F^pi = (E G) H is never formed: by
+    Cline's (BC)^D = B ((CB)^D)^2 C its Drazin data come from the q x q
+    matrix W = H E G, so drazin runs on F and W, never on T.
 
     The pair is split when F has index <= 1 and F E G = 0, H having full
     row rank, that is F E F^pi = 0. Then range(G) = null(F) is
     E-invariant: E G = G W, and in the basis that splits F, E is
-    [[A, 0], [X, D]] with D similar to W. ``split`` is decided on first
-    read, from the one n x q product F E G, which it keeps as ``feg``.
-    E G, ``eg``, and W's Drazin data, ``dw``, are likewise formed on first
-    read, so a report whose verdicts never read W forms no W.
+    [[A, 0], [X, D]] with D similar to W. E^pi, a polynomial in E, acts on
+    range(G) as W^pi, so
+
+        E^D F^pi    = T^D = G W^D H
+        E^pi F^pi   = G W^pi H = (G - E G W^D) H
+        E E^pi F^pi = E G W^pi H
+
+    and E^pi F^pi = 0 iff W has index 0, E E^pi F^pi = 0 iff W has index
+    <= 1. ``split`` is decided on first read, from the one n x q product
+    F E G, which it keeps as ``feg``. E G, ``eg``, and W's Drazin data,
+    ``dw``, are likewise formed on first read, so a report whose verdicts
+    never read W forms no W.
     """
 
     def __init__(self, e: Matrix, f: Matrix):
@@ -264,16 +260,17 @@ class _Oriented:
     def split(self) -> bool:
         return self.df.index <= 1 and self.feg.is_zero()
 
-    def kernel_inputs(self) -> tuple[Matrix, ...]:
-        """(E, F#, F^pi, T^D, S) on a split pair.
+    @property
+    def e_pi_f_pi(self) -> Matrix:
+        """E^pi F^pi on a split pair: zero with no product when W is
+        invertible, (G - E G W^D) H otherwise."""
+        return (Matrix.zeros(*self.e.shape) if self.dw.index == 0
+                else (self.g - self.eg * self.dw.drazin) * self.h)
 
-        There E G = G W, so T^D = G W^D H and
-        S = E^pi F^pi = (G - E G W^D) H, which is 0 when W is invertible.
-        """
-        n, w_d = self.e.rows, self.dw.drazin
-        side = (Matrix.zeros(n, n) if self.dw.index == 0
-                else (self.g - self.eg * w_d) * self.h)
-        return self.e, self.df.drazin, self.f_pi, self.g * w_d * self.h, side
+    def kernel_inputs(self) -> tuple[Matrix, ...]:
+        """(E, F#, F^pi, E^D F^pi, E^pi F^pi) on a split pair."""
+        return (self.e, self.df.drazin, self.f_pi,
+                self.g * self.dw.drazin * self.h, self.e_pi_f_pi)
 
 
 def _evaluate(hypothesis: str, pair: _Oriented
@@ -283,11 +280,9 @@ def _evaluate(hypothesis: str, pair: _Oriented
 
     The one-sided constraint F E F^pi = 0 holds iff the pair is split; its
     residual F T is F E G H for F of index <= 1 and is formed otherwise.
-    On a split pair E^pi, a polynomial in E, acts on range(G) as W^pi, so
-    E^pi F^pi = G W^pi H vanishes iff W has index 0, and E E^pi F^pi =
-    G W W^pi H iff W has index <= 1; their residuals,
-    (G - E G W^D) H and E G W^pi H, are formed only when read. On any
-    other pair E^pi F^pi comes from drazin(E).
+    On a split pair E^pi F^pi and E E^pi F^pi are decided from W's index
+    and their residuals formed as ``_Oriented`` sets out, only when read;
+    on any other pair they come from drazin(E).
     """
     e, f, f_pi = pair.e, pair.f, pair.f_pi
     # Index <= 1 is exactly when F F^pi (E E^pi) vanishes.
@@ -303,12 +298,10 @@ def _evaluate(hypothesis: str, pair: _Oriented
         return ft.is_zero(), lambda: ft
     e_pi_f_pi = hypothesis in ("E^pi F^pi=0", "F^pi E^pi=0")
     if pair.split:
-        dw = pair.dw
         if e_pi_f_pi:
-            return (dw.index == 0,
-                    lambda: (pair.g - pair.eg * dw.drazin) * pair.h)
-        return (dw.index <= 1,
-                lambda: pair.eg * dw.spectral_idempotent * pair.h)
+            return pair.dw.index == 0, lambda: pair.e_pi_f_pi
+        return (pair.dw.index <= 1,
+                lambda: pair.eg * pair.dw.spectral_idempotent * pair.h)
     s = drazin(e).spectral_idempotent * f_pi
     residual = s if e_pi_f_pi else e * s
     return residual.is_zero(), lambda: residual

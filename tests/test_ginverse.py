@@ -113,6 +113,17 @@ class TestDrazinExamples:
             assert str(info.value) == f"{op}: shapes 1x2 and 1x2 do not fit"
 
 
+class TestDrazinResult:
+    def test_unequal_to_other_types_without_raising(self):
+        result = drazin(mat([["2"]]))
+        assert result != mat([["1/2"]])
+        assert result != (mat([["1/2"]]), 0)
+
+    def test_repr(self):
+        assert repr(drazin(mat([["0", "1"], ["0", "0"]]))) == \
+            "DrazinResult(Matrix(2x2 [0, 0; 0, 0]), 2)"
+
+
 class TestGroupInverse:
     def test_exists_at_index_one(self):
         assert group_inverse(mat([["1/2", "0"], ["0", "0"]])) == \

@@ -115,6 +115,28 @@ class TestConstruction:
         with pytest.raises(IndexError):
             m[1, 0]
 
+    @pytest.mark.parametrize("i", [-1, 1, 5])
+    def test_row_bounds(self, i):
+        m = mat([["1", "2"]])
+        assert m.row(0) == (GaussianRational(1), GaussianRational(2))
+        with pytest.raises(IndexError):
+            m.row(i)
+
+    @pytest.mark.parametrize("combine", [
+        lambda m: m + 1,
+        lambda m: m * "x",
+        lambda m: "x" * m,
+    ], ids=["add int", "mul str", "rmul str"])
+    def test_unsupported_operands_raise_type_error(self, combine):
+        # _sum and _scaled return NotImplemented, so Python raises.
+        with pytest.raises(TypeError):
+            combine(mat([["1", "2"]]))
+
+    def test_repr(self):
+        assert repr(mat([["1", "i"], ["-1/2", "0"]])) == \
+            "Matrix(2x2 [1, i; -1/2, 0])"
+        assert repr(Matrix.zeros(0, 3)) == "Matrix(0x3 [])"
+
     @pytest.mark.parametrize("take", [
         lambda m: m.pick([0], [3]),
         lambda m: m.pick([-1], [0]),

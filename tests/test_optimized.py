@@ -78,6 +78,42 @@ def test_only_matrices_names_the_certificate():
     assert found == []
 
 
+def test_modules_import_no_other_private_names():
+    # A module's private name is its own decision; these imports are the
+    # only ones across module lines. A relative import of a module, as in
+    # "from . import matrices", may not reach past its public names either.
+    allowed = {
+        ("ginverse", "matrices", "_null_basis"),
+        ("ginverse", "matrices", "_placed_columns"),
+        ("ginverse", "matrices", "_require_square"),
+        ("ginverse", "matrices", "_single_entry_lines"),
+        ("theorems", "ginverse", "_spectral_factors"),
+    }
+    modules = {path.stem for path in SRC.glob("*.py")}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = (node.module or "").removeprefix("blockginv.")
+            for alias in node.names:
+                if node.level and not node.module or source == "blockginv":
+                    imported[alias.asname or alias.name] = alias.name
+                elif source in modules and alias.name.startswith("_"):
+                    found.add((path.stem, source, alias.name))
+        found |= {
+            (path.stem, imported[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and isinstance(node.value, ast.Name)
+            and node.value.id in imported
+        }
+    assert found == allowed
+
+
 def test_only_drazin_result_writes_its_private_fields():
     # drazin caches its results, so one DrazinResult is shared by every
     # caller; none but its own methods may write a private field, and then

@@ -123,6 +123,12 @@ class TestRendering:
     def test_str(self, scalar, text):
         assert str(scalar) == text
 
+    def test_repr_evaluates_back(self):
+        value = GaussianRational(Fraction(-3, 4), 2)
+        assert repr(value) == \
+            "GaussianRational(Fraction(-3, 4), Fraction(2, 1))"
+        assert eval(repr(value)) == value
+
     @pytest.mark.parametrize("parts, text", [
         ((2, 4, 0, 3), "1/2"),
         ((0, 5, -6, 4), "-3/2i"),

@@ -115,7 +115,8 @@ class TestThm21:
         with pytest.raises(HypothesisViolated) as info:
             block_group_inverse("thm2.1", e, f)
         assert info.value.condition == "FEF^pi=0"
-        assert info.value.residual == mat([["0", "1"], ["0", "0"]])
+        assert info.value.report.first_failure.residual == mat(
+            [["0", "1"], ["0", "0"]])
 
     def test_refuses_when_f_not_group_invertible(self):
         f = mat([["0", "1"], ["0", "0"]])
@@ -607,7 +608,7 @@ class TestFailuresNameTheRulesOwnCondition:
         else:
             assert first.name == name
         assert not first.holds
-        assert info.value.residual == first.residual
+        assert info.value.report.first_failure.residual == first.residual
 
 
 def _pairs_of_one_size():
@@ -802,6 +803,20 @@ class TestHashing:
         assert report == again
         assert hash(report) == hash(again)
         assert len({report, again}) == 1
+
+
+class TestConditionValue:
+    def test_unequal_to_other_types_without_raising(self):
+        condition = Condition("FEF^pi=0", True, mat([["0"]]))
+        assert condition != ("FEF^pi=0", True, mat([["0"]]), None)
+        assert condition != mat([["0"]])
+
+    def test_repr_forms_the_residual(self):
+        condition = Condition("EF=lambda FE", True, lambda: mat([["0"]]),
+                              GaussianRational(2))
+        assert repr(condition) == (
+            "Condition('EF=lambda FE', True, Matrix(1x1 [0]), "
+            "GaussianRational(Fraction(2, 1), Fraction(0, 1)))")
 
 
 class TestAssemblyAndDispatch:
