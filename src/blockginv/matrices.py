@@ -35,26 +35,42 @@ is canonical, and the fraction-free divisions are exact in any row order.
 Modulo a fixed prime P = 1 (mod 4), i goes to S or to -S, S^2 = -1 mod P,
 and one Gauss-Jordan routine, ``_gauss_jordan_mod``, eliminates either
 image of the numerators; it packs each row into one int, so a step costs
-one int product per row. ``rref`` skips FFGJ on a square matrix that
-``_certainly_invertible``, that routine's forward elimination under
-i -> S, proves invertible; no other function asks it. From ``_LIFT_FROM``
-rows up ``inverse`` lifts p-adically (Dixon): the same routine inverts
-both images, which recombine to C = N^-1 mod P for the Z[i] numerators
-N, and each step takes Y = C R mod P and R' = (R - N Y) / P from R = I,
-so after k steps X = sum P^j Y_j has N X = I mod P^k. Each real and
-imaginary part of the inverse is read back from X as a fraction, over
-one running denominator D (rational reconstruction), and the candidate
-U / D is returned only when the one exact product N U = den D I holds;
-no answer rests on P. When N is singular mod P, or lifting reaches the
-Hadamard bound with nothing certified, FFGJ runs instead, so ``inverse``
-decides nothing about rank mod P and a singular matrix raises from FFGJ.
-Lifting costs in proportion to the inverse's size and FFGJ to that of
-its minors, which grow far past it; but lifting has a fixed cost of two
-eliminations mod P and two products a step, so it pays only from 9 x 9
-up. FFGJ time over lifting time, on every ``inverse`` input of one round
-of the benchmark's three workloads at seeds 0 and 1 (README): 0.68 at
-6 x 6, 0.91 at 7, 1.01 at 8, 1.15 at 9, 1.21 at 10, 1.81 at 11, 1.66 at
-12, 2.40 at 14 and 2.95 at 15 x 15.
+one int product per row. Below ``_LIFT_FROM`` rows ``rref`` skips FFGJ
+on a square matrix that ``_certainly_invertible``, that routine's forward
+elimination under i -> S, proves invertible; no other function asks it.
+From ``_LIFT_FROM`` rows up ``inverse`` and ``rref`` lift p-adically
+(Dixon) through one loop, ``_lifted_solve``, for N X = B with N and B
+Gaussian-integer numerators: the two images of N^-1 mod P recombine to
+C = N^-1 mod P, and each step takes Y = C R mod P and R' = (R - N Y) / P
+from R = B, so after k steps X = sum P^j Y_j has N X = B mod P^k. Each
+real and imaginary part of X is read back as a fraction, over one running
+denominator D (rational reconstruction), and the caller takes a candidate
+U / D only after an exact product; no answer rests on P. ``inverse``
+takes B = I and checks N U = den D I. ``rref`` of M runs the routine's
+Gauss-Jordan under i -> S, which passes over a column with no pivot and
+gives the pivot rows I and columns J, r of each, with the image of N^-1
+for N = M[I, J]; it solves for B = M[I, F], F the free columns, and
+checks that U is zero at every free column left of its row's pivot and
+that M[:, J] U = D M[:, F] over all rows. That is enough in three steps:
+det N != 0 mod P gives rank M >= r; the product puts every column of M in
+the span of its columns J, so rank M <= r and M = M[:, J] [I | X] has the
+row space of [I | X]; and the zeros make [I | X] a reduced echelon form,
+unique for its row space, so it is the rref. With every column pivoted,
+R is I over zero rows at once. When N is singular mod P under either
+image, no column pivots mod P, lifting reaches the Hadamard bound with
+nothing certified, or a check fails, FFGJ runs instead, so neither
+function decides anything about rank mod P, and a singular matrix raises
+from FFGJ in ``inverse``. Lifting costs in proportion to its output and
+FFGJ to its minors, which grow far past it; but lifting has a fixed cost
+of the eliminations mod P and two products a step, so it pays only from
+9 rows up. FFGJ time over lifting time, on every input of one round of
+the benchmark's three workloads at seeds 0 and 1 (README): for
+``inverse``, 0.68 at 6 x 6, 0.91 at 7, 1.01 at 8, 1.15 at 9, 1.21 at 10,
+1.81 at 11, 1.66 at 12, 2.40 at 14 and 2.95 at 15 x 15; for ``rref``,
+with the certificate counted on the FFGJ side, 0.95 at 8 rows (not
+lifted), 1.01 at 9, 1.00 at 10, 0.97 at 11, 1.21 at 12 and 2.65 at
+16 x 16, where the singular inputs gain and those of full rank, which
+pay a whole Gauss-Jordan mod P against a forward one, read 0.55-0.59.
 
 References: FLINT's fmpq_mat (https://flintlib.org/doc/fmpq_mat.html);
 E. H. Bareiss, Math. Comp. 22 (1968); G. C. Nakos, P. R. Turner and
@@ -71,7 +87,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, isqrt, lcm
 from operator import add, lshift, mul, or_, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .scalars import GaussianRational, scalar_text
 
@@ -552,64 +568,81 @@ def _gauss_jordan(rows: list[_ZiVector], width: int,
 _P, _S = 2305843009213693921, 583529827753931384
 _HALF, _HALF_OVER_S = (_P + 1) // 2, pow(2 * _S, -1, _P)
 
-# ``inverse`` lifts from this many rows up; the measurements behind it are in
-# the module docstring.
+# ``rref`` and ``inverse`` lift from this many rows up; the measurements
+# behind it are in the module docstring.
 _LIFT_FROM = 9
 
 
-def _gauss_jordan_mod(matrix: Matrix, s: int,
-                      invert: bool) -> list[int] | None:
-    """Gauss-Jordan mod P on a square matrix's numerators, with i -> s.
+def _gauss_jordan_mod(
+        matrix: Matrix, s: int, invert: bool
+) -> list[int] | tuple[list[int], list[int], list[int]] | None:
+    """Gauss-Jordan mod P on a matrix's numerators, with i -> s.
 
-    None when a column has no pivot, which proves nothing over Q(i): the
-    determinant can vanish mod an unlucky P. Without invert only the rows
-    below each pivot are reduced, a forward elimination that only says
-    every pivot exists, and the result is []. To invert, every row is
-    reduced, and the result is the inverse, row-major.
+    Without invert, on a square matrix, only the rows below each pivot are
+    reduced, a forward elimination that says only whether every pivot
+    exists: the result is None at the first column with no pivot, which
+    proves nothing over Q(i), since the determinant can vanish mod an
+    unlucky P, and [] otherwise. To invert, on any shape, every row is
+    reduced and a column with no pivot is passed over. The result is
+    (rows, cols, inverse): the input row and the column of each pivot in
+    turn, and, row-major, the inverse of N = M[rows, cols] mod P for the
+    numerators M.
 
     Rows are compact and packed: row r is one int of w-bit slots, and
-    each step shifts out its pivoted slot and adds f_r times the negated
+    each step shifts out its column's slot and adds f_r times the negated
     pivot row, f_r being its lead, one int product per row. The pivot row
     alone is read back, reduced mod P and divided by its lead. A slot
-    starts below P and grows by at most (P - 1) P in each of at most n - 1
-    steps, so it stays below n P^2, within w = 2 log P + log n bits, and
-    only the leads, the pivot rows and the result are reduced. To invert,
-    the step that pivots on a row appends that row's identity column in
-    the top slot (1/lead in the pivot row, minus the cleared multiple
-    elsewhere), so the t-th pivot row ends as row t of the inverse with
-    its slot j in column order[j]; the slots are read back in column
-    order.
+    starts below P and grows by at most (P - 1) P in each of at most h - 1
+    steps for h rows, so it stays below h P^2, within w = 2 log P + log h
+    bits, and only the leads, the pivot rows and the result are reduced.
+    To invert, the step that pivots on a row appends that row's identity
+    column in the top slot (1/lead in the pivot row, minus the cleared
+    multiple elsewhere), and a column with no pivot is shifted out of
+    every row. Only pivot rows are ever added to a pivot row, so the t-th
+    pivot row ends as row t of N^-1, its slot j in the column of the j-th
+    pivot row.
     """
-    n = matrix.rows
-    w = 2 * _P.bit_length() + n.bit_length()
-    mask, shifts = (1 << w) - 1, range(0, w * n, w)
+    height, width = matrix.rows, matrix.cols
+    w = 2 * _P.bit_length() + height.bit_length()
+    mask, shifts = (1 << w) - 1, range(0, w * width, w)
     residues = [(a + b * s) % _P for a, b in zip(matrix._re, matrix._im)]
-    pending = _packed_rows(residues, n, shifts)
+    pending = _packed_rows(residues, width, shifts)
     done: list[int] = []
-    index, order = list(range(n)), []
-    while pending:
+    index, order, pivot_cols = list(range(height)), [], []
+    length = width
+    for col in range(width):
         leads = [(row & mask) % _P for row in pending]
         lead = next(filter(None, leads), 0)
         if not lead:
-            return None
+            if not invert:
+                return None
+            pending = [row >> w for row in pending]
+            done = [row >> w for row in done]
+            length -= 1
+            continue
         k = leads.index(lead)
         top = pending.pop(k)
         del leads[k]
         if not (pending or invert):
             return []
         inv = pow(lead, -1, _P)
-        pivot = [(top >> t & mask) * inv % _P
-                 for t in shifts[1:n if invert else len(leads) + 1]]
+        pivot = [(top >> t & mask) * inv % _P for t in shifts[1:length]]
         if invert:
             pivot.append(inv)
+            order.append(index.pop(k))
+            pivot_cols.append(col)
+        else:
+            length -= 1
         negated = sum(map(lshift, [_P - y for y in pivot], shifts))
         pending = [(row >> w) + f * negated for row, f in zip(pending, leads)]
         if invert:
             done = [(row >> w) + (row & mask) % _P * negated for row in done]
             done.append(sum(map(lshift, pivot, shifts)))
-            order.append(index.pop(k))
-    slots = [shifts[j] for j in sorted(range(n), key=order.__getitem__)]
-    return [(row >> t & mask) % _P for row in done for t in slots]
+    if not invert:
+        return []
+    slots = shifts[:len(pivot_cols)]
+    return order, pivot_cols, [(row >> t & mask) % _P for row in done
+                               for t in slots]
 
 
 def _certainly_invertible(matrix: Matrix) -> bool:
@@ -621,42 +654,115 @@ def _certainly_invertible(matrix: Matrix) -> bool:
     return _gauss_jordan_mod(matrix, _S, False) is not None
 
 
-def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
+def _echelon_form(height: int, width: int, pivot_cols: Sequence[int],
+                  den: int, rows: Iterable[_ZiVector]) -> Matrix:
+    """The height x width rref over den: den at pivot t's column in row t,
+    and row t's free columns from the t-th of rows; zero below."""
+    free = [c for c in range(width) if c not in pivot_cols]
+    re, im = [0] * (height * width), [0] * (height * width)
+    for t, (pivot_col, (row_re, row_im)) in enumerate(zip(pivot_cols, rows)):
+        re[t * width + pivot_col] = den
+        for col, a, b in zip(free, row_re, row_im):
+            re[t * width + col], im[t * width + col] = a, b
+    return _matrix(height, width, den, re, im)
 
-    Returns (R, rank, pivot_columns); R = I when the certificate proves a
-    square matrix invertible. Otherwise each column pivots on the smallest
-    candidate row (``_bits``), which only sets the cost: R is unique. Each
-    pivot ends equal to the last, d, and R is the final rows over d.
+
+def _lifted_rref(matrix: Matrix
+                 ) -> tuple[Matrix, int, tuple[int, ...]] | None:
+    """The rref by lifting, or None to fall back to FFGJ.
+
+    ``rref`` sets out the route and why its two checks suffice. With every
+    column pivoted mod P, M has full column rank and R is I over zero
+    rows. The numerators stand in for M: both checks are free of den.
     """
     height, width = matrix.rows, matrix.cols
-    if matrix.is_square and _certainly_invertible(matrix):
+    pivot_rows, pivot_cols, image = _gauss_jordan_mod(matrix, _S, True)
+    r = len(pivot_cols)
+    if r == width:
+        return (_echelon_form(height, width, pivot_cols, 1, repeat(((), ()))),
+                r, tuple(pivot_cols))
+    if not r:
+        return None
+    free = [c for c in range(width) if c not in pivot_cols]
+    f = len(free)
+    numerators = _matrix(height, width, 1, matrix._re, matrix._im)
+    left, right = numerators.columns(pivot_cols), numerators.columns(free)
+    core = numerators.pick(pivot_rows, pivot_cols)
+    solutions = _lifted_solve(core, numerators.pick(pivot_rows, free), 1,
+                              _inverse_mod_p(core, image))
+    for u, d in solutions:
+        rows = [(u._re[t * f:(t + 1) * f], u._im[t * f:(t + 1) * f])
+                for t in range(r)]
+        if any(any(a[:col - t]) or any(b[:col - t])
+               for t, (col, (a, b)) in enumerate(zip(pivot_cols, rows))):
+            continue
+        if _product(left, u) == d * right:
+            return (_echelon_form(height, width, pivot_cols, d, rows), r,
+                    tuple(pivot_cols))
+    return None
+
+
+def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
+    """Reduced row echelon form: (R, rank, pivot_columns).
+
+    A matrix with no rows or no columns has rank 0 at once. From
+    ``_LIFT_FROM`` rows up R comes by lifting (``_lifted_rref``): Gauss-
+    Jordan mod P gives r pivots at rows I and columns J, and lifting
+    solves M[I, J] X = M[I, F] for the free columns F. R = [I | X] is
+    returned only when X is zero at every free column left of its row's
+    pivot and M[:, J] X = M[:, F] holds over all rows, and R is then the
+    rref: (1) det M[I, J] != 0 mod P gives rank M >= r; (2) the product
+    gives rank M <= r, and M = M[:, J] R has the row space of R; (3) the
+    zeros make R a reduced echelon form, unique for its row space.
+    Below the cutoff R = I when the certificate proves a square matrix
+    invertible. Otherwise, or when lifting abstains, fraction-free
+    Gauss-Jordan (FFGJ) pivots each column on the smallest candidate row
+    (``_bits``), which only sets the cost: R is unique. Each pivot ends
+    equal to the last, d, and R is the final rows over d.
+    """
+    height, width = matrix.rows, matrix.cols
+    if not (height and width):
+        return Matrix.zeros(height, width), 0, ()
+    if height >= _LIFT_FROM:
+        lifted = _lifted_rref(matrix)
+        if lifted is not None:
+            return lifted
+    elif matrix.is_square and _certainly_invertible(matrix):
         return Matrix.identity(height), height, tuple(range(height))
     rows = _integer_rows(matrix)[0]
     pivot_cols, d, _ = _gauss_jordan(rows, width, False)
-    free = [c for c in range(width) if c not in pivot_cols]
     norm = d[0] * d[0] + d[1] * d[1]
-    re, im = [0] * (height * width), [0] * (height * width)
-    for t, (row, pivot_col) in enumerate(zip(rows, pivot_cols)):
-        re[t * width + pivot_col] = norm
-        for col, a, b in zip(free, *_times_conj(row, d)):
-            re[t * width + col], im[t * width + col] = a, b
-    return (_matrix(height, width, norm, re, im), len(pivot_cols),
-            tuple(pivot_cols))
+    reduced = _echelon_form(height, width, pivot_cols, norm,
+                            (_times_conj(row, d) for row in rows))
+    return reduced, len(pivot_cols), tuple(pivot_cols)
 
 
 def rank(matrix: Matrix) -> int:
-    """Rank: the number of pivots ``rref`` finds, full if it certifies."""
+    """Rank: the number of pivots ``rref`` finds."""
     return rref(matrix)[1]
 
 
-def _inverse_mod_p(matrix: Matrix) -> tuple[list[int], list[int]] | None:
-    """N^-1 mod P for the numerators N, as row-major residue lists of its
-    real and imaginary parts; None when N is singular mod P."""
-    images = [_gauss_jordan_mod(matrix, s, True) for s in (_S, _P - _S)]
-    if None in images:
+def _inverse_image(matrix: Matrix, s: int) -> list[int] | None:
+    """The square numerators' inverse mod P under i -> s, row-major; None
+    when they are singular mod P."""
+    rows, cols, inv = _gauss_jordan_mod(matrix, s, True)
+    n = matrix.rows
+    if len(cols) < n:
         return None
-    u, v = images
+    # Slot k holds the column of the k-th pivot row, rows[k].
+    slots = sorted(range(n), key=rows.__getitem__)
+    return [inv[i + k] for i in range(0, n * n, n) for k in slots]
+
+
+def _inverse_mod_p(matrix: Matrix, image: list[int] | None = None
+                   ) -> tuple[list[int], list[int]] | None:
+    """N^-1 mod P for the numerators N, as row-major residue lists of its
+    real and imaginary parts; None when N is singular mod P. ``image`` is
+    N^-1 under i -> S when the caller has it already."""
+    u = _inverse_image(matrix, _S) if image is None else image
+    v = None if u is None else _inverse_image(matrix, _P - _S)
+    if v is None:
+        return None
     return ([(x + y) * _HALF % _P for x, y in zip(u, v)],
             [(x - y) * _HALF_OVER_S % _P for x, y in zip(u, v)])
 
@@ -694,33 +800,41 @@ def _rational_parts(values: list[int], modulus: int,
     return den, found
 
 
-def _lifted_inverse(matrix: Matrix) -> Matrix | None:
-    """The inverse by Dixon's p-adic lifting, or None to fall back to FFGJ.
+def _lifted_solve(numerators: Matrix, rhs: Matrix, scale: int,
+                  start: tuple[list[int], list[int]] | None
+                  ) -> Iterator[tuple[Matrix, int]]:
+    """Candidates for scale N^-1 B by Dixon's p-adic lifting.
 
-    With C = N^-1 mod P and R_0 = I, each step takes Y_j = C R_j mod P and
-    R_(j+1) = (R_j - N Y_j) / P, an exact division, so X = sum P^j Y_j
-    has N X = I mod P^k after k steps. After each step every real and
-    imaginary part of den X, den being the matrix's denominator, is read
-    as a fraction (``_rational_parts``), giving the candidate U / D, and it
-    is returned only when N U = den D I holds exactly. That product is the
-    certificate. Past P^k > 2 (den H)^2, with H = prod |row|^2 >= |det N|^2
-    by Hadamard's bound, the fractions are unique and must certify, so
-    lifting stops there and returns None, as it does when N is singular
-    mod P.
+    N is square and B has as many rows, both Gaussian-integer matrices
+    over denominator 1, and start is C = N^-1 mod P (``_inverse_mod_p``),
+    None when N is singular mod P, and then nothing is yielded. From
+    R_0 = B each step takes Y_j = C R_j mod P and R_(j+1) =
+    (R_j - N Y_j) / P, an exact division, so X = sum P^j Y_j has
+    N X = B mod P^k after k steps. After each step every real and
+    imaginary part of scale X is read as a fraction (``_rational_parts``),
+    and a full reading is yielded as (U, D), the numerators of scale X
+    over D. A candidate proves nothing: the caller certifies it by an
+    exact product. By Cramer's rule an entry of X is a / det N, and
+    expanding a along its column of B gives |a| <= L prod |row of N|, for
+    L the largest column sum of |Re| + |Im| over B, while |det N| <=
+    prod |row of N|. The parts of a conj(det N) / |det N|^2 are then
+    fractions with both terms at most H = max(1, L) prod |row of N|^2, so
+    past P^k > 2 (scale H)^2 every part of scale X reads back uniquely,
+    and lifting stops there.
     """
-    n = matrix.rows
-    start = _inverse_mod_p(matrix)
     if start is None:
-        return None
-    re, im, den = matrix._re, matrix._im, matrix._den
-    numerators, c = _matrix(n, n, 1, re, im), _matrix(n, n, 1, *start)
-    bound = 1
+        return
+    n, m = rhs.rows, rhs.cols
+    c = _matrix(n, n, 1, *start)
+    re, im = numerators._re, numerators._im
+    bound = max(1, max((sum(map(abs, rhs._re[j::m]))
+                        + sum(map(abs, rhs._im[j::m])) for j in range(m)),
+                       default=0))
     for i in range(0, n * n, n):
         bound *= sum(a * a + b * b for a, b in zip(re[i:i + n], im[i:i + n]))
-    limit = 2 * (den * bound) ** 2
-    target = Matrix.identity(n)
-    residual = target
-    x_re, x_im = [0] * (n * n), [0] * (n * n)
+    limit = 2 * (scale * bound) ** 2
+    residual = rhs
+    x_re, x_im = [0] * (n * m), [0] * (n * m)
     modulus = 1
     while modulus <= limit:
         y = _product(c, residual)
@@ -729,16 +843,30 @@ def _lifted_inverse(matrix: Matrix) -> Matrix | None:
         x_re = [a + modulus * b for a, b in zip(x_re, y_re)]
         x_im = [a + modulus * b for a, b in zip(x_im, y_im)]
         modulus *= _P
-        found = _rational_parts(x_re + x_im, modulus, den)
+        found = _rational_parts(x_re + x_im, modulus, scale)
         if found is not None:
             d, parts = found
-            u = _matrix(n, n, 1, parts[:n * n], parts[n * n:])
-            if _product(numerators, u) == d * den * target:
-                return _matrix(n, n, d, u._re, u._im)
-        ny = _product(numerators, _matrix(n, n, 1, y_re, y_im))
+            yield _matrix(n, m, 1, parts[:n * m], parts[n * m:]), d
+        ny = _product(numerators, _matrix(n, m, 1, y_re, y_im))
         residual = _matrix(
-            n, n, 1, [(a - b) // _P for a, b in zip(residual._re, ny._re)],
+            n, m, 1, [(a - b) // _P for a, b in zip(residual._re, ny._re)],
             [(a - b) // _P for a, b in zip(residual._im, ny._im)])
+
+
+def _lifted_inverse(matrix: Matrix) -> Matrix | None:
+    """The inverse by lifting with B = I, or None to fall back to FFGJ.
+
+    For the numerators N = den M, M^-1 = den N^-1, so ``_lifted_solve``
+    reads den N^-1 as U / D, and U / D is returned only when the exact
+    product N U = den D I certifies it.
+    """
+    n, den = matrix.rows, matrix._den
+    numerators = _matrix(n, n, 1, matrix._re, matrix._im)
+    target = Matrix.identity(n)
+    for u, d in _lifted_solve(numerators, target, den,
+                              _inverse_mod_p(numerators)):
+        if _product(numerators, u) == d * den * target:
+            return _matrix(n, n, d, u._re, u._im)
     return None
 
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import gcd
 from unittest import mock
 
@@ -564,6 +565,131 @@ class TestLiftedInverse:
         with pytest.raises(SingularMatrix,
                            match=rf"^rank {LIFT_FROM - 1} < {LIFT_FROM}$"):
             inverse(m)
+
+
+@st.composite
+def rref_route_matrices(draw):
+    """LIFT_FROM to LIFT_FROM + 3 rows: square, LIFT_FROM x (LIFT_FROM + 3)
+    or the transpose; dense, or a product through at most four columns,
+    so of rank at most four; real or complex, with numerators of up to
+    200 bits over one denominator of up to 64 bits."""
+    low, high = LIFT_FROM, LIFT_FROM + 3
+    height, width = draw(st.sampled_from(
+        [(n, n) for n in range(low, high + 1)] + [(low, high), (high, low)]))
+    complex_parts = draw(st.booleans())
+
+    def numerators(rows, cols, bits):
+        parts = st.lists(st.integers(-2 ** bits, 2 ** bits),
+                         min_size=rows * cols, max_size=rows * cols)
+        re = draw(parts)
+        im = draw(parts) if complex_parts else [0] * (rows * cols)
+        return Matrix.from_parts(rows, cols, [(a, 1, b, 1)
+                                              for a, b in zip(re, im)])
+
+    if draw(st.booleans()):
+        m = numerators(height, width, 200)
+    else:
+        inner = draw(st.integers(1, 4))
+        m = numerators(height, inner, 100) * numerators(inner, width, 100)
+    return m * Fraction(1, draw(st.integers(1, 2 ** 64)))
+
+
+def rref_by_ffgj(m: Matrix):
+    """rref(m) with lifting turned away, so FFGJ computes it."""
+    with mock.patch.object(matrices, "_lifted_rref", return_value=None):
+        return rref(m)
+
+
+def column(values) -> list[list]:
+    return [[x] for x in values]
+
+
+_P, _S = matrices._P, matrices._S
+
+
+class TestLiftedRref:
+    """From LIFT_FROM rows up, rref takes the pivot rows I and columns J of
+    Gauss-Jordan mod P, lifts X = M[I, J]^-1 M[I, F] for the free columns
+    F, and returns [I | X] only when X is zero left of each row's pivot
+    and M[:, J] X = M[:, F] holds over all rows; FFGJ runs otherwise."""
+
+    @settings(max_examples=15)
+    @given(rref_route_matrices())
+    def test_lifting_gives_the_ffgj_rref(self, m):
+        # A nonzero draw loses rank or a pivot mod P only by a chance of
+        # about n / P, so lifting itself must return the rref.
+        expected = rref_by_ffgj(m)
+        lifted = matrices._lifted_rref(m)
+        assert lifted == (None if m.is_zero() else expected)
+        assert rref(m) == expected
+
+    def test_pivots_shifted_mod_p_fail_the_echelon_check(self):
+        # Column 0 is P e_0, zero mod P, so the pivots mod P are columns
+        # 1 to 9. The first reading, X = 0, fails the product check; the
+        # exact X = P e_0 passes it but is nonzero left of row 0's pivot.
+        # Over Q(i) column 0 pivots.
+        m = Matrix.from_rows([a + b for a, b in zip(
+            column([_P] + [0] * (LIFT_FROM - 1)),
+            rows_of(Matrix.identity(LIFT_FROM)))])
+        expected_rows = [[1, Fraction(1, _P)] + [0] * (LIFT_FROM - 1)]
+        expected_rows += [[0] + row for row in
+                          rows_of(Matrix.identity(LIFT_FROM))[1:]]
+        expected = (Matrix.from_rows(expected_rows), LIFT_FROM,
+                    (0, *range(2, LIFT_FROM + 1)))
+        assert matrices._lifted_rref(m) is None
+        assert rref(m) == expected == rref_by_ffgj(m)
+
+    def test_rank_lost_mod_p_fails_the_product_check(self):
+        # Rows 0 and 1 agree mod P, so row 1 never pivots and column 1 is
+        # free mod P; X solves the pivot rows exactly, and only row 1 of
+        # M[:, J] X = M[:, F] fails. det = P, so over Q(i) R = I.
+        core = Matrix.from_rows([[1, 1], [1, 1 + _P]])
+        m = padded(core)
+        assert matrices._lifted_rref(m) is None
+        expected = (Matrix.identity(LIFT_FROM), LIFT_FROM,
+                    tuple(range(LIFT_FROM)))
+        assert rref(m) == expected == rref_by_ffgj(m)
+
+    def test_every_entry_a_multiple_of_p(self):
+        # No pivot mod P at all: lifting has nothing to start from.
+        reduced = Matrix.from_rows([a + b for a, b in zip(
+            rows_of(Matrix.identity(LIFT_FROM)),
+            column(range(1, LIFT_FROM + 1)))])
+        m = _P * reduced
+        assert matrices._lifted_rref(m) is None
+        expected = (reduced, LIFT_FROM, tuple(range(LIFT_FROM)))
+        assert rref(m) == expected == rref_by_ffgj(m)
+
+    def test_core_singular_only_under_minus_s(self):
+        # P - S - i, the conjugate of the unlucky entry of the sympy tests,
+        # maps to P - 2S under i -> S, which pivots, and to 0 under i -> -S,
+        # so N has no inverse mod P and lifting abstains.
+        z = GaussianRational(_P - _S, -1)
+        core = padded(Matrix.from_rows([[z]]))
+        m = Matrix.from_rows([a + b for a, b in zip(
+            rows_of(core), column([1] * LIFT_FROM))])
+        assert matrices._inverse_image(core, _S) is not None
+        assert matrices._inverse_image(core, _P - _S) is None
+        assert matrices._lifted_rref(m) is None
+        expected = Matrix.from_rows([a + b for a, b in zip(
+            rows_of(Matrix.identity(LIFT_FROM)),
+            column([1 / z] + [1] * (LIFT_FROM - 1)))])
+        assert rref(m) == (expected, LIFT_FROM, tuple(range(LIFT_FROM)))
+        assert rref(m) == rref_by_ffgj(m)
+
+    @pytest.mark.parametrize("shape", [
+        (0, 0), (0, 3), (3, 0), (0, LIFT_FROM), (LIFT_FROM, 0)])
+    def test_empty_shapes_skip_elimination(self, shape, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an empty matrix needs no elimination")
+
+        for name in ("_gauss_jordan_mod", "_gauss_jordan"):
+            monkeypatch.setattr(matrices, name, refuse)
+        m = Matrix.zeros(*shape)
+        assert rref(m) == (Matrix.zeros(*shape), 0, ())
+        assert rank(m) == 0
+        if shape == (0, 0):
+            assert rref(m)[0] == Matrix.identity(0)
 
 
 class TestKernelAndColumnSpace:

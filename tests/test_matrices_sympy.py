@@ -156,6 +156,17 @@ def test_inverse_on_the_lifting_route(m):
     assert_inverse_agrees(m)
 
 
+@settings(max_examples=6)
+@given(st.sampled_from([(LIFT_FROM, LIFT_FROM), (LIFT_FROM + 3, LIFT_FROM + 3),
+                        (LIFT_FROM, LIFT_FROM + 3),
+                        (LIFT_FROM + 3, LIFT_FROM)])
+       .flatmap(lambda shape: matrices(*shape)))
+def test_rref_on_the_lifting_route(m):
+    # From LIFT_FROM rows up rref lifts from the pivots mod P; about half
+    # the draws are products through at most four columns.
+    assert_rank_rref_agree(m)
+
+
 def assert_bases_agree(m: Matrix) -> None:
     # sympy's null space holds one basis vector per row, here scaled so its
     # last nonzero, the free column's entry, is 1; transposed, the vectors

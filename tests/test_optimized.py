@@ -57,24 +57,51 @@ def test_only_matrices_names_the_certificate():
     # Full rank is decided inside rref alone: no caller consults the mod-P
     # certificate on its own, by import or by expression, and inside
     # matrices.py no function but rref names it (rank counts its pivots).
+    # The pivot mode of the mod-P Gauss-Jordan, which lifting starts from,
+    # is reached from rref and inverse alone: through private helpers of
+    # matrices.py, and from no other module.
     name = "_certainly_invertible"
 
-    def naming(tree):
+    def naming(tree, names=(name,)):
         return [node for node in ast.walk(tree)
-                if isinstance(node, ast.alias) and name in (node.name,
-                                                            node.asname)
-                or isinstance(node, ast.Name) and node.id == name
-                or isinstance(node, ast.Attribute) and node.attr == name
-                or isinstance(node, ast.Constant) and node.value == name]
+                if isinstance(node, ast.alias) and {node.name,
+                                                    node.asname} & {*names}
+                or isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.Constant) and node.value in names]
+
+    def pivot_mode(tree):
+        # A call of _gauss_jordan_mod whose invert argument is not False.
+        return any(isinstance(node, ast.Call)
+                   and naming(node.func, ("_gauss_jordan_mod",))
+                   and not any(isinstance(arg, ast.Constant)
+                               and arg.value is False
+                               for arg in node.args[2:] + [
+                                   kw.value for kw in node.keywords])
+                   for node in ast.walk(tree))
 
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     found = [f"{file}:{node.lineno}" for file, tree in trees.items()
              if file != "matrices.py" for node in naming(tree)]
-    found += [f"matrices.py:{node.name}"
-              for node in ast.walk(trees["matrices.py"])
-              if isinstance(node, ast.FunctionDef) and node.name != "rref"
-              and naming(node)]
+    functions = [node for node in ast.walk(trees["matrices.py"])
+                 if isinstance(node, ast.FunctionDef)]
+    found += [f"matrices.py:{node.name}" for node in functions
+              if node.name != "rref" and naming(node)]
+    reaching = {node.name for node in functions if pivot_mode(node)}
+    grown = True
+    while grown:
+        callers = {node.name for node in functions
+                   if node.name.startswith("_") and naming(node, reaching)}
+        grown = not callers <= reaching
+        reaching |= callers
+    entries = {node.name for node in functions
+               if not node.name.startswith("_") and naming(node, reaching)}
+    found += [f"matrices.py:{entry}" for entry in entries
+              - {"rref", "inverse"}]
+    found += [f"{file}:{node.lineno}" for file, tree in trees.items()
+              if file != "matrices.py" for node in naming(tree, reaching)]
+    assert "rref" in entries
     assert found == []
 
 
