@@ -575,14 +575,14 @@ _LIFT_FROM = 9
 
 def _gauss_jordan_mod(
         matrix: Matrix, s: int, invert: bool
-) -> list[int] | tuple[list[int], list[int], list[int]] | None:
+) -> bool | tuple[list[int], list[int], list[int]]:
     """Gauss-Jordan mod P on a matrix's numerators, with i -> s.
 
     Without invert, on a square matrix, only the rows below each pivot are
     reduced, a forward elimination that says only whether every pivot
-    exists: the result is None at the first column with no pivot, which
+    exists: the result is False at the first column with no pivot, which
     proves nothing over Q(i), since the determinant can vanish mod an
-    unlucky P, and [] otherwise. To invert, on any shape, every row is
+    unlucky P, and True otherwise. To invert, on any shape, every row is
     reduced and a column with no pivot is passed over. The result is
     (rows, cols, inverse): the input row and the column of each pivot in
     turn, and, row-major, the inverse of N = M[rows, cols] mod P for the
@@ -615,7 +615,7 @@ def _gauss_jordan_mod(
         lead = next(filter(None, leads), 0)
         if not lead:
             if not invert:
-                return None
+                return False
             pending = [row >> w for row in pending]
             done = [row >> w for row in done]
             length -= 1
@@ -624,7 +624,7 @@ def _gauss_jordan_mod(
         top = pending.pop(k)
         del leads[k]
         if not (pending or invert):
-            return []
+            return True
         inv = pow(lead, -1, _P)
         pivot = [(top >> t & mask) * inv % _P for t in shifts[1:length]]
         if invert:
@@ -639,7 +639,7 @@ def _gauss_jordan_mod(
             done = [(row >> w) + (row & mask) % _P * negated for row in done]
             done.append(sum(map(lshift, pivot, shifts)))
     if not invert:
-        return []
+        return True
     slots = shifts[:len(pivot_cols)]
     return order, pivot_cols, [(row >> t & mask) % _P for row in done
                                for t in slots]
@@ -651,7 +651,7 @@ def _certainly_invertible(matrix: Matrix) -> bool:
     i -> S is a ring map, so if elimination mod P finds every pivot, the
     numerators' determinant is nonzero.
     """
-    return _gauss_jordan_mod(matrix, _S, False) is not None
+    return _gauss_jordan_mod(matrix, _S, False)
 
 
 def _echelon_form(height: int, width: int, pivot_cols: Sequence[int],

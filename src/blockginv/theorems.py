@@ -318,7 +318,7 @@ def _thm21(e: Matrix, f_sharp: Matrix, f_pi: Matrix, core: Matrix,
     """
     e_f_sharp = e * f_sharp
     delta = f_sharp + core * (core - e_f_sharp)
-    projector = Matrix.identity(e.rows) - f_pi
+    projector = type(e).identity(e.rows) - f_pi
     return core, delta, projector, -(projector * e_f_sharp)
 
 
@@ -338,7 +338,7 @@ def _cor22(e: Matrix, f_sharp: Matrix, f_pi: Matrix, core: Matrix,
     that of E F^pi, inside range(F^pi).
     """
     lambda_blk = f_sharp + core * (core - e * f_sharp)
-    delta = Matrix.identity(e.rows) - core * e
+    delta = type(e).identity(e.rows) - core * e
     return core, delta, lambda_blk, core - lambda_blk * e
 
 

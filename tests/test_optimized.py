@@ -1,18 +1,30 @@
-"""The library keeps no invariant in an assert, which ``python -O`` strips,
-reads no ``__debug__``, which it turns false, and relies on no private field
-of ``fractions.Fraction``."""
+"""Static checks of the library's source.
+
+The library runs the same under ``python -O``: it keeps no invariant in an
+assert, which ``-O`` strips, and reads neither ``__debug__``, which ``-O``
+turns false, nor ``sys.flags``, which reports it. So its code compiles to
+the same bytes at both optimization levels, and no second run of the tests
+under ``-O`` is needed. The library also relies on no private field of
+``fractions.Fraction``, keeps its storage and certificate private to
+``matrices.py``, and parses as Python 3.10, the floor that pyproject.toml
+declares.
+"""
 
 import ast
-import os
-import subprocess
-import sys
+import marshal
 from pathlib import Path
+
+import pytest
 
 import blockginv
 from blockginv.ginverse import DrazinResult
 
 SRC = Path(blockginv.__file__).resolve().parent
-TESTS = Path(__file__).resolve().parent
+
+
+def _code_bytes(source: str, optimize: int) -> bytes:
+    return marshal.dumps(compile(source, "<module>", "exec",
+                                 optimize=optimize))
 
 
 def test_library_has_no_assert_statements():
@@ -164,19 +176,40 @@ def test_only_drazin_result_writes_its_private_fields():
     assert found == []
 
 
-def test_theorem_and_generator_tests_pass_optimized():
-    # test_cli.py is here because matrix input goes from the scanner's
-    # integer parts straight into Matrix storage, past GaussianRational's
-    # constructor checks, and test_gen_golden.py because seeded draws do
-    # the same; test_cli_golden.py replays the byte-for-byte CLI corpus
-    # with the asserts stripped.
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_theorems.py", "tests/test_generators.py",
-         "tests/test_ginverse.py", "tests/test_matrices.py",
-         "tests/test_scalars.py", "tests/test_cli.py",
-         "tests/test_cli_golden.py", "tests/test_gen_golden.py"],
-        cwd=TESTS.parent, env=env, capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stdout[-3000:] + out.stderr[-3000:]
+def test_library_compiles_the_same_under_optimize():
+    # python -O strips asserts, drops code under __debug__ and sets
+    # sys.flags.optimize, and does nothing else. Equal code at both levels,
+    # with no read of __debug__ or sys.flags by name, attribute, import or
+    # string (as getattr(builtins, "__debug__") takes it), is the same
+    # behaviour on every code path.
+    read = {"__debug__", "flags"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        if _code_bytes(source, 0) != _code_bytes(source, 1):
+            found.append(path.name)
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id in read
+            or isinstance(node, ast.Attribute) and node.attr in read
+            or isinstance(node, ast.Constant) and node.value in read
+            or isinstance(node, ast.alias) and node.name in read
+        ]
+    assert found == []
+
+
+@pytest.mark.parametrize("source", [
+    "def f(x):\n    assert x\n",
+    "def f():\n    return __debug__\n",
+])
+def test_optimize_changes_asserts_and_debug(source):
+    # Without this the test above could pass vacuously on an interpreter
+    # whose compiler ignored the optimization level.
+    assert _code_bytes(source, 0) != _code_bytes(source, 1)
+
+
+def test_library_parses_as_python_3_10():
+    # Tier-1 runs on a newer interpreter than requires-python's floor.
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), path.name, feature_version=(3, 10))
