@@ -11,7 +11,8 @@ GaussianRationals: ``scalar_parts``, the one scanner of the scalar
 grammar, gives each entry's integer parts, and ``Matrix.from_parts``
 stores them directly. Arithmetic accepts int, Fraction and
 GaussianRational operands and returns NotImplemented for any other, a rule
-that ``_operators`` states once.
+that ``_operators`` states once; the constructor takes int and Fraction
+parts and raises TypeError for any other.
 """
 
 from __future__ import annotations
@@ -67,10 +68,9 @@ class GaussianRational:
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         for part in (re, im):
-            if isinstance(part, (float, complex)):
-                raise TypeError(
-                    f"{type(part).__name__} is inexact; use int or Fraction"
-                )
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"cannot use {type(part).__name__} as a "
+                                "part; use int or Fraction")
         self.re = Fraction(re)
         self.im = Fraction(im)
 

@@ -1,10 +1,16 @@
 """Scalar arithmetic, rendering, and the string parser."""
 
+from decimal import Decimal
 from fractions import Fraction
 from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import given
+
+try:
+    from numpy import int64
+except ImportError:  # numpy is not a test dependency
+    int64 = None
 
 from blockginv.matrices import Matrix
 from blockginv.scalars import (
@@ -67,9 +73,15 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("re, im", [
         (0.1, 0), (0, 0.5), (1j, 0), (0, complex(1, 2)),
+        pytest.param("0.1", 0, id="str-0"),
+        pytest.param(0, "1", id="0-str"),
+        pytest.param(Decimal("0.1"), 0, id="Decimal-0"),
+        pytest.param(int64 and int64(3), 0, id="int64-0",
+                     marks=pytest.mark.skipif(int64 is None,
+                                              reason="needs numpy")),
     ])
     def test_constructor_rejects_inexact_parts(self, re, im):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="use int or Fraction"):
             GaussianRational(re, im)
 
     def test_equality_and_hash_against_numeric_tower(self):

@@ -12,15 +12,20 @@ meet a rule's laws by accident both occur. Two corpora:
 - 1,500 3 x 3 pairs with entries drawn from {-1, 0, 0, 1} (seed 7, E then
   F, row-major).
 
-For every rule and pair, a result must equal the Drazin inverse of the
+For every rule and pair, block_group_inverse runs once, and its answer
+is judged three ways. A result must equal the Drazin inverse of the
 assembled block matrix and that matrix must have index <= 1; a refusal
-must meet an oracle index >= 2; HypothesisViolated makes no claim. Every
-condition a report names must hold exactly when its defining product,
-formed here from drazin(E) and drazin(F), is zero, and carry that product
-as its residual; the scalar law must hold exactly when some lambda gives
-EF = lambda FE. On one CPU of a shared 2-vCPU host the oracle sweeps take
-about 7 s (2 x 2) and 5 s (3 x 3), and the definitions checks about 5 s
-and 4 s.
+must meet an oracle index >= 2; HypothesisViolated makes no claim. The
+kind of answer must follow the report it carries: a result only when no
+hypothesis fails, HypothesisViolated only on a standing hypothesis and
+NotGroupInvertible only on a refusal condition, either naming that
+failure as ``condition``. Every condition that report names must hold
+exactly when its defining product, formed here from drazin(E) and
+drazin(F), is zero, and carry that product as its residual; the scalar
+law must hold exactly when some lambda gives EF = lambda FE. The report
+is the one check_conditions builds, as the pinned pair checks for all
+nine rules. On one CPU of a shared 2-vCPU host the sweeps take about
+8-10 s (2 x 2) and 5-6 s (3 x 3).
 """
 
 import itertools
@@ -30,7 +35,7 @@ import pytest
 
 from blockginv.ginverse import NotGroupInvertible, drazin
 from blockginv.matrices import Matrix
-from blockginv.theorems import (SHAPE_FOR_THEOREM, THEOREM_IDS,
+from blockginv.theorems import (RULES, THEOREM_IDS, BlockGroupInverse,
                                 HypothesisViolated, assemble_M,
                                 block_group_inverse, check_conditions)
 from conftest import DEFINITIONS
@@ -70,23 +75,38 @@ def _swap_orbit_pairs():
             yield _two_by_two(entries)
 
 
-def _disagreement(theorem, e, f):
-    """None if the rule's answer agrees with the oracle, else a message."""
-    block = assemble_M(e, f, SHAPE_FOR_THEOREM[theorem])
+def _answer(theorem, e, f):
+    """The rule's one answer: its result, or the refusal it raises. Either
+    carries the rule's report as ``report``."""
     try:
-        result = block_group_inverse(theorem, e, f)
-    except HypothesisViolated:
+        return block_group_inverse(theorem, e, f)
+    except (HypothesisViolated, NotGroupInvertible) as exc:
+        return exc
+
+
+def _disagreement(rule, e, f, answer):
+    """None if the rule's answer agrees with the oracle, else a message."""
+    if isinstance(answer, HypothesisViolated):
         return None
-    except NotGroupInvertible as exc:
-        index = drazin(block).index
-        return None if index >= 2 else (
-            f"refused ({exc}) but the oracle has index {index}")
-    oracle = drazin(block)
+    oracle = drazin(assemble_M(e, f, rule.shape))
+    if isinstance(answer, NotGroupInvertible):
+        return None if oracle.index >= 2 else (
+            f"refused ({answer}) but the oracle has index {oracle.index}")
     if oracle.index > 1:
         return f"answered but the oracle has index {oracle.index}"
-    if result.assembled != oracle.drazin:
-        return "answered with a matrix other than the oracle's"
-    return None
+    return (None if answer.assembled == oracle.drazin
+            else "answered with a matrix other than the oracle's")
+
+
+def _wrong_kind(rule, e, f, answer):
+    """None if the answer is the kind that its report's first failure
+    calls for, and a refusal names that failure; else a message."""
+    failure = getattr(answer.report.first_failure, "name", None)
+    allowed = {BlockGroupInverse: (None,), HypothesisViolated: rule.standing,
+               NotGroupInvertible: rule.refusing}[type(answer)]
+    condition = getattr(answer, "condition", None)
+    return None if failure in allowed and condition == failure else (
+        f"{type(answer).__name__} on {condition}, first failure {failure}")
 
 
 def _some_lambda(e, f):
@@ -99,43 +119,43 @@ def _some_lambda(e, f):
     return bool(fe[i, j]) and ef == (ef[i, j] / fe[i, j]) * fe
 
 
-def _misreports(theorem, e, f):
+def _breaks_definition(c, e, f, e_pi, f_pi):
+    """Whether a reported condition breaks its definition."""
+    if c.name == "EF=lambda FE":
+        return c.holds != _some_lambda(e, f) or (c.holds and not (
+            c.residual.is_zero() and e * f == c.lam * (f * e)))
+    residual = DEFINITIONS[c.name](e, f, e_pi, f_pi)
+    return c.residual != residual or c.holds != residual.is_zero()
+
+
+def _misreports(rule, e, f, answer):
     """The conditions whose report breaks their definition; "" if none."""
-    e_pi = drazin(e).spectral_idempotent
-    f_pi = drazin(f).spectral_idempotent
-    wrong = []
-    for c in check_conditions(e, f, theorem).conditions:
-        if c.name == "EF=lambda FE":
-            broken = c.holds != _some_lambda(e, f) or (c.holds and not (
-                c.residual.is_zero() and e * f == c.lam * (f * e)))
-        else:
-            residual = DEFINITIONS[c.name](e, f, e_pi, f_pi)
-            broken = (c.residual != residual
-                      or c.holds != residual.is_zero())
-        if broken:
-            wrong.append(c.name)
-    return ", ".join(wrong)
+    e_pi, f_pi = (drazin(m).spectral_idempotent for m in (e, f))
+    return ", ".join(c.name for c in answer.report.conditions
+                     if _breaks_definition(c, e, f, e_pi, f_pi))
 
 
-def _sweep(pairs, judge):
-    """Every rule's complaint on every pair, one message each."""
-    wrong = []
-    for rows in pairs:
-        e, f = map(Matrix.from_rows, rows)
-        wrong += [f"{theorem} on E, F = {rows}: {message}"
-                  for theorem in THEOREM_IDS
-                  for message in [judge(theorem, e, f)] if message]
-    return wrong
+def _sweep(pairs):
+    """Every complaint against each rule's one answer on every pair: from
+    the oracle, from its own report and from the definitions."""
+    return [f"{theorem} on E, F = {rows}: {message}"
+            for rows in pairs
+            for e, f in [map(Matrix.from_rows, rows)]
+            for theorem in THEOREM_IDS for answer in [_answer(theorem, e, f)]
+            for judge in (_disagreement, _wrong_kind, _misreports)
+            for message in [judge(RULES[theorem], e, f, answer)] if message]
 
 
 def test_pinned_pair_gets_no_claim_from_cor25():
     e, f = (Matrix.from_rows(rows) for rows in PINNED)
     assert drazin(f).index == 2
-    assert drazin(assemble_M(e, f, SHAPE_FOR_THEOREM["cor2.5"])).index == 1
+    assert drazin(assemble_M(e, f, RULES["cor2.5"].shape)).index == 1
     with pytest.raises(HypothesisViolated) as info:
         block_group_inverse("cor2.5", e, f)
     assert info.value.condition == "F group-invertible"
-    assert [t for t in THEOREM_IDS if _disagreement(t, e, f)] == []
+    assert all(check_conditions(e, f, t) == _answer(t, e, f).report
+               for t in THEOREM_IDS)
+    assert _sweep([PINNED]) == []
 
 
 def test_swap_orbits_cover_every_two_by_two_pair():
@@ -149,15 +169,9 @@ def test_swap_orbits_cover_every_two_by_two_pair():
                                  for e, f in kept}
 
 
-def test_small_entry_pairs_agree_with_the_oracle():
-    assert _sweep(_pairs(PAIRS), _disagreement) == []
-
-
-def test_every_two_by_two_pair_agrees_with_the_oracle():
-    assert _sweep(_swap_orbit_pairs(), _disagreement) == []
-
-
 @pytest.mark.parametrize("pairs", [_swap_orbit_pairs, lambda: _pairs(PAIRS)],
                          ids=["2x2", "3x3"])
 def test_reports_follow_the_definitions(pairs):
-    assert _sweep(pairs(), _misreports) == []
+    """One rule call per (rule, pair), judged by the oracle, by its own
+    report and, through that report, by the definitions."""
+    assert _sweep(pairs()) == []

@@ -358,6 +358,47 @@ class TestRouteCounts:
         assert found == self.COUNTS[theorem]
 
 
+class TestCostAgainstOracle:
+    """The paper's cost claim without a clock: at n = 8, rank_f = 4, a cold
+    closed form builds at most 1 / FACTOR of the numerator bits that a cold
+    drazin of the assembled 2n matrix builds.
+
+    Every matrix passes through ``matrices._matrix``; the sum of the bit
+    lengths of the numerators it is given grows with the arithmetic that
+    made them, though it misses fixed per-call costs. The sum is exact, so
+    the guard has no noise. The ratios at seeds 0-2 run from 1.63 (cor3.4,
+    seed 0) to 4.99; cor3.4's falls to 1.42 when Theorem 3.1's kernel
+    forms its products twice.
+    """
+
+    FACTOR = 1.5
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_oracle_builds_more_bits(self, theorem, monkeypatch):
+        bits = [0]
+        build = matrices._matrix
+
+        def counting(rows, cols, den, re, im):
+            bits[0] += sum(x.bit_length() for part in (re, im) for x in part)
+            return build(rows, cols, den, re, im)
+
+        def cost(function, *args):
+            drazin.cache_clear()
+            bits[0] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(matrices, "_matrix", counting)
+                function(*args)
+            return bits[0]
+
+        for seed in range(3):
+            e, f = gen_pair(GenSpec(theorem, 8, 4, True, seed=seed))
+            block = assemble_M(e, f, SHAPE_FOR_THEOREM[theorem])
+            oracle = cost(drazin, block)
+            closed_form = cost(block_group_inverse, theorem, e, f)
+            assert oracle >= self.FACTOR * closed_form, (seed, oracle,
+                                                        closed_form)
+
+
 class TestDrazinDataOfT:
     """Positive and refusal draws hand drazin only F and W, never E or T.
 
