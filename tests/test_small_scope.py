@@ -24,10 +24,13 @@ exactly when its defining product, formed here from drazin(E) and
 drazin(F), is zero, and carry that product as its residual; the scalar
 law must hold exactly when some lambda gives EF = lambda FE. The report
 is the one check_conditions builds, as the pinned pair checks for all
-nine rules. On one CPU of a shared 2-vCPU host the sweeps take about
-8-10 s (2 x 2) and 5-6 s (3 x 3).
+nine rules. Each corpus is swept once; its oracle test and its report
+test read the complaints of their own judges from that one sweep. On one
+CPU of a shared 2-vCPU host the sweeps take about 8-10 s (2 x 2) and
+5-6 s (3 x 3).
 """
 
+import functools
 import itertools
 import random
 
@@ -136,14 +139,30 @@ def _misreports(rule, e, f, answer):
 
 
 def _sweep(pairs):
-    """Every complaint against each rule's one answer on every pair: from
-    the oracle, from its own report and from the definitions."""
-    return [f"{theorem} on E, F = {rows}: {message}"
+    """Every complaint against each rule's one answer on every pair, with
+    the judge that made it: the oracle, its own report or the
+    definitions."""
+    return [(judge, f"{theorem} on E, F = {rows}: {message}")
             for rows in pairs
             for e, f in [map(Matrix.from_rows, rows)]
             for theorem in THEOREM_IDS for answer in [_answer(theorem, e, f)]
             for judge in (_disagreement, _wrong_kind, _misreports)
             for message in [judge(RULES[theorem], e, f, answer)] if message]
+
+
+CORPORA = {"2x2": _swap_orbit_pairs, "3x3": lambda: _pairs(PAIRS)}
+
+
+@functools.cache
+def _corpus_sweep(corpus):
+    """The sweep of one corpus, made once and shared by its tests."""
+    return tuple(_sweep(CORPORA[corpus]()))
+
+
+def _complaints(corpus, *judges):
+    """The messages of the given judges on one corpus."""
+    return [message for judge, message in _corpus_sweep(corpus)
+            if judge in judges]
 
 
 def test_pinned_pair_gets_no_claim_from_cor25():
@@ -169,9 +188,16 @@ def test_swap_orbits_cover_every_two_by_two_pair():
                                  for e, f in kept}
 
 
-@pytest.mark.parametrize("pairs", [_swap_orbit_pairs, lambda: _pairs(PAIRS)],
-                         ids=["2x2", "3x3"])
-def test_reports_follow_the_definitions(pairs):
-    """One rule call per (rule, pair), judged by the oracle, by its own
-    report and, through that report, by the definitions."""
-    assert _sweep(pairs()) == []
+def test_small_entry_pairs_agree_with_the_oracle():
+    assert _complaints("3x3", _disagreement) == []
+
+
+def test_every_two_by_two_pair_agrees_with_the_oracle():
+    assert _complaints("2x2", _disagreement) == []
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_reports_follow_the_definitions(corpus):
+    """The same one rule call per (rule, pair), judged by its own report
+    and, through that report, by the definitions."""
+    assert _complaints(corpus, _wrong_kind, _misreports) == []
