@@ -46,7 +46,7 @@ from R = B, so after k steps X = sum P^j Y_j has N X = B mod P^k. Each
 real and imaginary part of X is read back as a fraction, over one running
 denominator D (rational reconstruction), and the caller takes a candidate
 U / D only after an exact product; no answer rests on P. ``inverse``
-takes B = I and checks N U = den D I. ``rref`` of M runs the routine's
+takes B = den I and checks N U = D B. ``rref`` of M runs the routine's
 Gauss-Jordan under i -> S, which passes over a column with no pivot and
 gives the pivot rows I and columns J, r of each, with the image of N^-1
 for N = M[I, J]; it solves for B = M[I, F], F the free columns, and
@@ -63,14 +63,8 @@ function decides anything about rank mod P, and a singular matrix raises
 from FFGJ in ``inverse``. Lifting costs in proportion to its output and
 FFGJ to its minors, which grow far past it; but lifting has a fixed cost
 of the eliminations mod P and two products a step, so it pays only from
-9 rows up. FFGJ time over lifting time, on every input of one round of
-the benchmark's three workloads at seeds 0 and 1 (README): for
-``inverse``, 0.68 at 6 x 6, 0.91 at 7, 1.01 at 8, 1.15 at 9, 1.21 at 10,
-1.81 at 11, 1.66 at 12, 2.40 at 14 and 2.95 at 15 x 15; for ``rref``,
-with the certificate counted on the FFGJ side, 0.95 at 8 rows (not
-lifted), 1.01 at 9, 1.00 at 10, 0.97 at 11, 1.21 at 12 and 2.65 at
-16 x 16, where the singular inputs gain and those of full rank, which
-pay a whole Gauss-Jordan mod P against a forward one, read 0.55-0.59.
+9 rows up. README times both routes, size by size, on every ``inverse``
+and ``rref`` input of one round of the benchmark's three workloads.
 
 References: FLINT's fmpq_mat (https://flintlib.org/doc/fmpq_mat.html);
 E. H. Bareiss, Math. Comp. 22 (1968); G. C. Nakos, P. R. Turner and
@@ -568,8 +562,8 @@ def _gauss_jordan(rows: list[_ZiVector], width: int,
 _P, _S = 2305843009213693921, 583529827753931384
 _HALF, _HALF_OVER_S = (_P + 1) // 2, pow(2 * _S, -1, _P)
 
-# ``rref`` and ``inverse`` lift from this many rows up; the measurements
-# behind it are in the module docstring.
+# ``rref`` and ``inverse`` lift from this many rows up; README gives the
+# measurements behind it.
 _LIFT_FROM = 9
 
 
@@ -688,7 +682,7 @@ def _lifted_rref(matrix: Matrix
     numerators = _matrix(height, width, 1, matrix._re, matrix._im)
     left, right = numerators.columns(pivot_cols), numerators.columns(free)
     core = numerators.pick(pivot_rows, pivot_cols)
-    solutions = _lifted_solve(core, numerators.pick(pivot_rows, free), 1,
+    solutions = _lifted_solve(core, numerators.pick(pivot_rows, free),
                               _inverse_mod_p(core, image))
     for u, d in solutions:
         rows = [(u._re[t * f:(t + 1) * f], u._im[t * f:(t + 1) * f])
@@ -767,22 +761,23 @@ def _inverse_mod_p(matrix: Matrix, image: list[int] | None = None
             [(x - y) * _HALF_OVER_S % _P for x, y in zip(u, v)])
 
 
-def _rational_parts(values: list[int], modulus: int,
-                    scale: int) -> tuple[int, list[int]] | None:
-    """One denominator D > 0 and numerators a with a / D = scale * value,
-    each value read mod modulus as a fraction with both parts at most
+def _rational_parts(values: list[int],
+                    modulus: int) -> tuple[int, list[int]] | None:
+    """One denominator D > 0 and numerators a with a / D = value, each
+    value read mod modulus as a fraction with both parts at most
     sqrt(modulus / 2); None when some value is not such a fraction.
 
     Each value is first multiplied by the D found so far, so a value whose
     denominator divides D needs no reconstruction: its numerator is the
     symmetric residue. Otherwise the half extended Euclid of Wang, Guy and
     Davenport gives it as a / b, and D and the numerators found so far
-    grow by the factor b.
+    grow by the factor b. D stays at most sqrt(modulus / 2), below the
+    modulus.
     """
     half = isqrt(modulus >> 1)
-    den, factor, found = 1, scale % modulus, []
+    den, found = 1, []
     for x in values:
-        y = x * factor % modulus
+        y = x * den % modulus
         if y > half:
             if y >= modulus - half:
                 y -= modulus
@@ -794,16 +789,16 @@ def _rational_parts(values: list[int], modulus: int,
                 if not t1 or abs(t1) * den > half:
                     return None
                 y, b = (r1, t1) if t1 > 0 else (-r1, -t1)
-                den, factor = den * b, factor * b % modulus
+                den *= b
                 found = [a * b for a in found]
         found.append(y)
     return den, found
 
 
-def _lifted_solve(numerators: Matrix, rhs: Matrix, scale: int,
+def _lifted_solve(numerators: Matrix, rhs: Matrix,
                   start: tuple[list[int], list[int]] | None
                   ) -> Iterator[tuple[Matrix, int]]:
-    """Candidates for scale N^-1 B by Dixon's p-adic lifting.
+    """Candidates for X = N^-1 B by Dixon's p-adic lifting.
 
     N is square and B has as many rows, both Gaussian-integer matrices
     over denominator 1, and start is C = N^-1 mod P (``_inverse_mod_p``),
@@ -811,16 +806,16 @@ def _lifted_solve(numerators: Matrix, rhs: Matrix, scale: int,
     R_0 = B each step takes Y_j = C R_j mod P and R_(j+1) =
     (R_j - N Y_j) / P, an exact division, so X = sum P^j Y_j has
     N X = B mod P^k after k steps. After each step every real and
-    imaginary part of scale X is read as a fraction (``_rational_parts``),
-    and a full reading is yielded as (U, D), the numerators of scale X
-    over D. A candidate proves nothing: the caller certifies it by an
-    exact product. By Cramer's rule an entry of X is a / det N, and
+    imaginary part of X is read as a fraction (``_rational_parts``), and a
+    full reading is yielded as (U, D), the numerators of X over D. A
+    candidate proves nothing: the caller certifies it by an exact
+    product. By Cramer's rule an entry of X is a / det N, and
     expanding a along its column of B gives |a| <= L prod |row of N|, for
     L the largest column sum of |Re| + |Im| over B, while |det N| <=
     prod |row of N|. The parts of a conj(det N) / |det N|^2 are then
     fractions with both terms at most H = max(1, L) prod |row of N|^2, so
-    past P^k > 2 (scale H)^2 every part of scale X reads back uniquely,
-    and lifting stops there.
+    past P^k > 2 H^2 every part of X reads back uniquely, and lifting
+    stops there.
     """
     if start is None:
         return
@@ -832,7 +827,7 @@ def _lifted_solve(numerators: Matrix, rhs: Matrix, scale: int,
                        default=0))
     for i in range(0, n * n, n):
         bound *= sum(a * a + b * b for a, b in zip(re[i:i + n], im[i:i + n]))
-    limit = 2 * (scale * bound) ** 2
+    limit = 2 * bound ** 2
     residual = rhs
     x_re, x_im = [0] * (n * m), [0] * (n * m)
     modulus = 1
@@ -843,7 +838,7 @@ def _lifted_solve(numerators: Matrix, rhs: Matrix, scale: int,
         x_re = [a + modulus * b for a, b in zip(x_re, y_re)]
         x_im = [a + modulus * b for a, b in zip(x_im, y_im)]
         modulus *= _P
-        found = _rational_parts(x_re + x_im, modulus, scale)
+        found = _rational_parts(x_re + x_im, modulus)
         if found is not None:
             d, parts = found
             yield _matrix(n, m, 1, parts[:n * m], parts[n * m:]), d
@@ -854,18 +849,18 @@ def _lifted_solve(numerators: Matrix, rhs: Matrix, scale: int,
 
 
 def _lifted_inverse(matrix: Matrix) -> Matrix | None:
-    """The inverse by lifting with B = I, or None to fall back to FFGJ.
+    """The inverse by lifting with B = den I, or None to fall back to FFGJ.
 
-    For the numerators N = den M, M^-1 = den N^-1, so ``_lifted_solve``
-    reads den N^-1 as U / D, and U / D is returned only when the exact
-    product N U = den D I certifies it.
+    For the numerators N = den M, M^-1 = N^-1 B, so ``_lifted_solve``
+    reads M^-1 as U / D, and U / D is returned only when the exact
+    product N U = D B certifies it.
     """
-    n, den = matrix.rows, matrix._den
+    n = matrix.rows
     numerators = _matrix(n, n, 1, matrix._re, matrix._im)
-    target = Matrix.identity(n)
-    for u, d in _lifted_solve(numerators, target, den,
+    target = Matrix.identity(n) * matrix._den
+    for u, d in _lifted_solve(numerators, target,
                               _inverse_mod_p(numerators)):
-        if _product(numerators, u) == d * den * target:
+        if _product(numerators, u) == d * target:
             return _matrix(n, n, d, u._re, u._im)
     return None
 

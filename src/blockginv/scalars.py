@@ -43,12 +43,13 @@ class ScalarParseError(ValueError):
         return BaseException.__new__, (type(self), *self.args), self.__dict__
 
 
-def _operators(op):
+def _operators(op, symmetric=False):
     """The forward and reflected methods of the binary operation op(a, b).
 
     Each coerces its other operand through ``GaussianRational._coerce``
     and returns NotImplemented when that is not an int, a Fraction or a
-    GaussianRational, so Python can try the other operand's method.
+    GaussianRational, so Python can try the other operand's method. For a
+    symmetric op the reflected method is the forward one itself.
     """
     def forward(self, other):
         other = GaussianRational._coerce(other)
@@ -58,7 +59,7 @@ def _operators(op):
         other = GaussianRational._coerce(other)
         return NotImplemented if other is None else op(other, self)
 
-    return forward, reflected
+    return forward, forward if symmetric else reflected
 
 
 class GaussianRational:
@@ -103,12 +104,14 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     __add__, __radd__ = _operators(
-        lambda a, b: GaussianRational._new(a.re + b.re, a.im + b.im))
+        lambda a, b: GaussianRational._new(a.re + b.re, a.im + b.im),
+        symmetric=True)
     __sub__, __rsub__ = _operators(
         lambda a, b: GaussianRational._new(a.re - b.re, a.im - b.im))
     __mul__, __rmul__ = _operators(
         lambda a, b: GaussianRational._new(a.re * b.re - a.im * b.im,
-                                           a.re * b.im + a.im * b.re))
+                                           a.re * b.im + a.im * b.re),
+        symmetric=True)
     __truediv__, __rtruediv__ = _operators(lambda a, b: a * b.inverse())
 
     def __neg__(self) -> GaussianRational:

@@ -1,8 +1,7 @@
-"""Shared helpers: literal matrix construction, hypothesis strategies and
-tables of malformed scalar strings."""
+"""Shared helpers: literal matrix construction, a call spy, hypothesis
+strategies and tables of malformed scalar strings."""
 
 import sys
-from fractions import Fraction
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -89,6 +88,28 @@ DEFINITIONS = {
 def holds(report, name):
     """Whether the report's condition of that name holds."""
     return next(c.holds for c in report.conditions if c.name == name)
+
+
+def spy(patch, owner, name, result=False):
+    """Record every call of owner.name, then pass it on to the original.
+
+    ``patch`` is a ``monkeypatch`` or one of its ``context()`` patches, and
+    sets the scope of the spy. A record is the call's positional arguments,
+    taken before the call, or with ``result`` the pair (arguments, result),
+    taken after it. Returns the list of records, which the caller may clear.
+    """
+    original, calls = getattr(owner, name), []
+
+    def recorded(*args):
+        if not result:
+            calls.append(args)
+            return original(*args)
+        value = original(*args)
+        calls.append((args, value))
+        return value
+
+    patch.setattr(owner, name, recorded)
+    return calls
 
 
 # Malformed scalar strings and the offset each one's error names.

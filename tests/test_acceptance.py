@@ -23,7 +23,7 @@ from blockginv.ginverse import (
 from blockginv.matrices import Matrix, rank
 from blockginv.scalars import GaussianRational
 from blockginv.theorems import THEOREM_IDS, block_group_inverse
-from conftest import DEFINITIONS, mat
+from conftest import DEFINITIONS, mat, spy
 from paper_forms import (
     blocks,
     cor24_direct,
@@ -124,25 +124,21 @@ def test_refusals_form_residuals_on_read(theorem, monkeypatch):
     forms its failing residual only when that is read; every residual
     read equals its definition. gen_pair leaves drazin's cache warm, so
     the refusal takes no product inside drazin."""
-    product, refused = matrices._product, []
+    refused = []
 
     def refuse(e, f, name):
         n, q = e.rows, e.rows - rank(f)
-        shapes = []
-
-        def recording(left, right):
-            shapes.append((left.rows, right.cols))
-            return product(left, right)
-
-        monkeypatch.setattr(matrices, "_product", recording)
-        with pytest.raises(NotGroupInvertible) as info:
-            block_group_inverse(name, e, f)
-        assert shapes == [(n, q), (n, q), (q, q)]
-        shapes.clear()
-        report = info.value.report
-        residuals = [c.residual for c in report.conditions]
-        assert (n, n) in shapes
-        monkeypatch.setattr(matrices, "_product", product)
+        with monkeypatch.context() as patch:
+            products = spy(patch, matrices, "_product")
+            with pytest.raises(NotGroupInvertible) as info:
+                block_group_inverse(name, e, f)
+            assert [(left.rows, right.cols) for left, right in products] \
+                == [(n, q), (n, q), (q, q)]
+            products.clear()
+            report = info.value.report
+            residuals = [c.residual for c in report.conditions]
+            assert any(left.rows == right.cols == n
+                       for left, right in products)
         e_pi, f_pi = (reference_drazin(m).spectral_idempotent for m in (e, f))
         for condition, residual in zip(report.conditions, residuals):
             defined = DEFINITIONS[condition.name](e, f, e_pi, f_pi)

@@ -21,7 +21,8 @@ from blockginv.ginverse import drazin
 from blockginv.matrices import Matrix, rank
 from blockginv.scalars import GaussianRational
 from blockginv.theorems import THEOREM_IDS, check_conditions, rule_for
-from conftest import CONDITION_NAMES, FIRST_STANDING_BREAKERS, holds, mat
+from conftest import (CONDITION_NAMES, FIRST_STANDING_BREAKERS, holds, mat,
+                      spy)
 from seeded import gen_group_invertible, gen_invertible
 
 
@@ -60,20 +61,14 @@ class TestBuildingBlocks:
                  for theorem in THEOREM_IDS]
         draws = [gen_invertible(n, seed) for n in range(7) for seed in (0, 1)]
         pairs = [gen_pair(spec) for spec in specs]
-        ranks = []
-
-        def counting(matrix):
-            ranks.append((rank(matrix), matrix.rows))
-            return ranks[-1][0]
-
         monkeypatch.setattr(matrices, "_certainly_invertible",
                             lambda matrix: False)
-        monkeypatch.setattr(generators, "rank", counting)
+        ranks = spy(monkeypatch, generators, "rank", result=True)
         assert [gen_invertible(n, seed) for n in range(7)
                 for seed in (0, 1)] == draws
         assert [gen_pair(spec) for spec in specs] == pairs
-        assert any(found < n for found, n in ranks)  # a rejected draw
-        assert any(found == n for found, n in ranks)
+        assert any(found < m.rows for (m,), found in ranks)  # a rejected draw
+        assert any(found == m.rows for (m,), found in ranks)
 
 
 class TestGenPair:
@@ -110,13 +105,7 @@ class TestGenPair:
     def test_one_draw_one_check(self, satisfy, monkeypatch):
         # Each draw hits its target by construction. gen_pair checks its
         # one draw, and a miss is raised at once, naming what failed.
-        checks = []
-
-        def counting(*args):
-            checks.append(args)
-            return check_conditions(*args)
-
-        monkeypatch.setattr(generators, "check_conditions", counting)
+        checks = spy(monkeypatch, generators, "check_conditions")
         spec = GenSpec("thm2.1", 3, 1, satisfy, seed=0)
         e, f = gen_pair(spec)
         assert checks == [(e, f, "thm2.1")]
@@ -202,19 +191,13 @@ class TestDrawsFromIntegerParts:
         # Every rule's draw is conjugated once: P E~ P^-1 is the only
         # product of two n x n factors, F goes through P's first r columns.
         n = 6
-        shapes = []
-        product = matrices._product
-
-        def recording(left, right):
-            shapes.append((left.shape, right.shape))
-            return product(left, right)
-
-        monkeypatch.setattr(matrices, "_product", recording)
+        products = spy(monkeypatch, matrices, "_product")
         for rank_f in range(1, n):
-            shapes.clear()
+            products.clear()
             generators._draw(random.Random(0), GenSpec(theorem, n, rank_f))
-            full = [s for s in shapes if s == ((n, n), (n, n))]
-            assert len(full) == 2, rank_f
+            full = sum(left.shape == right.shape == (n, n)
+                       for left, right in products)
+            assert full == 2, rank_f
 
 
 class TestVerifyInstance:
@@ -284,26 +267,15 @@ class TestVerifyInstance:
             pairs.append(gen_pair(GenSpec(theorem, 3, 0, False, seed=23)))
         # _evaluate returns one hypothesis's residual, and _commutation the
         # two laws of the either/or.
-        evaluate, commutation = theorems._evaluate, theorems._commutation
         verdicts = []
         for e, f in pairs:
-            names = []
-
-            def counting_one(hypothesis, *args):
-                names.append(hypothesis)
-                return evaluate(hypothesis, *args)
-
-            def counting_laws(*args):
-                laws = commutation(*args)
-                names.extend(law.name for law in laws)
-                return laws
-
-            monkeypatch.setattr(theorems, "_evaluate", counting_one)
-            monkeypatch.setattr(theorems, "_commutation", counting_laws)
-            report = verify_instance(e, f, theorem)
-            monkeypatch.setattr(theorems, "_evaluate", evaluate)
-            monkeypatch.setattr(theorems, "_commutation", commutation)
+            with monkeypatch.context() as patch:
+                evaluated = spy(patch, theorems, "_evaluate")
+                laws = spy(patch, theorems, "_commutation", result=True)
+                report = verify_instance(e, f, theorem)
             verdicts.append(report.verdict)
+            names = [hypothesis for hypothesis, *_ in evaluated]
+            names += [law.name for _, found in laws for law in found]
             assert sorted(names) == sorted(CONDITION_NAMES[theorem])
         assert set(verdicts) - {Verdict.AGREE_EXISTS}
 
@@ -313,19 +285,13 @@ class TestVerifyInstance:
                                                          monkeypatch):
         # verify_instance reads only T^D and the index of the 2n oracle, so
         # its T^pi is formed only when something reads it afterwards.
-        oracles = []
-
-        def recording(matrix):
-            oracles.append((matrix, drazin(matrix)))
-            return oracles[-1][1]
-
         drazin.cache_clear()
-        monkeypatch.setattr(generators, "drazin", recording)
+        oracles = spy(monkeypatch, generators, "drazin", result=True)
         e, f = gen_pair(spec)
         report = verify_instance(e, f, spec.theorem)
         assert report.verdict is (Verdict.AGREE_EXISTS if spec.satisfy
                                   else Verdict.AGREE_NOT_EXISTS)
-        (big, oracle), = oracles
+        ((big,), oracle), = oracles
         assert oracle.index >= 1
         assert oracle._pi is None
         assert oracle.spectral_idempotent == \
@@ -342,16 +308,10 @@ class TestVerifyInstance:
             pairs.append(gen_pair(GenSpec(theorem, 3, 0, False, seed=23)))
         verdicts = set()
         for e, f in pairs:
-            calls = []
-
-            def counting(matrix):
-                calls.append(matrix.shape)
-                return drazin(matrix)
-
-            monkeypatch.setattr(generators, "drazin", counting)
-            verdicts.add(verify_instance(e, f, theorem).verdict)
-            monkeypatch.setattr(generators, "drazin", drazin)
-            assert calls == [(2 * e.rows, 2 * e.rows)]
+            with monkeypatch.context() as patch:
+                calls = spy(patch, generators, "drazin")
+                verdicts.add(verify_instance(e, f, theorem).verdict)
+            assert [m.shape for m, in calls] == [(2 * e.rows, 2 * e.rows)]
         assert len(verdicts) == len(pairs)
 
 

@@ -20,7 +20,7 @@ from blockginv.matrices import Matrix, ShapeMismatch, inverse, rank
 from blockginv.scalars import GaussianRational
 from blockginv.theorems import SHAPE_FOR_THEOREM, BlockShape, assemble_M
 from conftest import (mat, nonzero_scalars, rows_of, singular_square_matrices,
-                      square_matrices)
+                      spy, square_matrices)
 from reference_drazin import reference_drazin
 from seeded import gen_group_invertible
 
@@ -372,17 +372,10 @@ class TestOrientation:
         e, f = gen_pair(GenSpec(theorem, 4, 2, satisfy, 3))
         big = assemble_M(e, f, SHAPE_FOR_THEOREM[theorem])
         _same_up_to_transpose(big)
-        factored = []
-        chain = ginverse._chain
-
-        def spy(matrix):
-            factored.append(matrix)
-            return chain(matrix)
-
-        monkeypatch.setattr(ginverse, "_chain", spy)
+        factored = spy(monkeypatch, ginverse, "_chain")
         drazin.__wrapped__(big)
         flipped = SHAPE_FOR_THEOREM[theorem] is BlockShape.EI_F0
-        assert factored == [big.transpose() if flipped else big]
+        assert factored == [(big.transpose() if flipped else big,)]
 
 
 def _is_prime(n: int) -> bool:
@@ -428,56 +421,35 @@ class TestInvertibilityCertificate:
     def test_drazin_runs_one_elimination_per_step(self, monkeypatch):
         # The certified core costs rref no elimination; inverse's own
         # elimination is counted as the inverse.
-        calls = {"rank": 0, "elimination": 0, "inverse": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        gauss_jordan = matrices._gauss_jordan
-
-        def eliminating(rows, width, invert):
-            calls["elimination"] += not invert
-            return gauss_jordan(rows, width, invert)
-
-        monkeypatch.setattr(matrices, "_gauss_jordan", eliminating)
-        monkeypatch.setattr(matrices, "rank", counted("rank", matrices.rank))
-        monkeypatch.setattr(ginverse, "inverse",
-                            counted("inverse", ginverse.inverse))
+        ranks = spy(monkeypatch, matrices, "rank")
+        eliminations = spy(monkeypatch, matrices, "_gauss_jordan")
+        inverted = spy(monkeypatch, ginverse, "inverse")
         jordan = Matrix.from_rows([[1 if j == i + 1 else 0 for j in range(5)]
                                    for i in range(5)])
         e, f = gen_pair(GenSpec("thm3.1", 4, 2, True, 5))
         cases = [
-            (mat([["1", "2"], ["0", "-1"]]), 0),
+            (mat([["1", "2"], ["0", "-1"]]), 0, 1),
             (mat([["i", "1", "0", "0"], ["0", "0", "1", "0"],
-                  ["0", "0", "0", "1"], ["0", "0", "0", "0"]]), 3),
-            (assemble_M(e, f, SHAPE_FOR_THEOREM["thm3.1"]), 1),
+                  ["0", "0", "0", "1"], ["0", "0", "0", "0"]]), 3, 1),
+            (assemble_M(e, f, SHAPE_FOR_THEOREM["thm3.1"]), 1, 1),
+            (jordan, 5, 0),
         ]
-        for m, index in cases:
-            calls.update(rank=0, elimination=0, inverse=0)
+        for m, index, inverses in cases:
+            for calls in (ranks, eliminations, inverted):
+                calls.clear()
             assert drazin.__wrapped__(m).index == index
-            assert calls == {"rank": 0, "elimination": index, "inverse": 1}
-        calls.update(rank=0, elimination=0, inverse=0)
-        assert drazin.__wrapped__(jordan).index == 5
-        assert calls == {"rank": 0, "elimination": 5, "inverse": 0}
+            assert not ranks and len(inverted) == inverses
+            assert sum(not invert for *_, invert in eliminations) == index
 
     def test_index_one_takes_four_products_none_over_2n(self, monkeypatch):
         # C1 B1 from C1's free columns, P = M^-2, B1 P, and (B1 P) times C1's
         # free columns: no product runs over all 2n columns of T.
-        inner = []
-        product = matrices._product
-
-        def recording(left, right):
-            inner.append(left.cols)
-            return product(left, right)
-
         e, f = gen_pair(GenSpec("thm3.1", 4, 2, True, 5))
         big = assemble_M(e, f, SHAPE_FOR_THEOREM["thm3.1"])
-        monkeypatch.setattr(matrices, "_product", recording)
-        result = drazin.__wrapped__(big)
-        monkeypatch.setattr(matrices, "_product", product)
+        with monkeypatch.context() as patch:
+            products = spy(patch, matrices, "_product")
+            result = drazin.__wrapped__(big)
+        inner = [left.cols for left, _ in products]
         assert result.index == 1 and 0 < rank(big) < big.rows
         assert len(inner) == 4 and big.rows not in inner
 
@@ -485,27 +457,20 @@ class TestInvertibilityCertificate:
         # Only C B of each step: no composed factors to multiply and discard.
         # An invertible T has no step, and its inverse's first power is
         # the inverse itself.
-        calls = []
-        product = matrices._product
-
-        def counted(left, right):
-            calls.append(1)
-            return product(left, right)
-
         index_three = mat([["i", "1", "0", "0"], ["0", "0", "1", "0"],
                            ["0", "0", "0", "1"], ["0", "0", "0", "0"]])
         jordan = Matrix.from_rows([[1 if j == i + 1 else 0 for j in range(5)]
                                    for i in range(5)])
         invertible = mat([["1", "2"], ["0", "-1"]])
-        monkeypatch.setattr(matrices, "_product", counted)
-        assert drazin_index(index_three) == 3
-        assert len(calls) == 3
-        calls.clear()
-        result = drazin.__wrapped__(jordan)
-        assert len(calls) == 4
-        calls.clear()
-        unit = drazin.__wrapped__(invertible)
-        assert calls == []
-        monkeypatch.setattr(matrices, "_product", product)
+        with monkeypatch.context() as patch:
+            calls = spy(patch, matrices, "_product")
+            assert drazin_index(index_three) == 3
+            assert len(calls) == 3
+            calls.clear()
+            result = drazin.__wrapped__(jordan)
+            assert len(calls) == 4
+            calls.clear()
+            unit = drazin.__wrapped__(invertible)
+            assert calls == []
         assert result.index == 5 and result.drazin.is_zero()
         assert unit.index == 0 and unit.drazin == inverse(invertible)

@@ -32,6 +32,7 @@ from conftest import (
     rows_of,
     scalars,
     singular_square_matrices,
+    spy,
     square_matrices,
 )
 from seeded import gen_invertible
@@ -188,14 +189,7 @@ class TestAlgebra:
         repeated = Matrix.identity(3)
         for _ in range(exponent):
             repeated = repeated * m
-        calls = []
-        product = matrices._product
-
-        def counted(left, right):
-            calls.append(1)
-            return product(left, right)
-
-        monkeypatch.setattr(matrices, "_product", counted)
+        calls = spy(monkeypatch, matrices, "_product")
         assert m ** exponent == repeated
         assert len(calls) == products
 
@@ -354,19 +348,12 @@ class TestExactDivision:
         m = mat([["i", "1", "0"], ["0", "0", "1"], ["1", "2", "3"]])
         wide = mat([["i", "1", "0", "0"], ["0", "0", "1", "0"],
                     ["1", "2", "3", "0"]])
-        divisors = []
-        combine = matrices._combine
-
-        def recording_combine(p, x, c, y, d):
-            divisors.append(d)
-            return combine(p, x, c, y, d)
-
-        monkeypatch.setattr(matrices, "_combine", recording_combine)
+        steps = spy(monkeypatch, matrices, "_combine")
         assert rank(wide) == 3
-        assert (0, 1) in divisors
-        divisors.clear()
+        assert (0, 1) in [d for *_, d in steps]
+        steps.clear()
         m_inv = inverse(m)
-        assert (0, 1) in divisors
+        assert (0, 1) in [d for *_, d in steps]
         assert m * m_inv == Matrix.identity(3)
         assert m_inv * m == Matrix.identity(3)
 
@@ -542,7 +529,7 @@ class TestLiftedInverse:
         limit = 2 * (den * hadamard) ** 2
         moduli = []
 
-        def refused(values, modulus, scale):
+        def refused(values, modulus):
             moduli.append(modulus)
             return None
 

@@ -48,6 +48,10 @@ class TestArithmetic:
         assert z * Fraction(1, 2) == GaussianRational(Fraction(1, 2), Fraction(1, 2))
         assert 1 + z == GaussianRational(2, 1)
         assert Fraction(3, 2) - z == GaussianRational(Fraction(1, 2), -1)
+        # Addition and multiplication commute, so each reflected method is
+        # its forward one, and a spy on that one sees 2 + z and 2 * z.
+        assert GaussianRational.__radd__ is GaussianRational.__add__
+        assert GaussianRational.__rmul__ is GaussianRational.__mul__
 
     def test_division(self):
         assert GaussianRational(3, 4) / GaussianRational(0, 1) == GaussianRational(4, -3)
