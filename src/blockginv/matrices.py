@@ -12,13 +12,16 @@ writes. Entries become GaussianRational values or text only when read.
 
 Sums and scalar multiples combine the numerator lists over one LCM
 denominator, and products take integer dot products of the stored rows
-and columns; each result is reduced by one gcd. A product packs each row
-of its right factor into one int (Kronecker substitution), in slots wide
-enough for any entry of the result with its sign: 2n max|L| max|R|
-bounds every dot product, for n inner terms and the largest numerator
-parts of the two factors. An output row is then three sums of int
-products, read back by shift and mask, with the same integers as entry
-by entry dot products. ``rank``, ``rref`` and
+and columns; each result is reduced by one gcd. An h x n times n x w
+product with h n w at most ``_PLAIN_UP_TO`` takes its dot products one
+entry at a time. A larger one packs each row of its right factor into
+one int (Kronecker substitution), in slots wide enough for any entry of
+the result with its sign: 2n max|L| max|R| bounds every dot product, for
+n inner terms and the largest numerator parts of the two factors. An
+output row is then three sums of int products, read back by shift and
+mask, with the same integers as the plain dot products; the packing's
+fixed cost pays only past the cutoff, which README times.
+``rank``, ``rref`` and
 ``inverse`` share one fraction-free Gauss-Jordan kernel (FFGJ), which
 starts from the numerator rows, each divided by its content. Every step
 divides exactly by the previous pivot d in Z[i], with conj(d) folded into
@@ -205,20 +208,25 @@ class Matrix:
     def from_blocks(cls, grid: Sequence[Sequence[Matrix]]) -> Matrix:
         """Assemble a matrix from a rectangular grid of blocks.
 
-        Block heights must agree along each grid row and widths along each
-        grid column; zero-width and zero-height blocks are allowed.
+        Every grid row has as many blocks as the first, block heights must
+        agree along each grid row and widths along each grid column;
+        zero-width and zero-height blocks are allowed. A mismatch names the
+        first block that differs and the block it must match.
         """
         if not grid or not all(grid):
             raise ValueError("empty block grid")
-        widths = [b.cols for b in grid[0]]
-        for block_row in grid:
-            if [b.cols for b in block_row] != widths:
-                raise ShapeMismatch("from_blocks", block_row[0].shape,
-                                    grid[0][0].shape)
-            height = block_row[0].rows
-            for b in block_row:
-                if b.rows != height:
-                    raise ShapeMismatch("from_blocks", (height, b.cols), b.shape)
+        top = grid[0]
+        widths = [b.cols for b in top]
+        for i, block_row in enumerate(grid):
+            if len(block_row) != len(top):
+                raise ValueError(f"from_blocks: grid rows 0 and {i} have "
+                                 f"{len(top)} and {len(block_row)} blocks")
+            for b, above in zip(block_row, top):
+                if b.cols != above.cols:
+                    raise ShapeMismatch("from_blocks", b.shape, above.shape)
+                if b.rows != block_row[0].rows:
+                    raise ShapeMismatch("from_blocks", b.shape,
+                                        block_row[0].shape)
         den = lcm(*(b._den for block_row in grid for b in block_row))
         re: list[int] = []
         im: list[int] = []
@@ -289,6 +297,22 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not any(self._re) and not any(self._im)
+
+    def first_ratio(self, other: Matrix) -> GaussianRational | None:
+        """self[k] / other[k] at the first row-major position k where both
+        entries are nonzero, read from storage; None when there is none."""
+        if self.shape != other.shape:
+            raise ShapeMismatch("first_ratio", self.shape, other.shape)
+        a, b, c, d = self._re, self._im, other._re, other._im
+        for k in range(len(a)):
+            if (a[k] or b[k]) and (c[k] or d[k]):
+                # (a + bi)/s over (c + di)/t is (a + bi)(c - di) t over
+                # (c^2 + d^2) s.
+                t = other._den
+                return _entry((c[k] * c[k] + d[k] * d[k]) * self._den,
+                              (a[k] * c[k] + b[k] * d[k]) * t,
+                              (b[k] * c[k] - a[k] * d[k]) * t)
+        return None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -372,6 +396,11 @@ def _scaled(matrix: Matrix, value) -> Matrix:
                    [x * q + y * p for x, y in pairs])
 
 
+# ``_product`` packs only past this many terms h n w; README gives the
+# measurements behind it.
+_PLAIN_UP_TO = 48
+
+
 def _packed_rows(values: Sequence[int], width: int,
                  shifts: range) -> list[int]:
     """Each row of a row-major list as one int, entry j shifted by shifts[j]."""
@@ -395,9 +424,21 @@ def _product(left: Matrix, right: Matrix) -> Matrix:
     and the largest numerator parts of each factor, so a slot of
     B.bit_length() + 1 bits holds it with its sign. Adding 2^(slot-1) to
     every slot makes them all nonnegative, and shift and mask read each
-    entry back.
+    entry back. Up to ``_PLAIN_UP_TO`` terms h n w, entry (i, j) is the
+    four plain dot products a.c - b.d and a.d + b.c instead, the same
+    integers without the packing's fixed cost; n = 0 stays packed.
     """
     n, width, height = left.cols, right.cols, left.rows
+    if n and height * n * width <= _PLAIN_UP_TO:
+        columns = [(right._re[j::width], right._im[j::width])
+                   for j in range(width)]
+        re, im = [], []
+        for lo in range(0, height * n, n):
+            a, b = left._re[lo:lo + n], left._im[lo:lo + n]
+            for c, d in columns:
+                re.append(sum(map(mul, a, c)) - sum(map(mul, b, d)))
+                im.append(sum(map(mul, a, d)) + sum(map(mul, b, c)))
+        return _matrix(height, width, left._den * right._den, re, im)
     big = 2 * n * max(map(abs, left._re + left._im), default=0) * max(
         map(abs, right._re + right._im), default=0)
     slot = big.bit_length() + 1

@@ -36,9 +36,12 @@ F E F^pi = 0. On a split pair no rule needs drazin(E): every kernel input
 and residual on E's Drazin data comes from a q x q matrix W,
 q = n - rank(F), as ``_Oriented`` sets out. ``_report`` is the one reader
 of Drazin data here: it calls drazin once on F and, when F is group
-invertible and a verdict or the kernel reads W, once on W. cor3.3's and
-cor3.4's hypotheses never read W, so their reports form no W, and
-cor3.4's no E G, until the kernel runs. Each verdict is a function of the
+invertible and a verdict or the kernel reads W, once on W. Whether the
+pair splits is read off the rref that drazin(F)'s first Cline step ran,
+through one r x q x q product, r = rank(F), and W is then q rows of E G,
+with no product (unless drazin factored F^T). cor3.3's and cor3.4's
+hypotheses never read W, so their reports form no W, and cor3.4's no
+E G, until the kernel runs. Each verdict is a function of the
 kernel-oriented pair alone, not of the order of the hypotheses (see
 ``_evaluate``). A held hypothesis has the zero residual, and every other
 residual is formed when it is read. The kernel inputs are formed only
@@ -201,8 +204,7 @@ def _commutation(e: Matrix, f: Matrix) -> tuple[Condition, Condition]:
     """
     ef = e * f
     fe = f * e
-    lam = next((p / q for i in range(ef.rows)
-                for p, q in zip(ef.row(i), fe.row(i)) if p and q), ZERO)
+    lam = ef.first_ratio(fe) or ZERO
     residual = ef - lam * fe
     holds = residual.is_zero()
     diff = ef - fe
@@ -232,10 +234,18 @@ class _Oriented:
         E E^pi F^pi = E G W^pi H
 
     and E^pi F^pi = 0 iff W has index 0, E E^pi F^pi = 0 iff W has index
-    <= 1. ``split`` is decided on first read, from the one n x q product
-    F E G, which it keeps as ``feg``. E G, ``eg``, and W's Drazin data,
-    ``dw``, are likewise formed on first read, so a report whose verdicts
-    never read W forms no W.
+    <= 1. ``split`` is decided on first read, without F E G. At index 0,
+    q = 0 and the pair splits. At index 1 the step gives F = B [I | R],
+    with B F's pivot columns, of full column rank, and [I | R] the rref
+    rows, I at the pivot columns. So F x = 0 iff x[pivots] + R x[free] = 0,
+    and F E G = 0 iff E G[pivots, :] + R E G[free, :] = 0, one r x q x q
+    product. G is the identity on its free rows, so on a split pair
+    W = G[free, :] W = E G[free, :], a pick. When ``drazin`` factored F^T,
+    G has no such rows: there W = H E G, and since null(F) = range(G) with
+    H G = I, the pair is split iff G W = E G. E G, ``eg``, W, ``w``, and
+    W's Drazin data, ``dw``, are formed on first read, so a report whose
+    verdicts never read W forms no W; ``w`` and ``dw`` are read only on a
+    split pair.
     """
 
     def __init__(self, e: Matrix, f: Matrix):
@@ -249,16 +259,27 @@ class _Oriented:
         return self.e * self.g
 
     @cached_property
-    def dw(self) -> DrazinResult:
-        return drazin(self.h * self.eg)
+    def w(self) -> Matrix:
+        step = self.df._step
+        if step is None or step[3]:
+            return self.h * self.eg
+        free = step[1]
+        return self.eg.pick(free, range(len(free)))
 
     @cached_property
-    def feg(self) -> Matrix:
-        return self.f * self.eg
+    def dw(self) -> DrazinResult:
+        return drazin(self.w)
 
-    @property
+    @cached_property
     def split(self) -> bool:
-        return self.df.index <= 1 and self.feg.is_zero()
+        if self.df.index != 1:
+            return self.df.index == 0
+        pivots, free, reduced, flipped = self.df._step
+        if flipped:
+            return self.g * self.w == self.eg
+        cols = range(len(free))
+        return (self.eg.pick(pivots, cols)
+                + reduced * self.eg.pick(free, cols)).is_zero()
 
     @property
     def e_pi_f_pi(self) -> Matrix:
@@ -279,7 +300,8 @@ def _evaluate(hypothesis: str, pair: _Oriented
     function that forms its residual.
 
     The one-sided constraint F E F^pi = 0 holds iff the pair is split; its
-    residual F T is F E G H for F of index <= 1 and is formed otherwise.
+    residual F T is F E G H for F of index <= 1, formed only when read,
+    and is formed to decide it otherwise.
     On a split pair E^pi F^pi and E E^pi F^pi are decided from W's index
     and their residuals formed as ``_Oriented`` sets out, only when read;
     on any other pair they come from drazin(E).
@@ -293,7 +315,7 @@ def _evaluate(hypothesis: str, pair: _Oriented
                 lambda: e * drazin(e).spectral_idempotent)
     if hypothesis in ("FEF^pi=0", "F^pi EF=0"):
         if pair.df.index <= 1:
-            return pair.split, lambda: pair.feg * pair.h
+            return pair.split, lambda: f * pair.eg * pair.h
         ft = f * (e * f_pi)
         return ft.is_zero(), lambda: ft
     e_pi_f_pi = hypothesis in ("E^pi F^pi=0", "F^pi E^pi=0")

@@ -1,5 +1,5 @@
-"""Shared helpers: literal matrix construction, a call spy, hypothesis
-strategies and tables of malformed scalar strings."""
+"""Shared helpers: literal matrix construction, a call spy, the split
+check, hypothesis strategies and tables of malformed scalar strings."""
 
 import sys
 
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from blockginv.matrices import Matrix
 from blockginv.scalars import GaussianRational, parse_scalar
+from blockginv.theorems import _Oriented
 
 settings.register_profile(
     "suite",
@@ -30,6 +31,28 @@ def mat(rows):
 def rows_of(m):
     """The matrix's entries as a list of row lists, read by ``Matrix.row``."""
     return [list(m.row(i)) for i in range(m.rows)]
+
+
+def split_complaints(pairs):
+    """(complaints, flipped) over pairs (E, F), each as given and transposed.
+
+    Wherever F has index <= 1, ``_Oriented``'s split verdict must equal
+    whether F E G is zero, and on a split pair its W must equal H (E G).
+    ``flipped`` counts the pairs where drazin factored F^T, which decide
+    the split by G W = E G.
+    """
+    complaints, flipped = [], 0
+    for e, f in pairs:
+        for e, f in ((e, f), (e.transpose(), f.transpose())):
+            pair = _Oriented(e, f)
+            if pair.df.index > 1:
+                continue
+            flipped += pair.df.index == 1 and pair.df._step[3]
+            if pair.split != (f * pair.eg).is_zero():
+                complaints.append(f"split {pair.split} on E, F = {e}, {f}")
+            elif pair.split and pair.w != pair.h * pair.eg:
+                complaints.append(f"W {pair.w} on E, F = {e}, {f}")
+    return complaints, flipped
 
 
 PROJ = [["1", "0"], ["0", "0"]]

@@ -22,8 +22,8 @@ from blockginv.ginverse import (
 )
 from blockginv.matrices import Matrix, rank
 from blockginv.scalars import GaussianRational
-from blockginv.theorems import THEOREM_IDS, block_group_inverse
-from conftest import DEFINITIONS, mat, spy
+from blockginv.theorems import RULES, THEOREM_IDS, block_group_inverse
+from conftest import DEFINITIONS, mat, split_complaints, spy
 from paper_forms import (
     blocks,
     cor24_direct,
@@ -120,20 +120,27 @@ def test_criterion_4_negative_campaigns():
 @pytest.mark.parametrize("theorem", ["thm2.1", "thm2.3", "thm3.1", "cor3.2"])
 def test_refusals_form_residuals_on_read(theorem, monkeypatch):
     """On criterion 4's corpus a refusal is decided from W's index after
-    products E G (n x q), F E G (n x q) and W = H E G (q x q) alone, and
-    forms its failing residual only when that is read; every residual
-    read equals its definition. gen_pair leaves drazin's cache warm, so
-    the refusal takes no product inside drazin."""
+    products E G (n x q) and R E G[free, :] (r x q) alone, R being the
+    free columns of F's rref, W = E G[free, :] being a pick, and forms its
+    failing residual only when that is read; every residual read equals
+    its definition. Where drazin factored F^T, in the kernel's
+    orientation, the products are E G, W = H E G (q x q) and G W (n x q).
+    gen_pair leaves drazin's cache warm, so the refusal takes no product
+    inside drazin."""
     refused = []
 
     def refuse(e, f, name):
-        n, q = e.rows, e.rows - rank(f)
+        r = rank(f)
+        n, q = e.rows, e.rows - r
+        oriented = f.transpose() if RULES[name].mirrored else f
+        flipped = drazin(oriented)._step[3]
         with monkeypatch.context() as patch:
             products = spy(patch, matrices, "_product")
             with pytest.raises(NotGroupInvertible) as info:
                 block_group_inverse(name, e, f)
-            assert [(left.rows, right.cols) for left, right in products] \
-                == [(n, q), (n, q), (q, q)]
+            shapes = [(left.rows, right.cols) for left, right in products]
+            assert shapes == ([(n, q), (q, q), (n, q)] if flipped
+                              else [(n, q), (r, q)])
             products.clear()
             report = info.value.report
             residuals = [c.residual for c in report.conditions]
@@ -150,6 +157,22 @@ def test_refusals_form_residuals_on_read(theorem, monkeypatch):
     run_campaign(theorem, NEGATIVE_TRIALS, 6, seed=CORPUS_SEED + 1,
                  negative=True)
     assert refused == [theorem] * NEGATIVE_TRIALS
+
+
+def test_split_is_read_off_f_rref(corpus):
+    """On criterion 3's and criterion 4's corpora, each pair as given and
+    transposed, the kernel-oriented split verdict is whether F E G is
+    zero, and W on a split pair is H (E G) (``conftest.split_complaints``).
+    Both corpora hold pairs whose F drazin factors through F^T."""
+    positives = [(t.e, t.f) for trials in corpus.values() for t in trials]
+    refusals = [(t.e, t.f)
+                for theorem in ("thm2.1", "thm2.3", "thm3.1", "cor3.2")
+                for t in run_campaign(theorem, NEGATIVE_TRIALS, 6,
+                                      seed=CORPUS_SEED + 1, negative=True)]
+    for pairs in (positives, refusals):
+        complaints, flipped = split_complaints(pairs)
+        assert complaints == []
+        assert flipped > 0
 
 
 def test_criterion_5_route_consistency(corpus):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import blockginv
 from blockginv import matrices
+from blockginv.generators import GenSpec, gen_pair
 from blockginv.ginverse import drazin
 from blockginv.matrices import (
     Matrix,
@@ -25,6 +26,7 @@ from blockginv.matrices import (
     rref,
 )
 from blockginv.scalars import GaussianRational, I, parse_scalar
+from blockginv.theorems import block_group_inverse
 from conftest import (
     mat,
     nonzero_scalars,
@@ -110,6 +112,21 @@ class TestConstruction:
     def test_from_blocks_rejects_mismatched_widths(self):
         with pytest.raises(ShapeMismatch):
             Matrix.from_blocks([[mat([["1"]])], [mat([["1", "2"]])]])
+
+    def test_from_blocks_names_the_blocks_that_differ(self):
+        z = Matrix.zeros
+        with pytest.raises(ShapeMismatch, match="^from_blocks: shapes 2x2 "
+                                                "and 2x3 do not fit$"):
+            Matrix.from_blocks([[z(2, 2), z(2, 3)], [z(2, 2), z(2, 2)]])
+        with pytest.raises(ShapeMismatch, match="^from_blocks: shapes 2x1 "
+                                                "and 1x1 do not fit$"):
+            Matrix.from_blocks([[z(1, 1), z(1, 1)], [z(1, 1), z(2, 1)]])
+        with pytest.raises(ValueError, match="^from_blocks: grid rows 0 and "
+                                             "1 have 2 and 1 blocks$"):
+            Matrix.from_blocks([[z(2, 2), z(2, 3)], [z(2, 2)]])
+        with pytest.raises(ValueError, match="^from_blocks: grid rows 0 and "
+                                             "2 have 1 and 2 blocks$"):
+            Matrix.from_blocks([[z(1, 1)], [z(1, 1)], [z(1, 1), z(1, 0)]])
 
     def test_getitem_bounds(self):
         m = mat([["1", "2"]])
@@ -284,6 +301,91 @@ class TestPackedProduct:
             b = b.transpose()
         if a.cols == b.rows:
             assert a * b == reference_product(a, b)
+
+
+class TestPackedPathOnly(TestPackedProduct):
+    """TestPackedProduct's checks with every product packed.
+
+    ``_product`` takes plain dot products up to ``_PLAIN_UP_TO`` terms
+    h n w, which covers most of TestPackedProduct's shapes; here the
+    cutoff is below every size, so the slot bound is still reached on the
+    packed path.
+    """
+
+    @pytest.fixture(autouse=True, scope="class")
+    def packed_only(self):
+        with mock.patch.object(matrices, "_PLAIN_UP_TO", -1):
+            yield
+
+    # Hypothesis runs a test from one class only; TestPlainAndPackedAgree
+    # draws pairs for both paths.
+    test_drawn_pairs = None
+
+
+def storage(m: Matrix) -> tuple:
+    return m.shape, m._den, m._re, m._im
+
+
+class TestPlainAndPackedAgree:
+    """The plain and the packed product give the same storage.
+
+    Each pair is multiplied with the cutoff below every size (packed
+    only), above every size (plain wherever the inner dimension is
+    positive) and as set, on both sides of ``_PLAIN_UP_TO``.
+    """
+
+    @staticmethod
+    def products(left, right):
+        found = [storage(left * right)]
+        for cutoff in (-1, 10 ** 9):
+            with mock.patch.object(matrices, "_PLAIN_UP_TO", cutoff):
+                found.append(storage(left * right))
+        return found
+
+    REAL = ("2", "-1/3", "0", "5/7", "-4", "1")
+    COMPLEX = ("2-i", "-1/3", "5/7i", "0", "-4+2/9i", "1")
+
+    @pytest.mark.parametrize("rows, n, cols", [
+        (2, 0, 3), (0, 0, 0), (0, 3, 2), (2, 3, 0), (0, 0, 4),
+        (1, 1, 1), (2, 2, 2), (3, 4, 4), (4, 4, 3), (3, 4, 5), (4, 4, 4),
+        (2, 5, 5), (6, 6, 6),
+    ])
+    @pytest.mark.parametrize("kinds", [("REAL", "COMPLEX"),
+                                       ("COMPLEX", "REAL"),
+                                       ("COMPLEX", "COMPLEX")],
+                             ids=["real x complex", "complex x real",
+                                  "complex x complex"])
+    def test_shapes_on_both_sides_of_the_cutoff(self, rows, n, cols, kinds):
+        left_values, right_values = (
+            [parse_scalar(x) for x in getattr(self, kind)] for kind in kinds)
+        left = Matrix(rows, n, [left_values[k % 6] for k in range(rows * n)])
+        right = Matrix(n, cols, [right_values[(k + 2) % 6]
+                                 for k in range(n * cols)])
+        assert self.products(left, right) == [
+            storage(reference_product(left, right))] * 3
+
+    def test_largest_workload_entries(self):
+        # thm3.1's blocks at n = 8 hold the closed-form workload's largest
+        # entries, up to 200 bits.
+        e, f = gen_pair(GenSpec("thm3.1", 8, 7, True, seed=0))
+        result = block_group_inverse("thm3.1", e, f)
+        gamma, delta = result.gamma, result.delta
+        assert max(abs(x).bit_length() for x in delta._re + delta._im) >= 190
+        for left, right in ((delta, gamma), (gamma, delta),
+                            (delta.pick([0, 1, 2], [3, 4, 5, 6]),
+                             gamma.pick([1, 2, 3, 4], [0, 7, 2, 5])),
+                            (delta.pick([5], range(8)), gamma.columns([6])),
+                            (delta.columns([2]), gamma.pick([4], range(8)))):
+            packed, plain, as_set = self.products(left, right)
+            assert packed == plain == as_set
+
+    @given(rect_matrices(), rect_matrices())
+    def test_drawn_pairs(self, a, b):
+        if a.cols != b.rows:
+            b = b.transpose()
+        if a.cols == b.rows:
+            assert self.products(a, b) == [
+                storage(reference_product(a, b))] * 3
 
 
 class TestRowReduction:

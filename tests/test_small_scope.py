@@ -41,7 +41,7 @@ from blockginv.matrices import Matrix
 from blockginv.theorems import (RULES, THEOREM_IDS, BlockGroupInverse,
                                 HypothesisViolated, assemble_M,
                                 block_group_inverse, check_conditions)
-from conftest import DEFINITIONS
+from conftest import DEFINITIONS, split_complaints
 
 ENTRIES = (-1, 0, 0, 1)
 PAIRS = 1500
@@ -201,3 +201,15 @@ def test_reports_follow_the_definitions(corpus):
     """The same one rule call per (rule, pair), judged by its own report
     and, through that report, by the definitions."""
     assert _complaints(corpus, _wrong_kind, _misreports) == []
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_split_is_read_off_f_rref(corpus):
+    """Each pair as given and transposed: wherever F has index <= 1 the
+    split verdict is whether F E G is zero, and W on a split pair is
+    H (E G) (``conftest.split_complaints``). Both corpora hold pairs whose
+    F drazin factors through F^T."""
+    complaints, flipped = split_complaints(
+        tuple(map(Matrix.from_rows, rows)) for rows in CORPORA[corpus]())
+    assert complaints == []
+    assert flipped > 0

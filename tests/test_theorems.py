@@ -305,31 +305,46 @@ class TestProductCounts:
 
 
 class TestRouteCounts:
-    """A closed form at n = 8, from a cold cache: (products, Gauss-Jordan
-    eliminations, invertibility certificates) for rank_f 1, 4 and 7.
+    """A closed form from a cold cache: (products, Gauss-Jordan
+    eliminations, invertibility certificates) at n = 8 for rank_f 1, 4
+    and 7, and at n = 3 for every rank_f, seed 0.
 
     Every count includes the two drazin calls, on F and on W; cor3.3 and
-    cor3.4 also eliminate once more for E's index, and cor2.5 forms F E G
-    to decide whether its pair splits.
+    cor3.4 also eliminate once more for E's index, and cor2.5 forms
+    R E G[free, :] (F E G through the rref of F, or G W for a flipped F)
+    to decide whether its pair splits. At rank_f = n, F is invertible:
+    the pair splits with no product, and q = 0.
     """
 
     COUNTS = {
-        "thm2.1": [(13, 3, 3)] * 3,
-        "cor2.2": [(14, 3, 3)] * 3,
-        "thm2.3": [(13, 3, 3)] * 3,
-        "cor2.4": [(14, 3, 3)] * 3,
-        "cor2.5": [(16, 3, 3)] * 3,
-        "thm3.1": [(21, 4, 4), (15, 3, 3), (17, 3, 3)],
-        "cor3.2": [(21, 4, 4), (15, 3, 3), (17, 3, 3)],
-        "cor3.3": [(15, 3, 4), (16, 4, 5), (15, 3, 4)],
-        "cor3.4": [(17, 4, 5), (23, 5, 6), (17, 4, 5)],
+        "thm2.1": [(12, 3, 3)] * 3,
+        "cor2.2": [(13, 3, 3)] * 3,
+        "thm2.3": [(12, 3, 3)] * 3,
+        "cor2.4": [(13, 3, 3)] * 3,
+        "cor2.5": [(15, 3, 3), (15, 3, 3), (16, 3, 3)],
+        "thm3.1": [(20, 4, 4), (14, 3, 3), (16, 3, 3)],
+        "cor3.2": [(20, 4, 4), (14, 3, 3), (16, 3, 3)],
+        "cor3.3": [(14, 3, 4), (15, 4, 5), (14, 3, 4)],
+        "cor3.4": [(16, 4, 5), (22, 5, 6), (16, 4, 5)],
     }
 
-    @pytest.mark.parametrize("theorem", THEOREM_IDS)
-    def test_counts_at_n8(self, theorem, monkeypatch):
+    COUNTS_N3 = {
+        "thm2.1": [(7, 2, 2), (12, 3, 3), (12, 3, 3), (7, 2, 1)],
+        "cor2.2": [(8, 2, 2), (13, 3, 3), (13, 3, 3), (8, 2, 1)],
+        "thm2.3": [(7, 2, 2), (12, 3, 3), (12, 3, 3), (7, 2, 1)],
+        "cor2.4": [(8, 2, 2), (13, 3, 3), (13, 3, 3), (8, 2, 1)],
+        "cor2.5": [(9, 2, 2), (15, 3, 3), (16, 3, 3), (10, 2, 1)],
+        "thm3.1": [(9, 2, 2), (20, 4, 4), (14, 3, 3), (9, 2, 1)],
+        "cor3.2": [(9, 2, 2), (20, 4, 4), (14, 3, 3), (9, 2, 1)],
+        "cor3.3": [(9, 2, 3), (14, 3, 4), (14, 3, 4), (9, 2, 2)],
+        "cor3.4": [(17, 4, 5), (16, 4, 5), (15, 3, 4), (13, 3, 3)],
+    }
+
+    @staticmethod
+    def counts(theorem, n, ranks, monkeypatch):
         found = []
-        for rank_f in (1, 4, 7):
-            e, f = gen_pair(GenSpec(theorem, 8, rank_f, True, seed=0))
+        for rank_f in ranks:
+            e, f = gen_pair(GenSpec(theorem, n, rank_f, True, seed=0))
             drazin.cache_clear()
             with monkeypatch.context() as patch:
                 calls = [spy(patch, matrices, name)
@@ -337,7 +352,17 @@ class TestRouteCounts:
                                       "_certainly_invertible")]
                 block_group_inverse(theorem, e, f)
             found.append(tuple(map(len, calls)))
-        assert found == self.COUNTS[theorem]
+        return found
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_counts_at_n8(self, theorem, monkeypatch):
+        assert (self.counts(theorem, 8, (1, 4, 7), monkeypatch)
+                == self.COUNTS[theorem])
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_counts_at_n3(self, theorem, monkeypatch):
+        assert (self.counts(theorem, 3, range(4), monkeypatch)
+                == self.COUNTS_N3[theorem])
 
 
 class TestCostAgainstOracle:
