@@ -28,6 +28,10 @@ divides exactly by the previous pivot d in Z[i], with conj(d) folded into
 the step for a non-real d; a remainder raises ArithmeticError. Rows are
 compact: a pivoted column is d in its own row, so no row keeps it, and
 ``inverse`` runs in place, its identity columns taking the freed slots.
+Before any elimination, ``rref`` and ``inverse`` pivot exactly on every
+unit row, a row with one nonzero numerator (``_unit_rows``): only the
+other rows and columns are eliminated, by the routes below, chosen by the
+size of what is left, and ``inverse`` adds one product for the rest.
 ``rank`` counts ``rref``'s pivots; ``rref`` and ``inverse`` divide by the
 last pivot once, at the end. FFGJ pivots each column on its smallest
 candidate row by total bit length, the first on a tie, which keeps the
@@ -488,6 +492,37 @@ def _single_entry_lines(matrix: Matrix) -> tuple[int, int]:
     return in_rows.count(1), in_cols.count(1)
 
 
+def _unit_rows(matrix: Matrix) -> dict[int, int]:
+    """The unit rows: each column that holds the one nonzero numerator of
+    some row, mapped to the first such row.
+
+    A unit row has w - 1 zero real parts, so only a row with that many is
+    read further, and a matrix with fewer in all has no unit row.
+    """
+    w, re, im = matrix.cols, matrix._re, matrix._im
+    units: dict[int, int] = {}
+    if not w or re.count(0) < w - 1:
+        return units
+    for i, lo in enumerate(range(0, len(re), w)):
+        if re[lo:lo + w].count(0) >= w - 1:
+            # Past w - 1 zeros, the one nonzero is the sum of the line.
+            line = list(map(or_, re[lo:lo + w], im[lo:lo + w]))
+            if line.count(0) == w - 1:
+                units.setdefault(line.index(sum(line)), i)
+    return units
+
+
+def _rest(matrix: Matrix, units: dict[int, int]) -> tuple[list[int],
+                                                           list[int], Matrix]:
+    """(rows, cols, M[rows, cols]) for the rows and columns outside the
+    unit rows and their columns."""
+    w, taken = matrix.cols, set(units.values())
+    rows = [i for i in range(matrix.rows) if i not in taken]
+    cols = [j for j in range(w) if j not in units]
+    return rows, cols, matrix._take(len(rows), len(cols),
+                                    [i * w + j for i in rows for j in cols])
+
+
 def _integer_rows(matrix: Matrix) -> tuple[list[_ZiVector], list[int]]:
     """The numerator rows, each divided by its content, and the contents."""
     w, re, im = matrix.cols, matrix._re, matrix._im
@@ -737,10 +772,38 @@ def _lifted_rref(matrix: Matrix
     return None
 
 
+def _merged_rref(matrix: Matrix, units: dict[int, int], free: list[int],
+                 found: tuple[Matrix, int, tuple[int, ...]]
+                 ) -> tuple[Matrix, int, tuple[int, ...]]:
+    """The rref of a matrix with unit rows, from ``found``, the rref of
+    M[other rows, free]: e_c at each unit column c, and each row of the
+    rest's rref at its pivot, in pivot order."""
+    reduced, _, pivots = found
+    f = len(free)
+    others = [j for j in range(f) if j not in pivots]
+    rows = {free[p]: ([reduced._re[s * f + j] for j in others],
+                      [reduced._im[s * f + j] for j in others])
+            for s, p in enumerate(pivots)}
+    pivot_cols = sorted([*units, *rows])
+    empty = ((), ())
+    return (_echelon_form(matrix.rows, matrix.cols, pivot_cols, reduced._den,
+                          [rows.get(c, empty) for c in pivot_cols]),
+            len(pivot_cols), tuple(pivot_cols))
+
+
 def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form: (R, rank, pivot_columns).
 
-    A matrix with no rows or no columns has rank 0 at once. From
+    A unit row, one nonzero entry at column c, is e_c up to a factor, so
+    it pivots exactly: R holds e_c for each such column c, the first unit
+    row there standing for the others. Only the rest, M[other rows, other
+    columns], is eliminated, and its rref, placed back at its own columns,
+    merges with the e_c in pivot order (``_merged_rref``). No arithmetic
+    touches a unit row, and the rank is the count of unit columns plus
+    the rank of the rest. The rest takes one of three routes by its own
+    size; with no unit rows it is M.
+
+    A rest with no rows or no columns has rank 0 at once. From
     ``_LIFT_FROM`` rows up R comes by lifting (``_lifted_rref``): Gauss-
     Jordan mod P gives r pivots at rows I and columns J, and lifting
     solves M[I, J] X = M[I, F] for the free columns F. R = [I | X] is
@@ -755,21 +818,28 @@ def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     (``_bits``), which only sets the cost: R is unique. Each pivot ends
     equal to the last, d, and R is the final rows over d.
     """
-    height, width = matrix.rows, matrix.cols
+    units = _unit_rows(matrix)
+    if len(units) == matrix.cols:
+        # Every column pivots on a unit row: R is I over zero rows.
+        pivot_cols = tuple(range(matrix.cols))
+        return (_echelon_form(matrix.rows, matrix.cols, pivot_cols, 1,
+                              repeat(((), ()))), matrix.cols, pivot_cols)
+    _, free, rest = _rest(matrix, units) if units else ((), (), matrix)
+    height, width = rest.rows, rest.cols
     if not (height and width):
-        return Matrix.zeros(height, width), 0, ()
-    if height >= _LIFT_FROM:
-        lifted = _lifted_rref(matrix)
-        if lifted is not None:
-            return lifted
-    elif matrix.is_square and _certainly_invertible(matrix):
-        return Matrix.identity(height), height, tuple(range(height))
-    rows = _integer_rows(matrix)[0]
-    pivot_cols, d, _ = _gauss_jordan(rows, width, False)
-    norm = d[0] * d[0] + d[1] * d[1]
-    reduced = _echelon_form(height, width, pivot_cols, norm,
-                            (_times_conj(row, d) for row in rows))
-    return reduced, len(pivot_cols), tuple(pivot_cols)
+        found = Matrix.zeros(height, width), 0, ()
+    elif height >= _LIFT_FROM and (lifted := _lifted_rref(rest)) is not None:
+        found = lifted
+    elif height < _LIFT_FROM and rest.is_square and _certainly_invertible(rest):
+        found = Matrix.identity(height), height, tuple(range(height))
+    else:
+        rows = _integer_rows(rest)[0]
+        pivot_cols, d, _ = _gauss_jordan(rows, width, False)
+        norm = d[0] * d[0] + d[1] * d[1]
+        found = (_echelon_form(height, width, pivot_cols, norm,
+                               (_times_conj(row, d) for row in rows)),
+                 len(pivot_cols), tuple(pivot_cols))
+    return _merged_rref(matrix, units, free, found) if units else found
 
 
 def rank(matrix: Matrix) -> int:
@@ -909,10 +979,58 @@ def _lifted_inverse(matrix: Matrix) -> Matrix | None:
 def inverse(matrix: Matrix) -> Matrix:
     """Exact inverse; SingularMatrix if rank < n.
 
+    Unit row i, with its one nonzero a_i at column c_i, takes no
+    elimination. With K the columns c_i, Y = M[rest rows, rest cols] and
+    X = M[rest rows, K], M^-1 is 1 / a_i at [c_i, i], Y^-1 at [rest cols,
+    rest rows], -(Y^-1 X)[:, i] / a_i at [rest cols, i] and zero at [K,
+    rest rows]: one product on ``_eliminated_inverse``'s Y^-1. A second
+    unit row at some c_i leaves a zero row in Y, and the rank is |K|
+    plus that of Y.
+    """
+    _require_square(matrix, "inverse")
+    n = matrix.rows
+    units = _unit_rows(matrix)
+    if len(units) < n:
+        rows, cols, y = _rest(matrix, units) if units else ((), (), matrix)
+        y_inv = _eliminated_inverse(y)
+        if isinstance(y_inv, int):
+            raise SingularMatrix(f"rank {len(units) + y_inv} < {n}")
+        if not units:
+            return y_inv
+        z = _product(y_inv, matrix._take(len(rows), len(units), [
+            i * n + c for i in rows for c in units]))
+    else:
+        rows = cols = ()
+    # 1 / a_i = den conj(p_i) / |p_i|^2 for a_i's numerator p_i = a + bi,
+    # and Y^-1 and Z = Y^-1 X have numerators over y_den and z_den.
+    re, im, k, m = matrix._re, matrix._im, len(units), len(rows)
+    parts = [(c, i, re[i * n + c], im[i * n + c]) for c, i in units.items()]
+    norms = [a * a + b * b for _, _, a, b in parts]
+    y_den, z_den = (y_inv._den, z._den) if rows else (1, 1)
+    den = lcm(y_den, *(z_den * norm for norm in norms))
+    out_re, out_im = [0] * (n * n), [0] * (n * n)
+    for s, j in enumerate(cols):
+        g = den // y_den
+        for r, i in enumerate(rows):
+            out_re[j * n + i] = y_inv._re[s * m + r] * g
+            out_im[j * n + i] = y_inv._im[s * m + r] * g
+    for t, ((c, i, a, b), norm) in enumerate(zip(parts, norms)):
+        f = matrix._den * (den // (z_den * norm))
+        out_re[c * n + i], out_im[c * n + i] = a * f * z_den, -b * f * z_den
+        # -(x + wi)(a - bi) f for Z[s, t] = (x + wi) / z_den.
+        for s, j in enumerate(cols):
+            x, w = z._re[s * k + t], z._im[s * k + t]
+            out_re[j * n + i] = -(x * a + w * b) * f
+            out_im[j * n + i] = (x * b - w * a) * f
+    return _matrix(n, n, den, out_re, out_im)
+
+
+def _eliminated_inverse(matrix: Matrix) -> Matrix | int:
+    """``inverse`` by elimination alone, or the rank of a singular matrix.
+
     From ``_LIFT_FROM`` rows up by certified p-adic lifting, and otherwise,
     or when lifting abstains, by in-place Gauss-Jordan (FFGJ).
     """
-    _require_square(matrix, "inverse")
     n = matrix.rows
     if n >= _LIFT_FROM:
         lifted = _lifted_inverse(matrix)
@@ -921,7 +1039,7 @@ def inverse(matrix: Matrix) -> Matrix:
     rows, contents = _integer_rows(matrix)
     pivot_cols, d, order = _gauss_jordan(rows, n, True)
     if len(pivot_cols) < n:
-        raise SingularMatrix(f"rank {len(pivot_cols)} < {n}")
+        return len(pivot_cols)
     # Slot k holds column order[k] of d N'^-1, for N' the rows divided by
     # their contents g; (diag(g) N' / den)^-1 scales column j by den / g_j.
     scale = lcm(*contents)

@@ -939,3 +939,38 @@ class TestCanonicalForm:
         result = drazin(m)
         assert_canonical(result.drazin)
         assert_canonical(result.spectral_idempotent)
+
+
+def _dense_invertible(n: int) -> Matrix:
+    """A dense invertible n x n matrix: no row of P M is a unit row."""
+    return Matrix.from_rows([[(i + 2) ** j + (i == j) for j in range(n)]
+                             for i in range(n)])
+
+
+UNIT_ROW_CASES = [
+    mat([["2", "3"], ["0", "5"]]),
+    mat([["1", "2+i", "0"], ["0", "2+i", "0"], ["4", "1", "7"]]),
+    mat([["0", "3", "0"], ["0", "-1", "0"], ["1", "1", "1"]]),
+    mat([["1", "2", "3"], ["0", "0", "0"], ["0", "0", "4"]]),
+    mat([["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]]),
+    mat([["2", "0", "0"], ["0", "i", "0"], ["0", "0", "1/3"]]),
+    mat([["5"]]),
+    mat([["0"]]),
+]
+
+
+class TestUnitRows:
+    """Unit rows pivot exactly in rref and inverse; P M for a dense
+    invertible P has none and takes the elimination route."""
+
+    @pytest.mark.parametrize("m", UNIT_ROW_CASES + [Matrix.zeros(0, 0)])
+    def test_same_as_elimination(self, m):
+        p = _dense_invertible(m.rows)
+        assert rref(m) == rref(p * m)
+        try:
+            expected = inverse(p * m) * p
+        except SingularMatrix as err:
+            with pytest.raises(SingularMatrix, match=f"^{err}$"):
+                inverse(m)
+        else:
+            assert inverse(m) == expected

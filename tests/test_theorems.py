@@ -313,31 +313,34 @@ class TestRouteCounts:
     cor3.4 also eliminate once more for E's index, and cor2.5 forms
     R E G[free, :] (F E G through the rref of F, or G W for a flipped F)
     to decide whether its pair splits. At rank_f = n, F is invertible:
-    the pair splits with no product, and q = 0.
+    the pair splits with no product, and q = 0. A 1 x 1 core, or any
+    matrix whose rows all hold one nonzero, is a set of unit rows that
+    ``rref`` and ``inverse`` pivot on with no elimination or certificate;
+    ``inverse`` takes one product for the rows that are left.
     """
 
     COUNTS = {
-        "thm2.1": [(12, 3, 3)] * 3,
-        "cor2.2": [(13, 3, 3)] * 3,
-        "thm2.3": [(12, 3, 3)] * 3,
-        "cor2.4": [(13, 3, 3)] * 3,
-        "cor2.5": [(15, 3, 3), (15, 3, 3), (16, 3, 3)],
-        "thm3.1": [(20, 4, 4), (14, 3, 3), (16, 3, 3)],
-        "cor3.2": [(20, 4, 4), (14, 3, 3), (16, 3, 3)],
-        "cor3.3": [(14, 3, 4), (15, 4, 5), (14, 3, 4)],
-        "cor3.4": [(16, 4, 5), (22, 5, 6), (16, 4, 5)],
+        "thm2.1": [(12, 2, 2), (12, 3, 3), (12, 2, 2)],
+        "cor2.2": [(13, 2, 2), (13, 3, 3), (13, 2, 2)],
+        "thm2.3": [(12, 2, 2), (12, 3, 3), (12, 2, 2)],
+        "cor2.4": [(13, 2, 2), (13, 3, 3), (13, 2, 2)],
+        "cor2.5": [(15, 2, 2), (15, 2, 2), (16, 1, 1)],
+        "thm3.1": [(20, 3, 3), (14, 3, 3), (16, 3, 3)],
+        "cor3.2": [(20, 3, 3), (14, 3, 3), (16, 3, 3)],
+        "cor3.3": [(14, 2, 3), (15, 4, 5), (14, 2, 3)],
+        "cor3.4": [(16, 3, 4), (22, 5, 6), (16, 3, 4)],
     }
 
     COUNTS_N3 = {
-        "thm2.1": [(7, 2, 2), (12, 3, 3), (12, 3, 3), (7, 2, 1)],
-        "cor2.2": [(8, 2, 2), (13, 3, 3), (13, 3, 3), (8, 2, 1)],
-        "thm2.3": [(7, 2, 2), (12, 3, 3), (12, 3, 3), (7, 2, 1)],
-        "cor2.4": [(8, 2, 2), (13, 3, 3), (13, 3, 3), (8, 2, 1)],
-        "cor2.5": [(9, 2, 2), (15, 3, 3), (16, 3, 3), (10, 2, 1)],
-        "thm3.1": [(9, 2, 2), (20, 4, 4), (14, 3, 3), (9, 2, 1)],
-        "cor3.2": [(9, 2, 2), (20, 4, 4), (14, 3, 3), (9, 2, 1)],
-        "cor3.3": [(9, 2, 3), (14, 3, 4), (14, 3, 4), (9, 2, 2)],
-        "cor3.4": [(17, 4, 5), (16, 4, 5), (15, 3, 4), (13, 3, 3)],
+        "thm2.1": [(7, 2, 2), (12, 2, 2), (12, 2, 2), (7, 1, 1)],
+        "cor2.2": [(8, 2, 2), (13, 2, 2), (13, 2, 2), (8, 1, 1)],
+        "thm2.3": [(7, 2, 2), (12, 2, 2), (12, 2, 2), (7, 1, 1)],
+        "cor2.4": [(8, 2, 2), (13, 2, 2), (13, 2, 2), (8, 1, 1)],
+        "cor2.5": [(9, 2, 2), (15, 2, 2), (16, 1, 1), (10, 1, 1)],
+        "thm3.1": [(9, 2, 2), (20, 2, 2), (14, 2, 2), (9, 1, 1)],
+        "cor3.2": [(9, 2, 2), (20, 2, 2), (14, 2, 2), (9, 1, 1)],
+        "cor3.3": [(9, 2, 3), (14, 2, 3), (14, 2, 3), (9, 1, 2)],
+        "cor3.4": [(17, 4, 5), (16, 3, 4), (16, 2, 3), (13, 2, 3)],
     }
 
     @staticmethod

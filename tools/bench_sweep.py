@@ -1,6 +1,6 @@
 """Cold closed form against cold oracle, rule by rule, at small n.
 
-    python3 tools/bench_sweep.py --label item4             # n 1, 2, 3
+    python3 tools/bench_sweep.py --label item4           # n 1, 2, 3, 4, 8
     python3 tools/bench_sweep.py --label quick --sizes 1,2 --repeats 1
 
 For each rule, size n, rank_f in 0..n and seed in 0-5, one positive pair
@@ -101,8 +101,8 @@ def _commit() -> str | None:
 def main(argv=None) -> Path:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--sizes", default="1,2,3",
-                        help="comma-separated sizes n (default 1,2,3)")
+    parser.add_argument("--sizes", default="1,2,3,4,8",
+                        help="comma-separated sizes n (default 1,2,3,4,8)")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args(argv)
