@@ -475,3 +475,21 @@ class TestInvertibilityCertificate:
             assert len(calls) == 1
         assert result.index == 5 and result.drazin.is_zero()
         assert unit.index == 0 and unit.drazin == inverse(invertible)
+
+
+@pytest.mark.parametrize("layout", [BlockShape.EI_F0, BlockShape.EF_I0])
+def test_identity_layouts_eliminate_n_rows(layout, monkeypatch):
+    # The identity block's n unit rows pivot exactly: the first Cline step
+    # and, with F invertible, the inverse of the whole 2n matrix eliminate
+    # only the n rows left, never 2n.
+    n = 8
+    theorem = next(t for t, s in SHAPE_FOR_THEOREM.items() if s is layout)
+    e, f = gen_pair(GenSpec(theorem, n, n, True, 0))
+    big = assemble_M(e, f, layout)
+    with monkeypatch.context() as patch:
+        ffgj = spy(patch, matrices, "_gauss_jordan")
+        mod_p = spy(patch, matrices, "_gauss_jordan_mod")
+        result = drazin.__wrapped__(big)
+    assert result.index == 0
+    assert ffgj and {len(rows) for rows, *_ in ffgj} == {n}
+    assert {m.rows for m, *_ in mod_p} <= {n}
