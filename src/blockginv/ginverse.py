@@ -138,8 +138,9 @@ def drazin(matrix: Matrix) -> DrazinResult:
 
     When T has more single-entry columns than single-entry rows, the chain
     runs on T^T and its T^D is transposed back; the index is the same. A
-    single-entry row divides by its content to a unit row, whose pivot is
-    1, so fraction-free elimination grows nothing on it.
+    single-entry row is a unit row, which ``rref`` and ``inverse`` pivot
+    on exactly, before any elimination, so an identity block of n rows or
+    columns leaves n rows to eliminate, not 2n.
     """
     _require_square(matrix, "drazin")
     n = matrix.rows

@@ -30,12 +30,13 @@ compact: a pivoted column is d in its own row, so no row keeps it, and
 ``inverse`` runs in place, its identity columns taking the freed slots.
 Before any elimination, ``rref`` and ``inverse`` pivot exactly on every
 unit row, a row with one nonzero numerator (``_unit_rows``): only the
-other rows and columns are eliminated, by the routes below, chosen by the
-size of what is left, and ``inverse`` adds one product for the rest.
+other rows and columns are left, unit rows that appear there are taken
+out the same way, and what is left at last is eliminated by the routes
+below, chosen by its own size; ``inverse`` adds one product per round.
 ``rank`` counts ``rref``'s pivots; ``rref`` and ``inverse`` divide by the
 last pivot once, at the end. FFGJ pivots each column on its smallest
 candidate row by total bit length, the first on a tie, which keeps the
-minors small (identity rows go first). No output depends on the order:
+minors small. No output depends on the order:
 the rank, the rref, its pivot columns and the inverse are unique, storage
 is canonical, and the fraction-free divisions are exact in any row order.
 
@@ -737,6 +738,15 @@ def _echelon_form(height: int, width: int, pivot_cols: Sequence[int],
     return _matrix(height, width, den, re, im)
 
 
+def _full_column_rank(height: int, width: int
+                      ) -> tuple[Matrix, int, tuple[int, ...]]:
+    """The rref of a height x width matrix of rank width: I over zero
+    rows."""
+    pivot_cols = tuple(range(width))
+    return (_echelon_form(height, width, pivot_cols, 1, repeat(((), ()))),
+            width, pivot_cols)
+
+
 def _lifted_rref(matrix: Matrix
                  ) -> tuple[Matrix, int, tuple[int, ...]] | None:
     """The rref by lifting, or None to fall back to FFGJ.
@@ -749,8 +759,7 @@ def _lifted_rref(matrix: Matrix
     pivot_rows, pivot_cols, image = _gauss_jordan_mod(matrix, _S, True)
     r = len(pivot_cols)
     if r == width:
-        return (_echelon_form(height, width, pivot_cols, 1, repeat(((), ()))),
-                r, tuple(pivot_cols))
+        return _full_column_rank(height, width)
     if not r:
         return None
     free = [c for c in range(width) if c not in pivot_cols]
@@ -796,50 +805,51 @@ def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
 
     A unit row, one nonzero entry at column c, is e_c up to a factor, so
     it pivots exactly: R holds e_c for each such column c, the first unit
-    row there standing for the others. Only the rest, M[other rows, other
-    columns], is eliminated, and its rref, placed back at its own columns,
-    merges with the e_c in pivot order (``_merged_rref``). No arithmetic
-    touches a unit row, and the rank is the count of unit columns plus
-    the rank of the rest. The rest takes one of three routes by its own
-    size; with no unit rows it is M.
+    row there standing for the others. The rest, M[other rows, other
+    columns], takes ``rref`` again, and its rref, placed back at its own
+    columns, merges with the e_c in pivot order (``_merged_rref``). No
+    arithmetic touches a unit row, and the rank is the count of unit
+    columns plus the rank of the rest.
 
-    A rest with no rows or no columns has rank 0 at once. From
-    ``_LIFT_FROM`` rows up R comes by lifting (``_lifted_rref``): Gauss-
-    Jordan mod P gives r pivots at rows I and columns J, and lifting
-    solves M[I, J] X = M[I, F] for the free columns F. R = [I | X] is
-    returned only when X is zero at every free column left of its row's
-    pivot and M[:, J] X = M[:, F] holds over all rows, and R is then the
-    rref: (1) det M[I, J] != 0 mod P gives rank M >= r; (2) the product
-    gives rank M <= r, and M = M[:, J] R has the row space of R; (3) the
-    zeros make R a reduced echelon form, unique for its row space.
-    Below the cutoff R = I when the certificate proves a square matrix
-    invertible. Otherwise, or when lifting abstains, fraction-free
-    Gauss-Jordan (FFGJ) pivots each column on the smallest candidate row
-    (``_bits``), which only sets the cost: R is unique. Each pivot ends
-    equal to the last, d, and R is the final rows over d.
+    A matrix with no unit row is eliminated, and with no rows or no
+    columns has rank 0 at once. From ``_LIFT_FROM`` rows up R comes by
+    lifting (``_lifted_rref``): Gauss-Jordan mod P gives r pivots at rows
+    I and columns J, and lifting solves M[I, J] X = M[I, F] for the free
+    columns F. R = [I | X] is returned only when X is zero at every free
+    column left of its row's pivot and M[:, J] X = M[:, F] holds over all
+    rows, and R is then the rref: (1) det M[I, J] != 0 mod P gives
+    rank M >= r; (2) the product gives rank M <= r, and M = M[:, J] R has
+    the row space of R; (3) the zeros make R a reduced echelon form,
+    unique for its row space. Below the cutoff R = I when the certificate
+    proves a square matrix invertible. Otherwise, or when lifting
+    abstains, fraction-free Gauss-Jordan (FFGJ) pivots each column on the
+    smallest candidate row (``_bits``), which only sets the cost: R is
+    unique. Each pivot ends equal to the last, d, and R is the final rows
+    over d.
     """
     units = _unit_rows(matrix)
-    if len(units) == matrix.cols:
-        # Every column pivots on a unit row: R is I over zero rows.
-        pivot_cols = tuple(range(matrix.cols))
-        return (_echelon_form(matrix.rows, matrix.cols, pivot_cols, 1,
-                              repeat(((), ()))), matrix.cols, pivot_cols)
-    _, free, rest = _rest(matrix, units) if units else ((), (), matrix)
-    height, width = rest.rows, rest.cols
+    if units:
+        if len(units) < matrix.cols:
+            _, free, rest = _rest(matrix, units)
+            found = rref(rest)
+            if found[1] < len(free):
+                return _merged_rref(matrix, units, free, found)
+        return _full_column_rank(matrix.rows, matrix.cols)
+    height, width = matrix.rows, matrix.cols
     if not (height and width):
-        found = Matrix.zeros(height, width), 0, ()
-    elif height >= _LIFT_FROM and (lifted := _lifted_rref(rest)) is not None:
-        found = lifted
-    elif height < _LIFT_FROM and rest.is_square and _certainly_invertible(rest):
-        found = Matrix.identity(height), height, tuple(range(height))
-    else:
-        rows = _integer_rows(rest)[0]
-        pivot_cols, d, _ = _gauss_jordan(rows, width, False)
-        norm = d[0] * d[0] + d[1] * d[1]
-        found = (_echelon_form(height, width, pivot_cols, norm,
-                               (_times_conj(row, d) for row in rows)),
-                 len(pivot_cols), tuple(pivot_cols))
-    return _merged_rref(matrix, units, free, found) if units else found
+        return Matrix.zeros(height, width), 0, ()
+    if height >= _LIFT_FROM:
+        lifted = _lifted_rref(matrix)
+        if lifted is not None:
+            return lifted
+    elif matrix.is_square and _certainly_invertible(matrix):
+        return Matrix.identity(height), height, tuple(range(height))
+    rows = _integer_rows(matrix)[0]
+    pivot_cols, d, _ = _gauss_jordan(rows, width, False)
+    norm = d[0] * d[0] + d[1] * d[1]
+    reduced = _echelon_form(height, width, pivot_cols, norm,
+                            (_times_conj(row, d) for row in rows))
+    return reduced, len(pivot_cols), tuple(pivot_cols)
 
 
 def rank(matrix: Matrix) -> int:
@@ -977,30 +987,37 @@ def _lifted_inverse(matrix: Matrix) -> Matrix | None:
 
 
 def inverse(matrix: Matrix) -> Matrix:
-    """Exact inverse; SingularMatrix if rank < n.
+    """Exact inverse; SingularMatrix if rank < n (``_peeled_inverse``)."""
+    _require_square(matrix, "inverse")
+    found = _peeled_inverse(matrix)
+    if isinstance(found, int):
+        raise SingularMatrix(f"rank {found} < {matrix.rows}")
+    return found
+
+
+def _peeled_inverse(matrix: Matrix) -> Matrix | int:
+    """The inverse, or the rank of a singular matrix.
 
     Unit row i, with its one nonzero a_i at column c_i, takes no
     elimination. With K the columns c_i, Y = M[rest rows, rest cols] and
     X = M[rest rows, K], M^-1 is 1 / a_i at [c_i, i], Y^-1 at [rest cols,
     rest rows], -(Y^-1 X)[:, i] / a_i at [rest cols, i] and zero at [K,
-    rest rows]: one product on ``_eliminated_inverse``'s Y^-1. A second
-    unit row at some c_i leaves a zero row in Y, and the rank is |K|
-    plus that of Y.
+    rest rows]: one product on Y^-1, which comes from this function
+    again. A second unit row at some c_i leaves a zero row in Y, and the
+    rank is |K| plus that of Y. A matrix with no unit row is eliminated
+    (``_eliminated_inverse``).
     """
-    _require_square(matrix, "inverse")
-    n = matrix.rows
     units = _unit_rows(matrix)
+    n, rows, cols = matrix.rows, (), ()
     if len(units) < n:
-        rows, cols, y = _rest(matrix, units) if units else ((), (), matrix)
-        y_inv = _eliminated_inverse(y)
-        if isinstance(y_inv, int):
-            raise SingularMatrix(f"rank {len(units) + y_inv} < {n}")
         if not units:
-            return y_inv
+            return _eliminated_inverse(matrix)
+        rows, cols, y = _rest(matrix, units)
+        y_inv = _peeled_inverse(y)
+        if isinstance(y_inv, int):
+            return len(units) + y_inv
         z = _product(y_inv, matrix._take(len(rows), len(units), [
             i * n + c for i in rows for c in units]))
-    else:
-        rows = cols = ()
     # 1 / a_i = den conj(p_i) / |p_i|^2 for a_i's numerator p_i = a + bi,
     # and Y^-1 and Z = Y^-1 X have numerators over y_den and z_den.
     re, im, k, m = matrix._re, matrix._im, len(units), len(rows)

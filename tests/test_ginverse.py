@@ -477,19 +477,26 @@ class TestInvertibilityCertificate:
         assert unit.index == 0 and unit.drazin == inverse(invertible)
 
 
+@pytest.mark.parametrize("rank_f", [8, 4])
 @pytest.mark.parametrize("layout", [BlockShape.EI_F0, BlockShape.EF_I0])
-def test_identity_layouts_eliminate_n_rows(layout, monkeypatch):
-    # The identity block's n unit rows pivot exactly: the first Cline step
-    # and, with F invertible, the inverse of the whole 2n matrix eliminate
-    # only the n rows left, never 2n.
+def test_identity_layouts_eliminate_n_rows(layout, rank_f, monkeypatch):
+    # The identity block's n unit rows pivot exactly, so the first Cline
+    # step's rref runs the certificate on the n x n rest, and FFGJ on its
+    # n rows when F is singular; with F invertible, the inverse of the
+    # whole 2n matrix eliminates those n rows too. Below full rank the
+    # core, of n + rank_f rows, is inverted by lifting.
     n = 8
     theorem = next(t for t, s in SHAPE_FOR_THEOREM.items() if s is layout)
-    e, f = gen_pair(GenSpec(theorem, n, n, True, 0))
+    e, f = gen_pair(GenSpec(theorem, n, rank_f, True, 0))
     big = assemble_M(e, f, layout)
     with monkeypatch.context() as patch:
         ffgj = spy(patch, matrices, "_gauss_jordan")
         mod_p = spy(patch, matrices, "_gauss_jordan_mod")
         result = drazin.__wrapped__(big)
-    assert result.index == 0
-    assert ffgj and {len(rows) for rows, *_ in ffgj} == {n}
-    assert {m.rows for m, *_ in mod_p} <= {n}
+    singular = rank_f < n
+    assert result.index == singular
+    sizes = [(m.rows, invert) for m, _, invert in mod_p]
+    assert sizes[0] == (n, False)
+    assert set(sizes[1:]) == ({(n + rank_f, True)} if singular else set())
+    assert [(len(rows), invert) for rows, _, invert in ffgj] == [
+        (n, not singular)]

@@ -942,7 +942,7 @@ class TestCanonicalForm:
 
 
 def _dense_invertible(n: int) -> Matrix:
-    """A dense invertible n x n matrix: no row of P M is a unit row."""
+    """A dense invertible n x n matrix."""
     return Matrix.from_rows([[(i + 2) ** j + (i == j) for j in range(n)]
                              for i in range(n)])
 
@@ -954,18 +954,24 @@ UNIT_ROW_CASES = [
     mat([["1", "2", "3"], ["0", "0", "0"], ["0", "0", "4"]]),
     mat([["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]]),
     mat([["2", "0", "0"], ["0", "i", "0"], ["0", "0", "1/3"]]),
-    mat([["5"]]),
-    mat([["0"]]),
+    # Unit rows only once the first round's columns are gone: the rest
+    # is taken out again, and in the second matrix its two unit rows
+    # share a column, leaving rank 2.
+    mat([["1", "2", "0"], ["0", "3", "0"], ["4", "5", "6"]]),
+    mat([["1", "2", "0"], ["0", "3", "0"], ["2", "7", "0"]]),
 ]
 
 
 class TestUnitRows:
-    """Unit rows pivot exactly in rref and inverse; P M for a dense
-    invertible P has none and takes the elimination route."""
+    """Unit rows pivot exactly in rref and inverse. P M, for a dense
+    invertible P, has no unit row and takes the elimination route, and
+    the two routes must agree on the result and on a singular matrix's
+    message."""
 
-    @pytest.mark.parametrize("m", UNIT_ROW_CASES + [Matrix.zeros(0, 0)])
+    @pytest.mark.parametrize("m", UNIT_ROW_CASES)
     def test_same_as_elimination(self, m):
         p = _dense_invertible(m.rows)
+        assert matrices._unit_rows(m) and not matrices._unit_rows(p * m)
         assert rref(m) == rref(p * m)
         try:
             expected = inverse(p * m) * p
@@ -974,3 +980,20 @@ class TestUnitRows:
                 inverse(m)
         else:
             assert inverse(m) == expected
+
+    @pytest.mark.parametrize("entry, inverted", [
+        ("5", "1/5"), ("-3/7", "-7/3"), ("2+i", "2/5-1/5i"), ("1/2i", "-2i"),
+    ])
+    def test_one_by_one(self, entry, inverted):
+        m = mat([[entry]])
+        assert rref(m) == (Matrix.identity(1), 1, (0,))
+        assert inverse(m) == mat([[inverted]])
+
+    def test_zero_and_empty(self):
+        zero = Matrix.zeros(1, 1)
+        assert rref(zero) == (zero, 0, ())
+        with pytest.raises(SingularMatrix, match="^rank 0 < 1$"):
+            inverse(zero)
+        empty = Matrix.zeros(0, 0)
+        assert rref(empty) == (empty, 0, ())
+        assert inverse(empty) == empty

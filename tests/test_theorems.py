@@ -316,7 +316,8 @@ class TestRouteCounts:
     the pair splits with no product, and q = 0. A 1 x 1 core, or any
     matrix whose rows all hold one nonzero, is a set of unit rows that
     ``rref`` and ``inverse`` pivot on with no elimination or certificate;
-    ``inverse`` takes one product for the rows that are left.
+    ``inverse`` takes one product for each round of unit rows it takes
+    out while rows are left.
     """
 
     COUNTS = {
@@ -340,7 +341,7 @@ class TestRouteCounts:
         "thm3.1": [(9, 2, 2), (20, 2, 2), (14, 2, 2), (9, 1, 1)],
         "cor3.2": [(9, 2, 2), (20, 2, 2), (14, 2, 2), (9, 1, 1)],
         "cor3.3": [(9, 2, 3), (14, 2, 3), (14, 2, 3), (9, 1, 2)],
-        "cor3.4": [(17, 4, 5), (16, 3, 4), (16, 2, 3), (13, 2, 3)],
+        "cor3.4": [(17, 4, 5), (16, 3, 4), (16, 1, 2), (13, 2, 3)],
     }
 
     @staticmethod
@@ -376,10 +377,12 @@ class TestCostAgainstOracle:
     Every matrix passes through ``matrices._matrix``; the sum of the bit
     lengths of the numerators it is given grows with the arithmetic that
     made them, though it misses fixed per-call costs. The sum is exact, so
-    the guard has no noise. The ratios at seeds 0-2 run from 1.63 (cor3.4,
-    seed 0) to 4.99 at n = 8, and from 1.75 (cor3.4, seed 2) to 4.83 at
-    n = 12; cor3.4's falls to 1.42 at n = 8 when Theorem 3.1's kernel
-    forms its products twice.
+    the guard has no noise. The ratios at seeds 0-2 run from 1.69 (cor3.4,
+    seed 0) to 5.04 at n = 8, and from 1.80 (cor3.4, seed 2) to 4.81 at
+    n = 12; cor2.5's at n = 8, seed 2, fell from 1.98 to 1.79 when unit
+    rows stopped taking elimination. When the guard was set,
+    cor3.4's fell to 1.42 at n = 8 with Theorem 3.1's kernel forming its
+    products twice.
     """
 
     FACTOR = 1.5
