@@ -36,9 +36,9 @@ below, chosen by its own size; ``inverse`` adds one product per round.
 ``rank`` counts ``rref``'s pivots; ``rref`` and ``inverse`` divide by the
 last pivot once, at the end. FFGJ pivots each column on its smallest
 candidate row by total bit length, the first on a tie, which keeps the
-minors small. No output depends on the order:
-the rank, the rref, its pivot columns and the inverse are unique, storage
-is canonical, and the fraction-free divisions are exact in any row order.
+minors small. No output depends on the order: the rank, the rref, its
+pivot columns and the inverse are unique, storage is canonical, and the
+fraction-free divisions are exact in any row order.
 
 Modulo a fixed prime P = 1 (mod 4), i goes to S or to -S, S^2 = -1 mod P,
 and one Gauss-Jordan routine, ``_gauss_jordan_mod``, eliminates either
