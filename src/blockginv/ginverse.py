@@ -20,7 +20,7 @@ X = M^-(k+1), each step, last first, sets X = B_j X C_j. Each C_j is the
 identity on its pivot columns, so no product of the chain or of T^D
 multiplies by those columns. T^pi = I - T T^D is formed only when read.
 The chain runs on T^T when that has more single-entry rows than T, since
-such a row is an exact unit row to fraction-free elimination.
+``rref`` and ``inverse`` pivot on such a row with no elimination.
 
 References: R. E. Cline, "Inverses of rank invariant powers of a matrix",
 SIAM J. Numer. Anal. 5 (1968); S. L. Campbell and C. D. Meyer,
@@ -62,7 +62,7 @@ class DrazinResult:
     its chain when the index is 1: (pivots, free, R, flipped), with R the
     rref's free columns, of T or of T^T when ``flipped``. Then the null
     space of T, or of T^T, is read off R (see ``_spectral_factors``)
-    without a second elimination.
+    without a second elimination. Only this module reads it.
     """
 
     __slots__ = ("drazin", "index", "_pi", "_matrix", "_step")
@@ -90,28 +90,36 @@ class DrazinResult:
         return f"DrazinResult({self.drazin!r}, {self.index})"
 
 
-def _chain(matrix: Matrix) -> tuple[list[tuple], Matrix | None]:
-    """Cline's chain for a square T: (steps, core).
+def _chain(matrix: Matrix) -> tuple[list[tuple], Matrix | None, bool]:
+    """Cline's chain for a square T: (steps, core, flipped).
 
-    Each step factors the current matrix, T first, as B C and records
-    (B, pivots, free, C[:, free]), with B the pivot columns and C the
-    nonzero rref rows. C is the identity on its pivot columns, so the next
-    matrix, C B = B[pivots, :] + C[:, free] B[free, :], is B's pivot rows
-    plus one product with its free rows. The chain ends on an invertible
-    matrix, the core, or on a zero one, recorded as a rank-0 step with core
-    None. Either way T has index len(steps).
+    The chain runs on T^T, and ``flipped`` is True, when T has more
+    single-entry columns than single-entry rows; the index is the same. A
+    single-entry row is a unit row, which ``rref`` and ``inverse`` pivot
+    on exactly, before any elimination, so an identity block of n rows or
+    columns leaves n rows to eliminate, not 2n.
+
+    Each step factors the current matrix, T or T^T first, as B C and
+    records (B, pivots, free, C[:, free]), with B the pivot columns and C
+    the nonzero rref rows. C is the identity on its pivot columns, so the
+    next matrix, C B = B[pivots, :] + C[:, free] B[free, :], is B's pivot
+    rows plus one product with its free rows. The chain ends on an
+    invertible matrix, the core, or on a zero one, recorded as a rank-0
+    step with core None. Either way T has index len(steps).
     """
-    steps, core = [], matrix
+    single_rows, single_cols = _single_entry_lines(matrix)
+    flipped = single_cols > single_rows
+    steps, core = [], matrix.transpose() if flipped else matrix
     while True:
         reduced, r, pivots = rref(core)
         if r == core.rows:
-            return steps, core
+            return steps, core, flipped
         free = [c for c in range(core.cols) if c not in pivots]
         free_part = reduced.pick(range(r), free)
         columns = core.columns(pivots)
         steps.append((columns, pivots, free, free_part))
         if r == 0:
-            return steps, None
+            return steps, None, flipped
         core = (columns.pick(pivots, range(r))
                 + free_part * columns.pick(free, range(r)))
 
@@ -134,19 +142,12 @@ def drazin(matrix: Matrix) -> DrazinResult:
     product with C. T^pi = I - T T^D is formed on its first read,
     from T, which the cache holds anyway as its key. An invertible T has
     index 0, T^D = T^-1 and T^pi = 0; a nilpotent T has T^D = 0 and
-    T^pi = I. Results are cached; matrices are immutable.
-
-    When T has more single-entry columns than single-entry rows, the chain
-    runs on T^T and its T^D is transposed back; the index is the same. A
-    single-entry row is a unit row, which ``rref`` and ``inverse`` pivot
-    on exactly, before any elimination, so an identity block of n rows or
-    columns leaves n rows to eliminate, not 2n.
+    T^pi = I. Results are cached; matrices are immutable. When the chain
+    ran on T^T (see ``_chain``), its T^D is transposed back.
     """
     _require_square(matrix, "drazin")
     n = matrix.rows
-    single_rows, single_cols = _single_entry_lines(matrix)
-    flip = single_cols > single_rows
-    steps, core = _chain(matrix.transpose() if flip else matrix)
+    steps, core, flip = _chain(matrix)
     k = len(steps)
     step = (*steps[0][1:], flip) if k == 1 else None
     if core is None:
@@ -161,24 +162,27 @@ def drazin(matrix: Matrix) -> DrazinResult:
     return DrazinResult(x, k, None if k else Matrix.zeros(n, n), matrix, step)
 
 
-def _spectral_factors(result: DrazinResult) -> tuple[Matrix, Matrix]:
-    """(G, H) with T^pi = G H and H G = I, for ``drazin``'s T of index <= 1.
+def _spectral_factors(result: DrazinResult
+                      ) -> tuple[Matrix, Matrix, list[int] | None]:
+    """(G, H, rows) with T^pi = G H and H G = I, for ``drazin``'s T of
+    index <= 1; G is the identity at ``rows``, None for a flipped step.
 
     G is n x q and H is q x n, for q = n - rank(T). At index 1, range(T^pi)
     is the null space of T and its row space the left null space, and the
     first step's rref gives a basis K of one of them with the identity on
-    its free rows (``_null_basis``). Unflipped, G = K and H = T^pi[free, :];
-    flipped, K spans T^T's null space, H = K^T and G = T^pi[:, free]. At
-    index 0, T^pi = 0 and q = 0.
+    its free rows (``_null_basis``). Unflipped, G = K, H = T^pi[free, :]
+    and ``rows`` is free; flipped, K spans T^T's null space, H = K^T,
+    G = T^pi[:, free] and ``rows`` is None. At index 0, T^pi = 0, q = 0
+    and ``rows`` is empty.
     """
     pi = result.spectral_idempotent
     n = pi.rows
     if result._step is None:
-        return Matrix.zeros(n, 0), Matrix.zeros(0, n)
+        return Matrix.zeros(n, 0), Matrix.zeros(0, n), []
     pivots, free, reduced, flipped = result._step
     null = _null_basis(reduced, pivots, free)
-    return ((pi.columns(free), null.transpose()) if flipped
-            else (null, pi.pick(free, range(n))))
+    return ((pi.columns(free), null.transpose(), None) if flipped
+            else (null, pi.pick(free, range(n)), free))
 
 
 def _group(matrix: Matrix, message: str) -> DrazinResult:

@@ -487,10 +487,11 @@ def _placed_columns(left: Matrix, left_cols: Sequence[int], right: Matrix,
 def _single_entry_lines(matrix: Matrix) -> tuple[int, int]:
     """How many rows, and how many columns, hold exactly one nonzero."""
     h, w = matrix.rows, matrix.cols
-    nonzero = list(map(bool, map(or_, matrix._re, matrix._im)))
-    in_rows = [sum(nonzero[i * w:(i + 1) * w]) for i in range(h)]
-    in_cols = [sum(nonzero[j::w]) for j in range(w)]
-    return in_rows.count(1), in_cols.count(1)
+    # An entry is zero exactly where re | im is.
+    zero = list(map(or_, matrix._re, matrix._im))
+    in_rows = [zero[i * w:(i + 1) * w].count(0) for i in range(h)]
+    in_cols = [zero[j::w].count(0) for j in range(w)]
+    return in_rows.count(w - 1), in_cols.count(h - 1)
 
 
 def _unit_rows(matrix: Matrix) -> dict[int, int]:

@@ -36,12 +36,12 @@ F E F^pi = 0. On a split pair no rule needs drazin(E): every kernel input
 and residual on E's Drazin data comes from a q x q matrix W,
 q = n - rank(F), as ``_Oriented`` sets out. ``_report`` is the one reader
 of Drazin data here: it calls drazin once on F and, when F is group
-invertible and a verdict or the kernel reads W, once on W. Whether the
-pair splits is read off the rref that drazin(F)'s first Cline step ran,
-through one r x q x q product, r = rank(F), and W is then q rows of E G,
-with no product (unless drazin factored F^T). cor3.3's and cor3.4's
-hypotheses never read W, so their reports form no W, and cor3.4's no
-E G, until the kernel runs. Each verdict is a function of the
+invertible and a verdict or the kernel reads W, once on W. The pair
+splits iff G W = E G, one n x q x q product, with W the q rows of E G at
+which G is the identity, picked with no product (H E G when drazin
+factored F^T). cor3.3's and cor3.4's hypotheses never read W's Drazin
+data, so their reports run no drazin on W, and cor3.4's form no E G,
+until the kernel runs. Each verdict is a function of the
 kernel-oriented pair alone, not of the order of the hypotheses (see
 ``_evaluate``). A held hypothesis has the zero residual, and every other
 residual is formed when it is read. The kernel inputs are formed only
@@ -217,11 +217,12 @@ class _Oriented:
     """A kernel-oriented pair (E, F) and the Drazin data its rule reads.
 
     The split-pair algebra is written here once; the module docstring and
-    ``_evaluate`` point to it. For F of index <= 1, F^pi = G H with H G = I_q, G n x q and H q x n,
-    q = n - rank(F), read off the rref of F's own first Cline step
-    (``_spectral_factors``). T = E F^pi = (E G) H is never formed: by
-    Cline's (BC)^D = B ((CB)^D)^2 C its Drazin data come from the q x q
-    matrix W = H E G, so drazin runs on F and W, never on T.
+    ``_evaluate`` point to it. For F of index <= 1, F^pi = G H with
+    H G = I_q, G n x q and H q x n, q = n - rank(F), read off the rref of
+    F's own first Cline step (``_spectral_factors``). T = E F^pi = (E G) H
+    is never formed: by Cline's (BC)^D = B ((CB)^D)^2 C its Drazin data
+    come from the q x q matrix W = H E G, so drazin runs on F and W, never
+    on T.
 
     The pair is split when F has index <= 1 and F E G = 0, H having full
     row rank, that is F E F^pi = 0. Then range(G) = null(F) is
@@ -235,24 +236,21 @@ class _Oriented:
 
     and E^pi F^pi = 0 iff W has index 0, E E^pi F^pi = 0 iff W has index
     <= 1. ``split`` is decided on first read, without F E G. At index 0,
-    q = 0 and the pair splits. At index 1 the step gives F = B [I | R],
-    with B F's pivot columns, of full column rank, and [I | R] the rref
-    rows, I at the pivot columns. So F x = 0 iff x[pivots] + R x[free] = 0,
-    and F E G = 0 iff E G[pivots, :] + R E G[free, :] = 0, one r x q x q
-    product. G is the identity on its free rows, so on a split pair
-    W = G[free, :] W = E G[free, :], a pick. When ``drazin`` factored F^T,
-    G has no such rows: there W = H E G, and since null(F) = range(G) with
-    H G = I, the pair is split iff G W = E G. E G, ``eg``, W, ``w``, and
-    W's Drazin data, ``dw``, are formed on first read, so a report whose
-    verdicts never read W forms no W; ``w`` and ``dw`` are read only on a
-    split pair.
+    q = 0 and the pair splits. At index 1 it splits iff G W = E G, one
+    n x q x q product: range(E G) lies in range(G) = null(F) exactly when
+    E G = G X for some X, and then X = W. Where ``_spectral_factors``
+    names the ``rows`` at which G is the identity, X = E G[rows, :], so W
+    is that pick, with no product; when ``drazin`` factored F^T, G has no
+    such rows, and W = H E G. E G, ``eg``, W, ``w``, and W's Drazin data,
+    ``dw``, are formed on first read; ``dw`` is read only on a split
+    pair.
     """
 
     def __init__(self, e: Matrix, f: Matrix):
         self.e, self.f, self.df = e, f, drazin(f)
         self.f_pi = self.df.spectral_idempotent
         if self.df.index <= 1:
-            self.g, self.h = _spectral_factors(self.df)
+            self.g, self.h, self.rows = _spectral_factors(self.df)
 
     @cached_property
     def eg(self) -> Matrix:
@@ -260,11 +258,9 @@ class _Oriented:
 
     @cached_property
     def w(self) -> Matrix:
-        step = self.df._step
-        if step is None or step[3]:
+        if self.rows is None:
             return self.h * self.eg
-        free = step[1]
-        return self.eg.pick(free, range(len(free)))
+        return self.eg.pick(self.rows, range(len(self.rows)))
 
     @cached_property
     def dw(self) -> DrazinResult:
@@ -274,12 +270,7 @@ class _Oriented:
     def split(self) -> bool:
         if self.df.index != 1:
             return self.df.index == 0
-        pivots, free, reduced, flipped = self.df._step
-        if flipped:
-            return self.g * self.w == self.eg
-        cols = range(len(free))
-        return (self.eg.pick(pivots, cols)
-                + reduced * self.eg.pick(free, cols)).is_zero()
+        return self.g * self.w == self.eg
 
     @property
     def e_pi_f_pi(self) -> Matrix:

@@ -36,10 +36,10 @@ def rows_of(m):
 def split_complaints(pairs):
     """(complaints, flipped) over pairs (E, F), each as given and transposed.
 
-    Wherever F has index <= 1, ``_Oriented``'s split verdict must equal
-    whether F E G is zero, and on a split pair its W must equal H (E G).
-    ``flipped`` counts the pairs where drazin factored F^T, which decide
-    the split by G W = E G.
+    Wherever F has index <= 1, ``_Oriented``'s split verdict, G W = E G,
+    must equal whether F E G is zero, and on a split pair its W must equal
+    H (E G). ``flipped`` counts the pairs where drazin factored F^T, which
+    form W as H (E G) rather than pick it from E G.
     """
     complaints, flipped = [], 0
     for e, f in pairs:
@@ -47,7 +47,7 @@ def split_complaints(pairs):
             pair = _Oriented(e, f)
             if pair.df.index > 1:
                 continue
-            flipped += pair.df.index == 1 and pair.df._step[3]
+            flipped += pair.df.index == 1 and pair.rows is None
             if pair.split != (f * pair.eg).is_zero():
                 complaints.append(f"split {pair.split} on E, F = {e}, {f}")
             elif pair.split and pair.w != pair.h * pair.eg:

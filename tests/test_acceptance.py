@@ -14,6 +14,7 @@ from blockginv import generators, matrices
 from blockginv.generators import Verdict, run_campaign
 from blockginv.ginverse import (
     NotGroupInvertible,
+    _spectral_factors,
     block_triangular_drazin,
     cline,
     drazin,
@@ -120,27 +121,26 @@ def test_criterion_4_negative_campaigns():
 @pytest.mark.parametrize("theorem", ["thm2.1", "thm2.3", "thm3.1", "cor3.2"])
 def test_refusals_form_residuals_on_read(theorem, monkeypatch):
     """On criterion 4's corpus a refusal is decided from W's index after
-    products E G (n x q) and R E G[free, :] (r x q) alone, R being the
-    free columns of F's rref, W = E G[free, :] being a pick, and forms its
-    failing residual only when that is read; every residual read equals
-    its definition. Where drazin factored F^T, in the kernel's
-    orientation, the products are E G, W = H E G (q x q) and G W (n x q).
-    gen_pair leaves drazin's cache warm, so the refusal takes no product
-    inside drazin."""
+    products E G (n x q) and G W (n x q) alone, W = E G[free, :] being a
+    pick at the rows where G is the identity, and forms its failing
+    residual only when that is read; every residual read equals its
+    definition. Where drazin factored F^T, in the kernel's orientation,
+    the products are E G, W = H E G (q x q) and G W (n x q). gen_pair
+    leaves drazin's cache warm, so the refusal takes no product inside
+    drazin."""
     refused = []
 
     def refuse(e, f, name):
-        r = rank(f)
-        n, q = e.rows, e.rows - r
+        n, q = e.rows, e.rows - rank(f)
         oriented = f.transpose() if RULES[name].mirrored else f
-        flipped = drazin(oriented)._step[3]
+        flipped = _spectral_factors(drazin(oriented))[2] is None
         with monkeypatch.context() as patch:
             products = spy(patch, matrices, "_product")
             with pytest.raises(NotGroupInvertible) as info:
                 block_group_inverse(name, e, f)
             shapes = [(left.rows, right.cols) for left, right in products]
             assert shapes == ([(n, q), (q, q), (n, q)] if flipped
-                              else [(n, q), (r, q)])
+                              else [(n, q), (n, q)])
             products.clear()
             report = info.value.report
             residuals = [c.residual for c in report.conditions]

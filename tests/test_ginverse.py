@@ -229,33 +229,37 @@ class TestDefiningIdentities:
 
 class TestSpectralFactors:
     """At index <= 1, T^pi = G H with H G = I_q and q = n - rank(T), read
-    off the first step of drazin's chain, on T or on T^T."""
+    off the first step of drazin's chain, on T or on T^T; G is the
+    identity at the rows returned with it, which are None for T^T."""
 
     @staticmethod
     def assert_factors(m):
         result = drazin(m)
-        g, h = ginverse._spectral_factors(result)
+        g, h, rows = ginverse._spectral_factors(result)
         q = m.rows - rank(m)
         assert (g.shape, h.shape) == ((m.rows, q), (q, m.rows))
         assert g * h == result.spectral_idempotent
         assert h * g == Matrix.identity(q)
         assert (m * g).is_zero() and (h * m).is_zero()
+        if rows is not None:
+            assert g.pick(rows, range(q)) == Matrix.identity(q)
+        return rows
 
     @given(st.one_of(square_matrices(1, 4), singular_square_matrices(1, 4)))
     def test_drawn_matrices(self, m):
         if drazin_index(m) <= 1:
             self.assert_factors(m)
 
-    @pytest.mark.parametrize("rows", [
-        [["1", "1"], ["0", "0"]],              # factored through T^T
-        [["1", "0"], ["1", "0"]],              # factored through T
-        [["0", "0"], ["0", "0"]],              # T^pi = I
-        [["2", "i"], ["0", "1/3"]],            # invertible: q = 0
+    @pytest.mark.parametrize("rows, identity_rows", [
+        ([["1", "1"], ["0", "0"]], None),      # factored through T^T
+        ([["1", "0"], ["1", "0"]], [1]),       # factored through T
+        ([["0", "0"], ["0", "0"]], [0, 1]),    # T^pi = I
+        ([["2", "i"], ["0", "1/3"]], []),      # invertible: q = 0
     ])
-    def test_both_orientations_and_the_ends(self, rows):
+    def test_both_orientations_and_the_ends(self, rows, identity_rows):
         m = mat(rows)
         drazin.cache_clear()
-        self.assert_factors(m)
+        assert self.assert_factors(m) == identity_rows
 
 
 def _core_nilpotent(rng: random.Random, core_n: int, index: int) -> Matrix:
@@ -305,11 +309,11 @@ class TestAgainstReference:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_high_index_with_an_invertible_part(self, index, seed):
         m = _core_nilpotent(random.Random(seed * 10 + index), 2, index)
-        steps, core = ginverse._chain(m)
+        steps, core, flipped = ginverse._chain(m)
         assert len(steps) == index and core is not None
         assert drazin_index(m) == index
         # Each step's matrix is B C, and the next step's matrix is C B.
-        current = m
+        current = m.transpose() if flipped else m
         for left, pivots, free, free_part in steps:
             right = _rref_rows(pivots, free, free_part)
             assert left * right == current
@@ -372,10 +376,11 @@ class TestOrientation:
         e, f = gen_pair(GenSpec(theorem, 4, 2, satisfy, 3))
         big = assemble_M(e, f, SHAPE_FOR_THEOREM[theorem])
         _same_up_to_transpose(big)
-        factored = spy(monkeypatch, ginverse, "_chain")
+        factored = spy(monkeypatch, ginverse, "_chain", result=True)
         drazin.__wrapped__(big)
-        flipped = SHAPE_FOR_THEOREM[theorem] is BlockShape.EI_F0
-        assert factored == [(big.transpose() if flipped else big,)]
+        [((given,), (*_, flipped))] = factored
+        assert given == big
+        assert flipped == (SHAPE_FOR_THEOREM[theorem] is BlockShape.EI_F0)
 
 
 def _is_prime(n: int) -> bool:
@@ -500,3 +505,22 @@ def test_identity_layouts_eliminate_n_rows(layout, rank_f, monkeypatch):
     assert set(sizes[1:]) == ({(n + rank_f, True)} if singular else set())
     assert [(len(rows), invert) for rows, _, invert in ffgj] == [
         (n, not singular)]
+
+
+@pytest.mark.parametrize("layout", [BlockShape.EI_F0, BlockShape.EF_I0])
+def test_drazin_index_orients_like_drazin(layout, monkeypatch):
+    # drazin_index runs drazin's chain, on T^T for EI_F0, so its first
+    # elimination mod P is the n x n rest of the first step, not 2n rows,
+    # and its second lifts the rref of the core, of n + rank_f rows. Those
+    # are drazin's first two; drazin goes on to invert the core.
+    n, rank_f = 8, 4
+    theorem = next(t for t, s in SHAPE_FOR_THEOREM.items() if s is layout)
+    e, f = gen_pair(GenSpec(theorem, n, rank_f, True, 0))
+    big = assemble_M(e, f, layout)
+    sizes = []
+    for run in (drazin.__wrapped__, drazin_index):
+        with monkeypatch.context() as patch:
+            mod_p = spy(patch, matrices, "_gauss_jordan_mod")
+            run(big)
+        sizes.append([(m.rows, invert) for m, _, invert in mod_p])
+    assert sizes[1] == [(n, False), (n + rank_f, True)] == sizes[0][:2]

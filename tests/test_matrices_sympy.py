@@ -5,8 +5,11 @@ there could make them agree on a wrong answer. These tests check sums,
 differences, negation, scalar multiples, the product, rank, rref,
 inverse, the kernel and column-space bases, and the scalar operations
 + - * /, against an implementation that shares no code with blockginv.
+Some draws plant unit rows, which ``rref`` and ``inverse`` take out
+before any elimination, in one round or several.
 """
 
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -23,7 +26,7 @@ from blockginv.matrices import (Matrix, SingularMatrix, column_space_basis,
                                 inverse, kernel_basis, rank, rref)
 from blockginv.scalars import GaussianRational
 from blockginv.theorems import SHAPE_FOR_THEOREM, assemble_M
-from conftest import mat, nonzero_scalars, rows_of, scalars
+from conftest import mat, nonzero_scalars, rows_of, scalars, spy
 
 
 def to_qq_i(x: GaussianRational):
@@ -273,6 +276,82 @@ def test_rref_and_inverse_of_assembled_layouts(m):
     assert_rank_rref_agree(m)
     assert_inverse_agrees(m)
     assert_inverse_agrees(m + Matrix.identity(m.rows))
+
+
+def unit_entries():
+    """A unit row's one nonzero: real, or with a nonzero imaginary part."""
+    return st.one_of(
+        nonzero_scalars().map(lambda x: GaussianRational(x.re or x.im)),
+        nonzero_scalars().filter(lambda x: x.im))
+
+
+@st.composite
+def planted_unit_rows(draw, rows=None, cols=None):
+    """Matrices whose rref and inverse take out unit rows, maybe in rounds.
+
+    Each round cuts some rows, taken in a drawn order, to one nonzero
+    outside the unit columns of earlier rounds, and may put two of them
+    at one column. A first-round row is a unit row of the matrix; a
+    repeated column leaves a zero row in the rest; a later round's row
+    keeps its entries at earlier unit columns, so it is a unit row only
+    of the rest, which then peels again.
+    """
+    rows = draw(st.integers(1, 6)) if rows is None else rows
+    cols = draw(st.integers(1, 6)) if cols is None else cols
+    grid = rows_of(draw(matrices(rows, cols)))
+    left = draw(st.permutations(range(rows)))
+    earlier = set()
+    for _ in range(draw(st.integers(1, 3))):
+        free = [j for j in range(cols) if j not in earlier]
+        if not (free and left):
+            break
+        planted = draw(st.integers(1, len(left)))
+        used = []
+        for i in left[:planted]:
+            j = (draw(st.sampled_from(used)) if used and draw(st.booleans())
+                 else draw(st.sampled_from(free)))
+            for c in free:
+                grid[i][c] = 0
+            grid[i][j] = draw(unit_entries())
+            used.append(j)
+        left, earlier = left[planted:], earlier | set(used)
+    return Matrix.from_rows(grid)
+
+
+@given(planted_unit_rows())
+def test_rank_and_rref_with_planted_unit_rows(m):
+    assert_rank_rref_agree(m)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: planted_unit_rows(n, n)))
+def test_inverse_with_planted_unit_rows(m):
+    assert_inverse_agrees(m)
+
+
+def _lifted_rest(rows, cols):
+    """Two unit rows, one complex, over a seeded dense rest."""
+    rng = random.Random(rows * cols)
+    grid = [[GaussianRational(rng.randint(-4, 4), rng.randint(-1, 1))
+             for _ in range(cols)] for _ in range(rows)]
+    grid[1] = [GaussianRational(2, 1) if j == 4 else 0 for j in range(cols)]
+    grid[6] = [-3 if j == 0 else 0 for j in range(cols)]
+    return Matrix.from_rows(grid)
+
+
+@pytest.mark.parametrize("rows, cols", [(12, 12), (11, 13)])
+def test_lifting_after_the_peel(rows, cols, monkeypatch):
+    # The rest keeps rows - 2 >= 9 rows, of full rank, so rref, and
+    # inverse on a square matrix, lift it after the two unit rows are
+    # taken out.
+    m = _lifted_rest(rows, cols)
+    assert len(blockginv_matrices._unit_rows(m)) == 2
+    assert rows - 2 >= LIFT_FROM
+    lifted = spy(monkeypatch, blockginv_matrices, "_lifted_solve")
+    assert_rank_rref_agree(m)
+    if m.is_square:
+        assert_inverse_agrees(m)
+    assert rank(m) == rows
+    assert {n.rows for n, *_ in lifted} == {rows - 2}
 
 
 _P, _S = blockginv_matrices._P, blockginv_matrices._S

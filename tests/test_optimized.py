@@ -6,8 +6,8 @@ turns false, nor ``sys.flags``, which reports it. So its code compiles to
 the same bytes at both optimization levels, and no second run of the tests
 under ``-O`` is needed. The library also relies on no private field of
 ``fractions.Fraction``, keeps its storage and certificate private to
-``matrices.py``, and parses as Python 3.10, the floor that pyproject.toml
-declares.
+``matrices.py`` and the layout of drazin's first step to ``ginverse.py``,
+and parses as Python 3.10, the floor that pyproject.toml declares.
 """
 
 import ast
@@ -151,6 +151,20 @@ def test_modules_import_no_other_private_names():
             and node.value.id in imported
         }
     assert found == allowed
+
+
+def test_only_ginverse_reads_the_first_step():
+    # The layout of drazin's first Cline step is a decision of ginverse.py
+    # alone; theorems.py reads the spectral factors, and the rows at which
+    # G is the identity, through _spectral_factors.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "ginverse.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_step"
+        or isinstance(node, ast.Constant) and node.value == "_step"
+    ]
+    assert found == []
 
 
 def test_only_drazin_result_writes_its_private_fields():
